@@ -2,12 +2,10 @@
 
 On ranked instances every stable complete matching is a contiguous block
 assignment, so the solvers never materialize full matchings while iterating.
-They mutate a boundary vector and query per-college totals through prefix
-sums, which makes the frequent operations O(1):
-
-  * bottom/top student of a college's block,
-  * a college's total value for its block,
-  * a chain demotion (shift one boundary on each side of the chain).
+They mutate a boundary vector and read per-college totals off prefix sums of
+the college values.  A chain demotion is O(1) (one boundary moves on each
+side of the chain); a college's block start, and with it its total value,
+costs O(j) to locate, since the block starts themselves are not cached.
 """
 
 from __future__ import annotations
@@ -65,22 +63,8 @@ class RankedState:
     def copy(self) -> "RankedState":
         return RankedState(self.instance, self.k, self._pv)
 
-    def prefix(self) -> list:
-        """w[j] = index of the first student in college j's block; also
-        w[m] = n appended for convenience."""
-        w, total = [], 0
-        for size in self.k:
-            w.append(total)
-            total += size
-        w.append(total)
-        return w
-
     def start_of(self, j: int) -> int:
         return sum(self.k[:j])
-
-    def bottom(self, j: int) -> int:
-        """Highest-index (least valued) student in college j's block."""
-        return self.start_of(j) + self.k[j] - 1
 
     def college_value(self, j: int) -> Fraction:
         w = self.start_of(j)

@@ -8,12 +8,9 @@ import io
 import time
 from dataclasses import dataclass
 
-from .const2 import fast_const
+from . import cli
 from .errors import InvalidInputError
-from .fast import fast
-from .fastgen import fast_gen
 from .generate import GenSpec, generate
-from .oracle import oracle_leximin
 
 FIELDS = ("algorithm", "n", "m", "seed", "wall_time", "steps", "peak_candidates")
 
@@ -36,18 +33,6 @@ class BenchRecord:
     peak_candidates: int
 
 
-def _run(algorithm: str, instance):
-    if algorithm == "fast":
-        return fast(instance)
-    if algorithm == "fast_gen":
-        return fast_gen(instance)
-    if algorithm == "fast_const":
-        return fast_const(instance)
-    if algorithm == "oracle":
-        return oracle_leximin(instance, require_complete=True)
-    raise InvalidInputError(f"unknown benchmark algorithm {algorithm!r}")
-
-
 def bench_one(algorithm: str, n: int, m: int, seed: int = 0) -> BenchRecord:
     kind = _KIND_FOR.get(algorithm)
     if kind is None:
@@ -56,7 +41,7 @@ def bench_one(algorithm: str, n: int, m: int, seed: int = 0) -> BenchRecord:
         raise InvalidInputError("fast_const benchmarks need m = 2")
     instance = generate(GenSpec(kind=kind, n=n, m=m, seed=seed))
     t0 = time.perf_counter()
-    report = _run(algorithm, instance)
+    report = cli.solve_dispatch(instance, algorithm)
     wall = time.perf_counter() - t0
     counters = report.counters
     peak = counters.get("enumerated", counters.get("tuple_comparisons", 0))

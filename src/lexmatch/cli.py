@@ -7,7 +7,6 @@ Exit codes: 0 ok; 2 invalid input; 3 NP-hard regime (no exact solver);
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -23,9 +22,8 @@ from .fairness import fairness_report
 from .fast import fast
 from .fastgen import fast_gen
 from .generate import CAPACITY_MODES, KINDS, GenSpec, generate
-from .model import Instance, Matching, classify, is_stable, leximin_tuple, value_to_str
-from .oracle import OracleBudget, oracle_leximin
-from .ranked import enumerate_stable
+from .model import Instance, classify, is_stable, leximin_tuple, value_to_str
+from .oracle import candidate_count, candidates, oracle_leximin
 from .reductions import ReductionSpec
 from .report import SolverReport
 from .serialize import (
@@ -43,10 +41,12 @@ EXIT_BUDGET = 5
 
 
 def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
-    """Route an instance to the right solver.  `auto` picks by structure:
-    ranked+isometric -> fast, ranked -> fast_gen, strict with two colleges ->
-    fast_const; anything else has no known polynomial solver and raises
-    NpHardRegimeError (the oracle remains available explicitly)."""
+    """Route an instance to the right solver.  This is the one name-to-solver
+    table: `lexmatch solve`, `bench` and library callers all go through it.
+    `auto` picks by structure: ranked+isometric -> fast, ranked -> fast_gen,
+    strict with two colleges -> fast_const; anything else has no known
+    polynomial solver and raises NpHardRegimeError (the oracle remains
+    available explicitly)."""
     if algo == "auto":
         flags = classify(instance)
         if flags.ranked and flags.isometric:
@@ -109,44 +109,19 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _enumerate_general(instance: Instance, require_complete, respect_capacities, budget):
-    n, m = instance.n, instance.m
-    choices = range(m) if require_complete else [None, *range(m)]
-    total = len(choices) ** n
-    if total > budget.max_enumerated:
-        raise BudgetExceededError(
-            f"{total} candidates exceed the budget of {budget.max_enumerated}"
-        )
-    for assignment in itertools.product(choices, repeat=n):
-        mu = Matching(assignment)
-        if respect_capacities and any(
-            len(ms) > instance.capacities[j]
-            for j, ms in enumerate(mu.college_view(m))
-        ):
-            continue
-        if require_complete and not mu.is_complete(instance):
-            continue
-        yield mu
-
-
 def _cmd_enumerate(args) -> int:
     instance = load_instance(_read(args.instance))
-    budget = OracleBudget(max_enumerated=args.budget)
-    if classify(instance).ranked:
-        candidates = enumerate_stable(
-            instance,
-            require_complete=args.complete,
-            respect_capacities=args.respect_capacities,
-        )
-    else:
-        candidates = _enumerate_general(
-            instance, args.complete, args.respect_capacities, budget
-        )
+    # the ranked walk is pruned by --complete/--respect-capacities, so only
+    # the general assignment space is refused before it starts
+    total = candidate_count(instance, args.complete)
+    if not classify(instance).ranked and total > args.budget:
+        raise BudgetExceededError(f"{total} candidates exceed the budget of {args.budget}")
     results = []
-    for count, mu in enumerate(candidates, start=1):
-        if count > budget.max_enumerated:
+    walk = candidates(instance, args.complete, args.respect_capacities)
+    for count, mu in enumerate(walk, start=1):
+        if count > args.budget:
             raise BudgetExceededError(
-                f"candidate count exceeds the budget of {budget.max_enumerated}"
+                f"candidate count exceeds the budget of {args.budget}"
             )
         if is_stable(instance, mu) is None:
             results.append(matching_to_dict(mu))

@@ -95,18 +95,16 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
 
     emit(mu)
 
-    def poorer_richer(matching):
-        v0 = college_value(instance, matching, 0)
-        v1 = college_value(instance, matching, 1)
-        return (0, 1) if v0 <= v1 else (1, 0)
-
-    low, high = poorer_richer(mu)
-    forbidden = {
-        (i, 1 - alpha[i])
-        for i in range(n)
-        if instance.u(i, 1 - alpha[i]) < college_value(instance, mu, low)
-    }
+    forbidden = set()
     while True:
+        v0 = college_value(instance, mu, 0)
+        v1 = college_value(instance, mu, 1)
+        low, high, v_low = (0, 1, v0) if v0 <= v1 else (1, 0, v1)
+        forbidden |= {
+            (i, 1 - alpha[i])
+            for i in range(n)
+            if instance.u(i, 1 - alpha[i]) < v_low
+        }
         members = mu.college_view(2)[high]
         if not members:
             break
@@ -126,13 +124,6 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
         tuple_comparisons += 1
         if leximin_compare(t, best_tuple) == GREATER:
             best, best_tuple = mu, t
-        low, high = poorer_richer(mu)
-        v_low = college_value(instance, mu, low)
-        forbidden |= {
-            (i, 1 - alpha[i])
-            for i in range(n)
-            if instance.u(i, 1 - alpha[i]) < v_low
-        }
         # no student the source college likes at most as much as the one it
         # just lost may ever (re)join it
         bar = instance.v(source, mover)

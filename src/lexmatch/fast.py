@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from ._state import RankedState, initial_boundary
 from .errors import NotAdmissibleError
-from .model import EQUAL, GREATER, Instance, classify
+from .model import EQUAL, GREATER, Instance, classify, leximin_compare
 from .report import SolverReport
 
 
@@ -42,15 +42,6 @@ def fast_admissible(instance: Instance) -> bool:
         for i in range(n - 1)
     )
     return dominated and columns_monotone
-
-
-def _compare_values(a: tuple, b: tuple) -> int:
-    for x, y in zip(a, b):
-        if x < y:
-            return -1
-        if x > y:
-            return 1
-    return EQUAL
 
 
 def _run(
@@ -96,7 +87,7 @@ def _run(
         # exact tie: the demotee would land exactly at the college's current
         # value.  Speculate forward; only a strict improvement of the whole
         # sorted tuple justifies committing the run.
-        base_values = state.leximin().values
+        base = state.leximin()
         trial = state.copy()
         committed = False
         while True:
@@ -108,7 +99,7 @@ def _run(
             t_up = max(p for p in range(j) if trial.k[p] > 1)
             trial.demote(t_up, j)
             chain_moves += j - t_up
-            cmp = _compare_values(trial.leximin().values, base_values)
+            cmp = leximin_compare(trial.leximin(), base)
             tuple_comparisons += 1
             if cmp == GREATER:
                 state = trial

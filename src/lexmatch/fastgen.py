@@ -24,17 +24,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ._state import RankedState, initial_boundary
-from .errors import InvalidInputError, NotAdmissibleError
-from .fast import _compare_values
+from .errors import InvalidInputError
 from .model import (
     GREATER,
     LESS,
     Agent,
     Instance,
     Matching,
-    classify,
+    classify,  # not called here; kept bound for perfbench/spans.py
+    leximin_compare,
     leximin_tuple,
 )
+from .ranked import _require_ranked
 from .report import SolverReport
 
 
@@ -127,7 +128,6 @@ def _look_ahead(
     lf = set(fixes.lower_fix)
     uf = set(fixes.upper_fix)
     base = state.leximin()
-    base_values = base.values
     while len(lf) < m:
         if caps is not None and shadow.k[down] >= caps[down]:
             break
@@ -141,7 +141,7 @@ def _look_ahead(
         counters.chain_moves += down - up
         shadow_tuple = shadow.leximin()
         counters.tuple_comparisons += 1
-        if _compare_values(shadow_tuple.values, base_values) != LESS:
+        if leximin_compare(shadow_tuple, base) != LESS:
             fixes.lower_fix = lf
             fixes.upper_fix = uf
             return shadow
@@ -212,7 +212,6 @@ def _inner_run(
             fixes.upper_fix.add(down)
             continue
         base = state.leximin()
-        base_values = base.values
         # A demotion is irreversible (blocks only shrink on the left), so
         # committing the first improving move from the leftmost college into
         # the worst-off college can strand the run at a local optimum: a
@@ -239,17 +238,13 @@ def _inner_run(
                 counters.tuple_comparisons += 1
                 if (p, q) == (up, down):
                     canon_tuple = cand_tuple
-                if (
-                    trial is None
-                    or _compare_values(cand_tuple.values, trial_tuple.values)
-                    == GREATER
-                ):
+                if trial is None or leximin_compare(cand_tuple, trial_tuple) == GREATER:
                     trial, trial_tuple, giver = cand, cand_tuple, p
         if trial is None:
             # every receiver is saturated; the giving side cannot move
             fixes.lower_fix.add(up)
             continue
-        cmp = _compare_values(trial_tuple.values, base_values)
+        cmp = leximin_compare(trial_tuple, base)
         loss_agent = None
         if cmp != LESS:
             key = tuple(trial.k)
@@ -294,11 +289,6 @@ def _inner_run(
                 visited.add(tuple(state.k))
                 emit(state)
     return state
-
-
-def _require_ranked(instance: Instance) -> None:
-    if not classify(instance).ranked:
-        raise NotAdmissibleError("solver requires strict rankings shared by index order")
 
 
 def fast_gen(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:

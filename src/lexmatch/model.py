@@ -9,8 +9,9 @@ because the solvers branch on exact equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError
@@ -67,8 +68,10 @@ class Instance:
             if len(row) != n:
                 raise InvalidInputError("college value row length != number of students")
         for j, b in enumerate(self.capacities):
-            if not isinstance(b, int) or b < 1 or b > n:
-                raise InvalidInputError(f"capacity of college {j} must be in [1, n], got {b!r}")
+            if not isinstance(b, int) or isinstance(b, bool) or b < 1 or b > n:
+                raise InvalidInputError(
+                    f"capacity of college {j} must be an int in [1, n], got {b!r}"
+                )
         if len(self.capacities) != m:
             raise InvalidInputError("need exactly one capacity per college")
 
@@ -98,7 +101,7 @@ class Instance:
         if capacities is None:
             m = len(cv)
             capacities = [max(1, n - 1) if m > 1 else n for _ in range(m)]
-        return Instance(sv, cv, tuple(int(b) for b in capacities))
+        return Instance(sv, cv, tuple(capacities))
 
     @staticmethod
     def from_matrix(matrix, capacities=None) -> "Instance":
@@ -107,6 +110,36 @@ class Instance:
         sv = [list(row) for row in matrix]
         cv = [[row[j] for row in matrix] for j in range(len(matrix[0]))]
         return Instance.build(sv, cv, capacities)
+
+    @cached_property
+    def _flags(self) -> "ClassificationFlags":
+        sv, cv = self.student_values, self.college_values
+
+        def strictly_decreasing(row):
+            return all(a > b for a, b in zip(row, row[1:]))
+
+        def non_increasing(row):
+            return all(a >= b for a, b in zip(row, row[1:]))
+
+        strict_students = all(len(set(row)) == len(row) for row in sv)
+        strict_colleges = all(len(set(row)) == len(row) for row in cv)
+        ranked = all(strictly_decreasing(r) for r in sv) and all(
+            strictly_decreasing(r) for r in cv
+        )
+        weakly_ranked = all(non_increasing(r) for r in sv) and all(
+            non_increasing(r) for r in cv
+        )
+        isometric = all(
+            sv[i][j] == cv[j][i] for i in range(self.n) for j in range(self.m)
+        )
+        return ClassificationFlags(
+            strict_students=strict_students,
+            strict_colleges=strict_colleges,
+            strict=strict_students and strict_colleges,
+            ranked=ranked,
+            weakly_ranked=weakly_ranked,
+            isometric=isometric,
+        )
 
 
 @dataclass(frozen=True)
@@ -125,35 +158,10 @@ def classify(instance: Instance) -> ClassificationFlags:
     ranked means both sides share the index order as a common strict ranking:
     every student row strictly decreases in j and every college row strictly
     decreases in i.  weakly_ranked allows ties (non-increasing).  isometric
-    means u_i(c_j) == v_j(s_i) for all pairs.
+    means u_i(c_j) == v_j(s_i) for all pairs.  The flags are computed on the
+    first call and kept on the (immutable) instance.
     """
-    sv, cv = instance.student_values, instance.college_values
-
-    def strictly_decreasing(row):
-        return all(a > b for a, b in zip(row, row[1:]))
-
-    def non_increasing(row):
-        return all(a >= b for a, b in zip(row, row[1:]))
-
-    strict_students = all(len(set(row)) == len(row) for row in sv)
-    strict_colleges = all(len(set(row)) == len(row) for row in cv)
-    ranked = all(strictly_decreasing(r) for r in sv) and all(
-        strictly_decreasing(r) for r in cv
-    )
-    weakly_ranked = all(non_increasing(r) for r in sv) and all(
-        non_increasing(r) for r in cv
-    )
-    isometric = all(
-        sv[i][j] == cv[j][i] for i in range(instance.n) for j in range(instance.m)
-    )
-    return ClassificationFlags(
-        strict_students=strict_students,
-        strict_colleges=strict_colleges,
-        strict=strict_students and strict_colleges,
-        ranked=ranked,
-        weakly_ranked=weakly_ranked,
-        isometric=isometric,
-    )
+    return instance._flags
 
 
 class Matching:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BudgetExceededError, InfeasibleError
 from .model import (
@@ -18,7 +19,7 @@ from .model import (
     leximin_compare,
     leximin_tuple,
 )
-from .ranked import assignment_from_sizes, compositions
+from .ranked import enumerate_stable
 from .report import SolverReport
 
 
@@ -29,14 +30,15 @@ class OracleBudget:
     max_enumerated: int = 10**7
 
 
-def _ranked_candidates(instance: Instance, require_complete, respect_capacities):
-    caps = list(instance.capacities) if respect_capacities else None
-    min_part = 1 if require_complete else 0
-    for k in compositions(instance.n, instance.m, min_part=min_part, caps=caps):
-        yield assignment_from_sizes(k)
-
-
-def _general_candidates(instance: Instance, require_complete, respect_capacities):
+def candidates(
+    instance: Instance, require_complete: bool = False, respect_capacities: bool = False
+) -> Iterator[Matching]:
+    """Every matching that can be stable under the constraints, in a fixed
+    order.  Ranked instances need only one per contiguous block assignment
+    (enumerate_stable); all other instances get the full assignment space."""
+    if classify(instance).ranked:
+        yield from enumerate_stable(instance, require_complete, respect_capacities)
+        return
     n, m = instance.n, instance.m
     choices = range(m) if require_complete else [None, *range(m)]
     for assignment in itertools.product(choices, repeat=n):
@@ -51,6 +53,15 @@ def _general_candidates(instance: Instance, require_complete, respect_capacities
         yield mu
 
 
+def candidate_count(instance: Instance, require_complete: bool = False) -> int:
+    """Size of the space `candidates` walks: C(n+m-1, m-1) compositions on a
+    ranked instance, else every assignment of the n students."""
+    n, m = instance.n, instance.m
+    if classify(instance).ranked:
+        return math.comb(n + m - 1, m - 1)
+    return (m if require_complete else m + 1) ** n
+
+
 def oracle_leximin(
     instance: Instance,
     require_complete: bool = False,
@@ -61,21 +72,14 @@ def oracle_leximin(
     instances only need one candidate per contiguous block assignment; all
     other instances get the full assignment space.  Ties in the optimum go to
     the first-enumerated matching."""
-    ranked = classify(instance).ranked
-    n, m = instance.n, instance.m
-    if ranked:
-        count = math.comb(n + m - 1, m - 1)
-        candidates = _ranked_candidates(instance, require_complete, respect_capacities)
-    else:
-        count = (m if require_complete else m + 1) ** n
-        candidates = _general_candidates(instance, require_complete, respect_capacities)
+    count = candidate_count(instance, require_complete)
     if count > budget.max_enumerated:
         raise BudgetExceededError(
             f"{count} candidates exceed the oracle budget of {budget.max_enumerated}"
         )
     best = best_tuple = None
     enumerated = stable_count = 0
-    for mu in candidates:
+    for mu in candidates(instance, require_complete, respect_capacities):
         enumerated += 1
         if is_stable(instance, mu) is not None:
             continue

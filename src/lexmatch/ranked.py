@@ -26,15 +26,6 @@ class BoundaryVector:
         if any((not isinstance(x, int)) or x < 0 for x in self.k):
             raise InvalidInputError(f"boundary vector parts must be ints >= 0: {self.k}")
 
-    @property
-    def prefix(self) -> tuple:
-        """w_j = number of students placed before college j's block."""
-        w, total = [], 0
-        for x in self.k:
-            w.append(total)
-            total += x
-        return tuple(w)
-
 
 def _require_ranked(instance: Instance) -> None:
     if not classify(instance).ranked:

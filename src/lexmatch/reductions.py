@@ -178,7 +178,7 @@ class ReductionSpec:
             return partition_to_smo(self.data["integers"])
         if kind == "three_partition":
             return three_partition_to_smo(self.data["integers"])
-        if kind in ("bin_packing", "bin_packing_replicated"):
+        if kind == "bin_packing":
             return bin_packing_to_smo(
                 self.data["weights"],
                 int(self.data["bins"]),

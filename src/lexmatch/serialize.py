@@ -10,19 +10,6 @@ from .errors import InvalidInputError
 from .model import Instance, Matching, value_to_str
 
 
-def _parse_value(x) -> Fraction:
-    if isinstance(x, bool):
-        raise InvalidInputError("values must be numbers, not booleans")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"bad rational literal {x!r}") from exc
-    raise InvalidInputError(f"values must be ints or 'p/q' strings, got {type(x).__name__}")
-
-
 def _emit_value(x: Fraction):
     return int(x) if x.denominator == 1 else value_to_str(x)
 
@@ -41,17 +28,10 @@ def instance_from_dict(data: dict) -> Instance:
         cv = data["college_values"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError("instance JSON needs student_values and college_values") from exc
-    caps = data.get("capacities")
     try:
-        student_values = tuple(tuple(_parse_value(x) for x in row) for row in sv)
-        college_values = tuple(tuple(_parse_value(x) for x in row) for row in cv)
+        return Instance.build(sv, cv, capacities=data.get("capacities"))
     except TypeError as exc:
-        raise InvalidInputError("value matrices must be lists of lists") from exc
-    return Instance.build(
-        student_values,
-        college_values,
-        capacities=tuple(int(b) for b in caps) if caps is not None else None,
-    )
+        raise InvalidInputError("value matrices and capacities must be lists") from exc
 
 
 def matching_to_dict(matching: Matching) -> dict:

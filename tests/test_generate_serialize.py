@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from lexmatch import (
     NpHardRegimeError,
     classify,
     generate,
+    is_stable,
+    oracle_leximin,
     solve_dispatch,
 )
 from lexmatch.bench import bench, bench_one, records_to_csv
@@ -127,6 +131,22 @@ class TestSerialize:
             '{"student_values": [[1.5]], "college_values": [[1]]}',
             '{"student_values": [[true]], "college_values": [[1]]}',
             '{"student_values": [["x"]], "college_values": [[1]]}',
+            '{"student_values": [[-1]], "college_values": [[1]]}',
+            '{"student_values": [["1/0"]], "college_values": [[1]]}',
+            '{"student_values": [[null]], "college_values": [[1]]}',
+            '{"student_values": [[[1]]], "college_values": [[1]]}',
+            '{"student_values": [1], "college_values": [[1]]}',
+            '{"student_values": 1, "college_values": [[1]]}',
+            '{"student_values": [[2, 1], [4, 3]], "college_values": [[2, 1], [4, 3]], '
+            '"capacities": ["a", 2]}',
+            '{"student_values": [[2, 1], [4, 3]], "college_values": [[2, 1], [4, 3]], '
+            '"capacities": 5}',
+            '{"student_values": [[2, 1], [4, 3]], "college_values": [[2, 1], [4, 3]], '
+            '"capacities": [null, 2]}',
+            '{"student_values": [[2, 1], [4, 3]], "college_values": [[2, 1], [4, 3]], '
+            '"capacities": [1.5, 2]}',
+            '{"student_values": [[2, 1], [4, 3]], "college_values": [[2, 1], [4, 3]], '
+            '"capacities": [true, 2]}',
         ],
     )
     def test_bad_instance_payloads(self, payload):
@@ -202,6 +222,52 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["count"] == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--complete"], ["--respect-capacities"], ["--complete", "--respect-capacities"]],
+    )
+    def test_enumerate_general_matches_brute_force(self, tmp_path, capsys, flags):
+        inst = generate(
+            GenSpec(kind="weak", n=5, m=3, seed=4, capacity_mode="uniform", capacity=2)
+        )
+        assert not classify(inst).ranked
+        path = _write(tmp_path, "inst.json", dump_instance(inst))
+        assert main(["enumerate", "--instance", path, *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        expected = []
+        for assignment in itertools.product([None, *range(inst.m)], repeat=inst.n):
+            mu = Matching(assignment)
+            if "--complete" in flags and not mu.is_complete(inst):
+                continue
+            sizes = [len(ms) for ms in mu.college_view(inst.m)]
+            if "--respect-capacities" in flags and any(
+                size > cap for size, cap in zip(sizes, inst.capacities)
+            ):
+                continue
+            if is_stable(inst, mu) is None:
+                expected.append(list(assignment))
+        assert [d["assignment"] for d in out["stable_matchings"]] == expected
+        assert out["count"] == len(expected)
+
+    @pytest.mark.parametrize(
+        "kind,flags,limit",
+        [
+            ("ranked", [], 5),  # compositions of 4 into 2
+            ("ranked", ["--complete"], 3),
+            # capacities of 3 drop (4, 0) and (0, 4) from the walk, though
+            # the composition space still holds 5
+            ("ranked", ["--respect-capacities"], 3),
+            ("weak", [], 3**4),  # every assignment, unmatched students included
+            ("weak", ["--complete"], 2**4),
+        ],
+    )
+    def test_enumerate_budget_boundary(self, tmp_path, capsys, kind, flags, limit):
+        inst = generate(GenSpec(kind=kind, n=4, m=2, seed=0))
+        path = _write(tmp_path, "inst.json", dump_instance(inst))
+        args = ["enumerate", "--instance", path, *flags, "--budget"]
+        assert main([*args, str(limit)]) == 0
+        assert main([*args, str(limit - 1)]) == 5
+
     def test_fairness(self, tmp_path, capsys, ref_instance):
         inst = _write(tmp_path, "inst.json", dump_instance(ref_instance))
         mu = _write(tmp_path, "mu.json", dump_matching(Matching([0, 1, 1, 1])))
@@ -269,6 +335,16 @@ class TestBench:
     def test_fast_const_needs_two_colleges(self):
         with pytest.raises(InvalidInputError):
             bench_one("fast_const", 10, 3)
+
+    @pytest.mark.parametrize("n,m", [(6, 3), (7, 2), (5, 5), (4, 1)])
+    def test_oracle_steps_match_the_oracle(self, n, m):
+        record = bench_one("oracle", n, m, seed=3)
+        report = oracle_leximin(
+            generate(GenSpec(kind="ranked", n=n, m=m, seed=3)), require_complete=True
+        )
+        # one candidate per composition of n into m nonempty blocks
+        assert record.steps == report.steps == math.comb(n - 1, m - 1)
+        assert record.peak_candidates == report.counters["enumerated"]
 
     def test_csv_shape(self):
         records = bench(["fast"], [(15, 2)])
