@@ -4,16 +4,32 @@ On ranked instances every stable complete matching is a contiguous block
 assignment, so the solvers never materialize full matchings while iterating.
 They mutate a boundary vector and read per-college totals off prefix sums of
 the college values.  A chain demotion is O(1) (one boundary moves on each
-side of the chain); a college's block start, and with it its total value,
-costs O(j) to locate, since the block starts themselves are not cached.
+side of the chain); a college's block start is the sum of the block sizes
+before it, found by walking the prefix of k.
+
+All values here are the instance's integer kernel (``Instance._kernel``):
+each value times one common scale, so comparisons are plain int compares and
+``leximin()`` converts back to Fraction only when it builds the tuple.
+
+Delta comparison.  A chain demotion p -> q changes only q - p + 1 college
+totals and the values of the q - p students that move down one college;
+``delta`` returns those removed and added values without applying the move.
+Two equal-size value multisets keep their leximin order when the same
+multiset is added to both (in the cumulative-count view of lexicographic
+max-min, the counts #{values <= t} of the added multiset add to both sides).
+So a trial with removed R and added A compares with its base as sorted(A)
+against sorted(R), and two trials from the same base compare as
+sorted(A1 + R2) against sorted(A2 + R1): O(m log m) instead of re-sorting
+all n + m values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .errors import InfeasibleError
-from .model import Instance, LeximinTuple, Matching, _agent_sort_key
+from .model import Instance, LeximinTuple, Matching
 from .ranked import assignment_from_sizes
 
 
@@ -41,34 +57,56 @@ def initial_boundary(instance: Instance, capacities=None) -> list:
 
 
 class RankedState:
-    """Boundary vector k plus cached prefix sums of every college's student
-    values.  Mutated in place by demote(); copy() is cheap (the prefix sums
-    are shared, only k is duplicated)."""
+    """Boundary vector k plus the scaled student values, column by column
+    (``_uc[j][i]`` is student i's value for college j), and prefix sums of
+    every college's scaled student values.  Mutated in place by demote();
+    copy() is cheap (everything but k is shared)."""
 
-    __slots__ = ("instance", "k", "_pv")
+    __slots__ = ("instance", "k", "scale", "_uc", "_pv")
 
-    def __init__(self, instance: Instance, k, _pv=None):
+    def __init__(self, instance: Instance, k, _shared=None):
         self.instance = instance
         self.k = list(k)
-        if _pv is None:
-            _pv = []
-            for j in range(instance.m):
-                acc, row = Fraction(0), [Fraction(0)]
-                for i in range(instance.n):
-                    acc += instance.v(j, i)
-                    row.append(acc)
-                _pv.append(row)
-        self._pv = _pv
+        if _shared is None:
+            scale, student_rows, college_rows = instance._kernel
+            _shared = (
+                scale,
+                tuple(zip(*student_rows)),
+                [[0, *accumulate(row)] for row in college_rows],
+            )
+        self.scale, self._uc, self._pv = _shared
 
     def copy(self) -> "RankedState":
-        return RankedState(self.instance, self.k, self._pv)
+        return RankedState(self.instance, self.k, (self.scale, self._uc, self._pv))
 
-    def start_of(self, j: int) -> int:
-        return sum(self.k[:j])
+    def college_value(self, j: int) -> int:
+        """Scaled total value of college j's block."""
+        w = sum(self.k[:j])
+        row = self._pv[j]
+        return row[w + self.k[j]] - row[w]
 
-    def college_value(self, j: int) -> Fraction:
-        w = self.start_of(j)
-        return self._pv[j][w + self.k[j]] - self._pv[j][w]
+    def delta(self, p: int, q: int):
+        """(removed, added): the scaled values that demote(p, q) would take
+        out of and put into the agents' value multiset, without applying it.
+        Covers colleges p..q and the bottom student of each of p..q-1."""
+        k, pv, uc = self.k, self._pv, self._uc
+        removed, added = [], []
+        start = sum(k[:p])
+        for t in range(p, q + 1):
+            end = start + k[t]
+            row = pv[t]
+            removed.append(row[end] - row[start])
+            # p keeps its start and loses its bottom student; every college
+            # after it gains the bottom student of the one before, and all
+            # but q pass their own bottom student on
+            added.append(
+                row[end if t == q else end - 1] - row[start if t == p else start - 1]
+            )
+            if t < q:
+                removed.append(uc[t][end - 1])
+                added.append(uc[t + 1][end - 1])
+            start = end
+        return removed, added
 
     def demote(self, up: int, down: int) -> None:
         """Chain demotion on the block structure: each college up..down-1
@@ -80,16 +118,30 @@ class RankedState:
     def matching(self) -> Matching:
         return assignment_from_sizes(self.k)
 
-    def leximin(self) -> LeximinTuple:
-        instance = self.instance
-        entries = []
-        w = 0
+    def values(self) -> list:
+        """Every agent's scaled value, sorted ascending (the leximin tuple's
+        values times scale)."""
+        uc, pv = self._uc, self._pv
+        values, w = [], 0
         for j, size in enumerate(self.k):
-            for i in range(w, w + size):
-                entries.append((instance.u(i, j), ("s", i)))
-            entries.append((self._pv[j][w + size] - self._pv[j][w], ("c", j)))
+            values += uc[j][w : w + size]
+            values.append(pv[j][w + size] - pv[j][w])
             w += size
-        entries.sort(key=_agent_sort_key)
+        values.sort()
+        return values
+
+    def leximin(self) -> LeximinTuple:
+        # (value, 0 for a student or 1 for a college, index) sorts like
+        # model._agent_sort_key
+        uc, pv = self._uc, self._pv
+        entries, w = [], 0
+        for j, size in enumerate(self.k):
+            entries += zip(uc[j][w : w + size], repeat(0), range(w, w + size))
+            entries.append((pv[j][w + size] - pv[j][w], 1, j))
+            w += size
+        entries.sort()
+        scale = self.scale
         return LeximinTuple(
-            values=tuple(e[0] for e in entries), agent_at=tuple(e[1] for e in entries)
+            values=tuple(Fraction(v, scale) for v, _, _ in entries),
+            agent_at=tuple(("c" if kind else "s", idx) for _, kind, idx in entries),
         )

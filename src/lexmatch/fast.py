@@ -15,11 +15,13 @@ speculative run stops at the capacity of `down`.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import ge, le
 from typing import Callable, Optional
 
 from ._state import RankedState, initial_boundary
 from .errors import NotAdmissibleError
-from .model import EQUAL, GREATER, Instance, classify, leximin_compare
+from .model import Instance, classify
 from .report import SolverReport
 
 
@@ -32,15 +34,9 @@ def fast_admissible(instance: Instance) -> bool:
         return False
     if flags.isometric:
         return True
-    n, m = instance.n, instance.m
-    dominated = all(
-        instance.u(i, j) <= instance.v(j, i) for i in range(n) for j in range(m)
-    )
-    columns_monotone = all(
-        instance.u(i, j) >= instance.u(i + 1, j)
-        for j in range(m)
-        for i in range(n - 1)
-    )
+    _, sv, cv = instance._kernel
+    dominated = all(map(le, chain.from_iterable(zip(*sv)), chain.from_iterable(cv)))
+    columns_monotone = all(all(map(ge, col, col[1:])) for col in zip(*sv))
     return dominated and columns_monotone
 
 
@@ -53,6 +49,7 @@ def _run(
     n, m = instance.n, instance.m
     state = RankedState(instance, initial_boundary(instance, caps))
     k = state.k
+    u = instance._kernel[1]  # scaled u(i, j), like every value below
     iterations = chain_moves = tuple_comparisons = 0
 
     def emit():
@@ -72,22 +69,22 @@ def _run(
             j -= 1
             continue
         vj = state.college_value(j)
-        if vj >= instance.u(ib, j - 1) or k[j] >= caps[j]:
+        if vj >= u[ib][j - 1] or k[j] >= caps[j]:
             j -= 1
             continue
-        if instance.u(ib, j) > vj:
+        if u[ib][j] > vj:
             up = max(p for p in range(j) if k[p] > 1)
             state.demote(up, j)
             chain_moves += j - up
             emit()
             continue
-        if instance.u(ib, j) < vj:
+        if u[ib][j] < vj:
             j -= 1
             continue
         # exact tie: the demotee would land exactly at the college's current
         # value.  Speculate forward; only a strict improvement of the whole
         # sorted tuple justifies committing the run.
-        base = state.leximin()
+        base = state.values()
         trial = state.copy()
         committed = False
         while True:
@@ -99,15 +96,15 @@ def _run(
             t_up = max(p for p in range(j) if trial.k[p] > 1)
             trial.demote(t_up, j)
             chain_moves += j - t_up
-            cmp = leximin_compare(trial.leximin(), base)
+            values = trial.values()
             tuple_comparisons += 1
-            if cmp == GREATER:
+            if values > base:
                 state = trial
                 k = state.k
                 committed = True
                 emit()
                 break
-            if cmp != EQUAL:
+            if values != base:
                 break
         if not committed:
             j -= 1

@@ -16,6 +16,14 @@ based on *which agent* would be the first to lose:
 With capacities the same loop runs with full colleges upper-fixed; whenever a
 full college still gives a student away, the boundaries right of it may have
 been fixed prematurely, so the run restarts with those fixes cleared.
+
+Demotion trials are never applied to be compared.  Each trial p -> q is
+ranked by its delta (``RankedState.delta``): the scaled values it removes and
+adds, O(q - p) of them.  A trial beats the base iff its sorted added values
+beat its sorted removed ones, and trial 1 beats trial 2 iff sorted(A1 + R2)
+beats sorted(A2 + R1), since adding the same multiset to two equal-size
+multisets keeps their leximin order.  Only the chosen trial is applied, and
+full tuples are built only to find the agent that loses.
 """
 
 from __future__ import annotations
@@ -26,13 +34,10 @@ from typing import Callable, Optional
 from ._state import RankedState, initial_boundary
 from .errors import InvalidInputError
 from .model import (
-    GREATER,
-    LESS,
     Agent,
     Instance,
     Matching,
     classify,  # not called here; kept bound for perfbench/spans.py
-    leximin_compare,
     leximin_tuple,
 )
 from .ranked import _require_ranked
@@ -127,7 +132,7 @@ def _look_ahead(
     shadow = state.copy()
     lf = set(fixes.lower_fix)
     uf = set(fixes.upper_fix)
-    base = state.leximin()
+    base = state.values()
     while len(lf) < m:
         if caps is not None and shadow.k[down] >= caps[down]:
             break
@@ -139,13 +144,12 @@ def _look_ahead(
             continue
         shadow.demote(up, down)
         counters.chain_moves += down - up
-        shadow_tuple = shadow.leximin()
         counters.tuple_comparisons += 1
-        if leximin_compare(shadow_tuple, base) != LESS:
+        if shadow.values() >= base:
             fixes.lower_fix = lf
             fixes.upper_fix = uf
             return shadow
-        kind, idx = _first_loss_agent(shadow_tuple, base)
+        kind, idx = _first_loss_agent(shadow.leximin(), state.leximin())
         if kind == "c" and idx == up:
             lf.add(up)
             uf.add(up + 1)
@@ -211,44 +215,40 @@ def _inner_run(
         if caps is not None and state.k[down] >= caps[down]:
             fixes.upper_fix.add(down)
             continue
-        base = state.leximin()
         # A demotion is irreversible (blocks only shrink on the left), so
         # committing the first improving move from the leftmost college into
         # the worst-off college can strand the run at a local optimum: a
         # giver further right, or a receiver other than the minimum-value
         # college, may improve the tuple more.  Try every eligible
         # (giver, receiver) pair and keep the leximin-best trial; the
-        # canonical up -> down move still drives the loss attribution when
-        # nothing improves.
+        # canonical up -> down move (always eligible here) still drives the
+        # loss attribution when nothing improves.  Trials are ranked by their
+        # deltas (see _state): trial 1 beats trial 2 iff sorted(A1 + R2) >
+        # sorted(A2 + R1).
         receivers = [
             q
             for q in unfixed
             if q > up and (caps is None or state.k[q] < caps[q])
         ]
-        trial = trial_tuple = giver = None
-        canon_tuple = None
+        best = None
         for q in receivers:
             for p in range(q):
                 if p in fixes.lower_fix or state.k[p] <= 1:
                     continue
-                cand = state.copy()
-                cand.demote(p, q)
+                removed, added = state.delta(p, q)
                 counters.chain_moves += q - p
-                cand_tuple = cand.leximin()
                 counters.tuple_comparisons += 1
-                if (p, q) == (up, down):
-                    canon_tuple = cand_tuple
-                if trial is None or leximin_compare(cand_tuple, trial_tuple) == GREATER:
-                    trial, trial_tuple, giver = cand, cand_tuple, p
-        if trial is None:
-            # every receiver is saturated; the giving side cannot move
-            fixes.lower_fix.add(up)
-            continue
-        cmp = leximin_compare(trial_tuple, base)
+                if best is None or sorted(added + best_removed) > sorted(best_added + removed):
+                    best, best_removed, best_added = (p, q), removed, added
+        giver, receiver = best
+        best_removed.sort()
+        best_added.sort()
         loss_agent = None
-        if cmp != LESS:
+        if best_added >= best_removed:
+            trial = state.copy()
+            trial.demote(giver, receiver)
             key = tuple(trial.k)
-            if cmp == GREATER or key not in visited:
+            if best_added > best_removed or key not in visited:
                 if T is not None and caps is not None and state.k[giver] >= caps[giver]:
                     T[giver] = 1
                 state = trial
@@ -262,9 +262,9 @@ def _inner_run(
         if loss_agent is None:
             # attribute the loss from the canonical up -> down trial: its
             # blame decides whether to fix a boundary or speculate ahead
-            loss_agent = _first_loss_agent(
-                canon_tuple if canon_tuple is not None else trial_tuple, base
-            )
+            canon = state.copy()
+            canon.demote(up, down)
+            loss_agent = _first_loss_agent(canon.leximin(), state.leximin())
         kind, idx = loss_agent
         if kind == "c" and idx == up:
             fixes.lower_fix.add(up)
@@ -322,6 +322,7 @@ def cap_preprocess(instance: Instance):
     n, m = instance.n, instance.m
     state = RankedState(instance, initial_boundary(instance))
     fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
+    student_rows = instance._kernel[1]
     college_values = [state.college_value(j) for j in range(m)]
     matching = state.matching()
     assignment = matching.assignment
@@ -329,7 +330,7 @@ def cap_preprocess(instance: Instance):
         j = assignment[i]
         if (
             all(state.k[p] == 1 for p in range(j, m))
-            and all(instance.u(i, j) <= cv for cv in college_values)
+            and all(student_rows[i][j] <= cv for cv in college_values)
         ):
             for p in range(j, m):
                 fixes.lower_fix.add(p)

@@ -4,7 +4,10 @@ Students and colleges are indexed from 0.  A student's additive valuation of
 college j is ``u(i, j)``; a college's valuation of student i is ``v(j, i)``.
 A college values a set of students by the sum of its valuations.  All values
 are exact non-negative rationals (fractions.Fraction) — no floats anywhere,
-because the solvers branch on exact equality.
+because the solvers branch on exact equality.  Internally the ranked solvers
+and ``classify`` work on an integer copy of the values, all scaled by the LCM
+of their denominators (``Instance._kernel``), and convert back to Fraction
+only for output.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import ge, gt
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError
@@ -95,8 +100,8 @@ class Instance:
     def build(student_values, college_values, capacities=None) -> "Instance":
         """Construct from nested sequences of ints/Fractions/strings.
         Default capacities are n-1 each (n if there is a single college)."""
-        sv = tuple(tuple(as_value(x) for x in row) for row in student_values)
-        cv = tuple(tuple(as_value(x) for x in row) for row in college_values)
+        sv = _value_matrix(student_values, "student_values")
+        cv = _value_matrix(college_values, "college_values")
         n = len(sv)
         if capacities is None:
             m = len(cv)
@@ -112,14 +117,34 @@ class Instance:
         return Instance.build(sv, cv, capacities)
 
     @cached_property
+    def _kernel(self) -> tuple:
+        """(scale, student_rows, college_rows): every value times `scale`, the
+        LCM of all value denominators, as plain ints laid out like
+        student_values and college_values.  Scaling by one positive constant
+        keeps every order, equality and sum exact."""
+        rows = self.student_values + self.college_values
+        scale = lcm(*{x.denominator for row in rows for x in row})
+
+        def scaled(row):
+            if scale == 1:  # shares the Fractions' own int objects
+                return tuple(x.numerator for x in row)
+            return tuple(x.numerator * (scale // x.denominator) for x in row)
+
+        return (
+            scale,
+            tuple(scaled(row) for row in self.student_values),
+            tuple(scaled(row) for row in self.college_values),
+        )
+
+    @cached_property
     def _flags(self) -> "ClassificationFlags":
-        sv, cv = self.student_values, self.college_values
+        _, sv, cv = self._kernel
 
         def strictly_decreasing(row):
-            return all(a > b for a, b in zip(row, row[1:]))
+            return all(map(gt, row, row[1:]))
 
         def non_increasing(row):
-            return all(a >= b for a, b in zip(row, row[1:]))
+            return all(map(ge, row, row[1:]))
 
         strict_students = all(len(set(row)) == len(row) for row in sv)
         strict_colleges = all(len(set(row)) == len(row) for row in cv)
@@ -129,9 +154,7 @@ class Instance:
         weakly_ranked = all(non_increasing(r) for r in sv) and all(
             non_increasing(r) for r in cv
         )
-        isometric = all(
-            sv[i][j] == cv[j][i] for i in range(self.n) for j in range(self.m)
-        )
+        isometric = tuple(zip(*cv)) == sv
         return ClassificationFlags(
             strict_students=strict_students,
             strict_colleges=strict_colleges,
@@ -140,6 +163,16 @@ class Instance:
             weakly_ranked=weakly_ranked,
             isometric=isometric,
         )
+
+
+def _value_matrix(rows, name: str) -> tuple:
+    """Parse a value matrix given as a list of lists.  A string is iterable,
+    so without the type check "21" would read as the row [2, 1]."""
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in rows
+    ):
+        raise InvalidInputError(f"{name} must be a list of value rows, each a list")
+    return tuple(tuple(as_value(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,10 @@ class TestSerialize:
             '{"student_values": [[[1]]], "college_values": [[1]]}',
             '{"student_values": [1], "college_values": [[1]]}',
             '{"student_values": 1, "college_values": [[1]]}',
+            # strings are iterable, so these once parsed digit by digit
+            '{"student_values": ["21", "43"], "college_values": [[2, 1], [4, 3]]}',
+            '{"student_values": [[2, 1], [4, 3]], "college_values": ["21", "43"]}',
+            '{"student_values": "2143", "college_values": [[2, 1], [4, 3]]}',
             '{"student_values": [[2, 1], [4, 3]], "college_values": [[2, 1], [4, 3]], '
             '"capacities": ["a", 2]}',
             '{"student_values": [[2, 1], [4, 3]], "college_values": [[2, 1], [4, 3]], '
