@@ -9,7 +9,8 @@ before it, found by walking the prefix of k.
 
 All values here are the instance's integer kernel (``Instance._kernel``):
 each value times one common scale, so comparisons are plain int compares and
-``leximin()`` converts back to Fraction only when it builds the tuple.
+``leximin()`` converts back to Fraction only when it builds the tuple
+(``scaled_leximin()`` skips even that).
 
 Delta comparison.  A chain demotion p -> q changes only q - p + 1 college
 totals and the values of the q - p students that move down one college;
@@ -130,7 +131,10 @@ class RankedState:
         values.sort()
         return values
 
-    def leximin(self) -> LeximinTuple:
+    def scaled_leximin(self) -> LeximinTuple:
+        """The leximin tuple with scaled int values: the agent order of
+        ``leximin()``, each value times scale.  Scaling keeps order and
+        equality, so it serves wherever only those are read."""
         # (value, 0 for a student or 1 for a college, index) sorts like
         # model._agent_sort_key
         uc, pv = self._uc, self._pv
@@ -140,8 +144,14 @@ class RankedState:
             entries.append((pv[j][w + size] - pv[j][w], 1, j))
             w += size
         entries.sort()
-        scale = self.scale
         return LeximinTuple(
-            values=tuple(Fraction(v, scale) for v, _, _ in entries),
+            values=tuple(v for v, _, _ in entries),
             agent_at=tuple(("c" if kind else "s", idx) for _, kind, idx in entries),
+        )
+
+    def leximin(self) -> LeximinTuple:
+        scaled, scale = self.scaled_leximin(), self.scale
+        return LeximinTuple(
+            values=tuple(Fraction(v, scale) for v in scaled.values),
+            agent_at=scaled.agent_at,
         )

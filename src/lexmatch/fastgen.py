@@ -23,7 +23,7 @@ adds, O(q - p) of them.  A trial beats the base iff its sorted added values
 beat its sorted removed ones, and trial 1 beats trial 2 iff sorted(A1 + R2)
 beats sorted(A2 + R1), since adding the same multiset to two equal-size
 multisets keeps their leximin order.  Only the chosen trial is applied, and
-full tuples are built only to find the agent that loses.
+full tuples (of scaled ints) are built only to find the agent that loses.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _look_ahead(
             fixes.lower_fix = lf
             fixes.upper_fix = uf
             return shadow
-        kind, idx = _first_loss_agent(shadow.leximin(), state.leximin())
+        kind, idx = _first_loss_agent(shadow.scaled_leximin(), state.scaled_leximin())
         if kind == "c" and idx == up:
             lf.add(up)
             uf.add(up + 1)
@@ -264,7 +264,9 @@ def _inner_run(
             # blame decides whether to fix a boundary or speculate ahead
             canon = state.copy()
             canon.demote(up, down)
-            loss_agent = _first_loss_agent(canon.leximin(), state.leximin())
+            loss_agent = _first_loss_agent(
+                canon.scaled_leximin(), state.scaled_leximin()
+            )
         kind, idx = loss_agent
         if kind == "c" and idx == up:
             fixes.lower_fix.add(up)

@@ -32,6 +32,11 @@ GREATER = 1
 def as_value(x) -> Fraction:
     """Coerce x (int, Fraction, or a 'p/q' / decimal-integer string) to an
     exact non-negative Fraction.  Floats are rejected to avoid silent rounding."""
+    # the common JSON case first; type(True) is bool, so bools go on to be refused
+    if type(x) is int:
+        if x < 0:
+            raise InvalidInputError(f"values must be non-negative, got {x!r}")
+        return Fraction(x)
     if isinstance(x, bool) or isinstance(x, float):
         raise InvalidInputError(f"value must be an exact rational, got {x!r}")
     try:

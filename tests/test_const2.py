@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from lexmatch import (
 from lexmatch.const2 import favorites, is_stable_m2
 from lexmatch.model import GREATER
 
+
 def _strict_m2_instances(seed, count, n_max, n_min=2):
     import random
 
@@ -28,6 +30,31 @@ def _strict_m2_instances(seed, count, n_max, n_min=2):
 
 def _complete_assignments(n):
     return itertools.product((0, 1), repeat=n)
+
+
+def _scaled_by_35(instance):
+    # x -> (7x + x mod 5)/35 is strictly increasing on ints, so it keeps
+    # every preference while making denominators of 5, 7 and 35
+    def f(x):
+        return Fraction(7 * x + x % 5, 35)
+
+    return Instance.build(
+        [[f(x) for x in row] for row in instance.student_values],
+        [[f(x) for x in row] for row in instance.college_values],
+        instance.capacities,
+    )
+
+
+def _oracle_sweep_instances():
+    for n in range(2, 9):
+        for value_max in (None, 2 * n + 3):
+            for seed in range(100, 120):
+                inst = generate(GenSpec("strict", n, 2, seed=seed, value_max=value_max))
+                yield inst
+                yield _scaled_by_35(inst)
+
+
+ORACLE_SWEEP = list(_oracle_sweep_instances())
 
 
 class TestFavorites:
@@ -119,3 +146,49 @@ class TestFastConst:
                 # every student stays matched throughout the walk (a college
                 # may be empty, e.g. when everyone shares a favorite)
                 assert all(j is not None for j in mu.assignment)
+
+    def test_oracle_sweep_default_and_tie_heavy_values(self):
+        assert len(ORACLE_SWEEP) == 560
+        assert any(inst._kernel[0] > 1 for inst in ORACLE_SWEEP)
+        toggled = 0
+        for inst in ORACLE_SWEEP:
+            report = fast_const(inst)
+            want = oracle_leximin(inst, require_complete=True).leximin.values
+            assert report.leximin.values == want, inst
+            assert is_stable(inst, report.matching) is None, inst
+            toggled += report.counters["toggles"] > 0
+        # the sweep must exercise the walk, not only its starting point
+        assert toggled > 0
+
+    # One hand-made walk per stopping rule.  All three students prefer
+    # college 0 and college 0 ranks them 0, 1, 2 from the bottom, so the
+    # walk moves them to college 1 in that order while college 0 is richer.
+
+    def test_stops_when_leaving_a_favorite_drops_below_the_poorer_college(self):
+        # after student 0 moves, college 1 is worth 4 and student 1 would
+        # fall to u(1, 1) = 3 < 4: the (A) cutoff
+        inst = Instance.build(
+            [[9, 7], [8, 3], [6, 5]], [[10, 20, 30], [4, 5, 6]]
+        )
+        report = fast_const(inst)
+        assert report.counters["toggles"] == 1
+        assert report.matching.assignment == (1, 0, 0)
+
+    def test_stops_before_a_student_returns_to_a_college_that_gave_it_away(self):
+        # all three move (college 0 ends empty, college 1 is worth 15); then
+        # student 0 would rejoin college 0, which has already given away a
+        # student it values at least as much: the (B) cutoff
+        inst = Instance.build(
+            [[90, 70], [80, 60], [60, 50]], [[10, 20, 30], [4, 5, 6]]
+        )
+        report = fast_const(inst)
+        assert report.counters["toggles"] == 3
+        assert report.counters["tuple_comparisons"] == 3
+
+    def test_stops_when_the_richer_college_is_empty(self):
+        # both totals are 0, so college 1 counts as the richer one and has
+        # no student to give away
+        inst = Instance.build([[5, 3]], [[0], [2]])
+        report = fast_const(inst)
+        assert report.counters["toggles"] == 0
+        assert report.matching.assignment == (0,)

@@ -36,6 +36,14 @@ class TestValues:
         with pytest.raises(InvalidInputError):
             as_value(bad)
 
+    def test_int_fast_path_keeps_types_and_messages(self):
+        assert type(as_value(0)) is Fraction and as_value(0) == 0
+        with pytest.raises(InvalidInputError, match="non-negative, got -1$"):
+            as_value(-1)
+        for flag in (True, False):
+            with pytest.raises(InvalidInputError, match="exact rational"):
+                as_value(flag)
+
     def test_value_to_str(self):
         assert value_to_str(Fraction(7)) == "7"
         assert value_to_str(Fraction(7, 3)) == "7/3"

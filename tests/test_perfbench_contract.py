@@ -2,8 +2,9 @@
 each module binds them, and the benchmark calls ``lexmatch.cli`` directly.
 These names must keep resolving, or ``perfbench/run.py --trace 1`` crashes.
 The benchmark also checks each output against the result recorded in
-``perfbench/reference.json``; the ranked workload is pinned here too, so a
-solver change that moves it fails in the test suite, not only in a run."""
+``perfbench/reference.json``; the ranked and strict m=2 workloads are pinned
+here too, so a solver change that moves them fails in the test suite, not
+only in a run."""
 
 import importlib.util
 import json
@@ -37,15 +38,32 @@ def test_cli_exposes_the_benchmark_entry_points():
     assert callable(cli.main)
 
 
-def test_ranked_gen_solves_to_the_recorded_assignments():
+def _recorded_items(name):
     workloads = _load("workloads")
-    workload = workloads.WORKLOADS["ranked_gen"]
+    workload = workloads.WORKLOADS[name]
     reference = json.loads((PERFBENCH / "reference.json").read_text())["workloads"][
         workload.name
     ]
-    items = workloads.pool(workload, lexmatch, reference)
+    return workloads.pool(workload, lexmatch, reference)
+
+
+def _recorded_assignment(item):
+    return [j for j, count in item.reference["ref"] for _ in range(count)]
+
+
+def test_ranked_gen_solves_to_the_recorded_assignments():
+    items = _recorded_items("ranked_gen")
     assert len(items) == 9
     for item in items:
         report = solve_dispatch(lexmatch.load_instance(item.text), item.algo)
-        expected = [j for j, count in item.reference["ref"] for _ in range(count)]
-        assert list(report.matching.assignment) == expected, item.key
+        assert list(report.matching.assignment) == _recorded_assignment(item), item.key
+
+
+def test_strict_toggle_solves_to_the_recorded_assignments():
+    items = _recorded_items("strict_toggle")
+    assert len(items) == 5
+    for item in items:
+        report = solve_dispatch(lexmatch.load_instance(item.text), item.algo)
+        assert report.algorithm == "fast_const", item.key
+        assert report.counters["toggles"] > 0, item.key
+        assert list(report.matching.assignment) == _recorded_assignment(item), item.key

@@ -86,7 +86,10 @@ def test_state_matches_the_fraction_definitions(index):
         tup = state.leximin()
         assert tup.values == full.values
         assert tup.agent_at == full.agent_at
-        assert state.values() == [v * scale for v in full.values]
+        scaled = state.scaled_leximin()
+        assert scaled.values == tuple(v * scale for v in full.values)
+        assert scaled.agent_at == full.agent_at
+        assert state.values() == list(scaled.values)
         for j in range(inst.m):
             assert state.college_value(j) == college_value(inst, mu, j) * scale
 
