@@ -135,8 +135,8 @@ class RankedState:
         """The leximin tuple with scaled int values: the agent order of
         ``leximin()``, each value times scale.  Scaling keeps order and
         equality, so it serves wherever only those are read."""
-        # (value, 0 for a student or 1 for a college, index) sorts like
-        # model._agent_sort_key
+        # (value, 0 for a student or 1 for a college, index) sorts in
+        # LeximinTuple's order
         uc, pv = self._uc, self._pv
         entries, w = [], 0
         for j, size in enumerate(self.k):

@@ -4,17 +4,19 @@ Students and colleges are indexed from 0.  A student's additive valuation of
 college j is ``u(i, j)``; a college's valuation of student i is ``v(j, i)``.
 A college values a set of students by the sum of its valuations.  All values
 are exact non-negative rationals (fractions.Fraction) — no floats anywhere,
-because the solvers branch on exact equality.  Internally the ranked solvers
-and ``classify`` work on an integer copy of the values, all scaled by the LCM
-of their denominators (``Instance._kernel``), and convert back to Fraction
-only for output.
+because the solvers branch on exact equality.  Internally the solvers,
+``classify`` and ``leximin_tuple`` work on an integer copy of the values, all
+scaled by the LCM of their denominators (``Instance._kernel``), and convert
+back to Fraction only for output.  An instance built from plain ints holds
+only that kernel; its Fraction rows are built on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from operator import ge, gt
 from typing import Callable, Optional, Sequence
@@ -53,45 +55,97 @@ def value_to_str(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-@dataclass(frozen=True)
+# Instance refuses attribute assignment; its own set-up writes through this
+_set = object.__setattr__
+
+
 class Instance:
     """A many-to-one matching market.
 
     student_values: n rows of m entries, row i = student i's value for each college.
     college_values: m rows of n entries, row j = college j's value for each student.
     capacities: one positive bound per college, each at most n.
+
+    Instances are immutable (assignment raises FrozenInstanceError, an
+    AttributeError) and equal when their values and capacities are.
+    ``Instance(student_values, college_values, capacities)`` keeps the
+    Fraction rows it is given.  ``Instance.build`` on matrices of plain
+    non-negative ints keeps only the integer kernel, and the Fraction rows are
+    built on first read.  Either way every value read is a Fraction.
     """
 
-    student_values: tuple
-    college_values: tuple
-    capacities: tuple
+    def __init__(self, student_values, college_values, capacities):
+        self._seal(
+            _scaled(student_values, college_values),
+            capacities,
+            (student_values, college_values),
+        )
 
-    def __post_init__(self):
-        n = len(self.student_values)
-        m = len(self.college_values)
+    def _seal(self, kernel, capacities, rows=None):
+        """Set the kernel, the capacities and (when given) the Fraction rows,
+        then check the shape and the capacities on the kernel."""
+        if rows is not None:
+            _set(self, "student_values", rows[0])
+            _set(self, "college_values", rows[1])
+        _set(self, "_kernel", kernel)
+        _set(self, "capacities", capacities)
+        _, sv, cv = kernel
+        n, m = len(sv), len(cv)
         if n == 0 or m == 0:
             raise InvalidInputError("instance needs at least one student and one college")
-        for row in self.student_values:
+        for row in sv:
             if len(row) != m:
                 raise InvalidInputError("student value row length != number of colleges")
-        for row in self.college_values:
+        for row in cv:
             if len(row) != n:
                 raise InvalidInputError("college value row length != number of students")
-        for j, b in enumerate(self.capacities):
+        for j, b in enumerate(capacities):
             if not isinstance(b, int) or isinstance(b, bool) or b < 1 or b > n:
                 raise InvalidInputError(
                     f"capacity of college {j} must be an int in [1, n], got {b!r}"
                 )
-        if len(self.capacities) != m:
+        if len(capacities) != m:
             raise InvalidInputError("need exactly one capacity per college")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        # the kernel is a bijection of the Fraction rows
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._kernel, self.capacities) == (other._kernel, other.capacities)
+
+    def __hash__(self):
+        return hash((self._kernel, self.capacities))
+
+    def __repr__(self):
+        return (
+            f"Instance(student_values={self.student_values!r}, "
+            f"college_values={self.college_values!r}, capacities={self.capacities!r})"
+        )
+
+    # Fraction rows of an instance built from ints; __init__ sets them directly
+    @cached_property
+    def student_values(self) -> tuple:
+        scale, rows, _ = self._kernel
+        return _fraction_rows(scale, rows)
+
+    @cached_property
+    def college_values(self) -> tuple:
+        scale, _, rows = self._kernel
+        return _fraction_rows(scale, rows)
 
     @property
     def n(self) -> int:
-        return len(self.student_values)
+        return len(self._kernel[1])
 
     @property
     def m(self) -> int:
-        return len(self.college_values)
+        return len(self._kernel[2])
 
     def u(self, i: int, j: int) -> Fraction:
         """Student i's value for college j."""
@@ -104,14 +158,24 @@ class Instance:
     @staticmethod
     def build(student_values, college_values, capacities=None) -> "Instance":
         """Construct from nested sequences of ints/Fractions/strings.
-        Default capacities are n-1 each (n if there is a single college)."""
-        sv = _value_matrix(student_values, "student_values")
-        cv = _value_matrix(college_values, "college_values")
-        n = len(sv)
+        Default capacities are n-1 each (n if there is a single college).
+        Matrices of plain non-negative ints are the kernel as they stand;
+        anything else is parsed by as_value into Fraction rows."""
+        sv, cv = _int_rows(student_values), _int_rows(college_values)
+        if sv is None or cv is None:
+            rows = (
+                _value_matrix(student_values, "student_values"),
+                _value_matrix(college_values, "college_values"),
+            )
+            kernel = _scaled(*rows)
+        else:
+            rows, kernel = None, (1, sv, cv)
         if capacities is None:
-            m = len(cv)
+            n, m = len(kernel[1]), len(kernel[2])
             capacities = [max(1, n - 1) if m > 1 else n for _ in range(m)]
-        return Instance(sv, cv, tuple(capacities))
+        instance = Instance.__new__(Instance)
+        instance._seal(kernel, tuple(capacities), rows)
+        return instance
 
     @staticmethod
     def from_matrix(matrix, capacities=None) -> "Instance":
@@ -122,52 +186,65 @@ class Instance:
         return Instance.build(sv, cv, capacities)
 
     @cached_property
-    def _kernel(self) -> tuple:
-        """(scale, student_rows, college_rows): every value times `scale`, the
-        LCM of all value denominators, as plain ints laid out like
-        student_values and college_values.  Scaling by one positive constant
-        keeps every order, equality and sum exact."""
-        rows = self.student_values + self.college_values
-        scale = lcm(*{x.denominator for row in rows for x in row})
-
-        def scaled(row):
-            if scale == 1:  # shares the Fractions' own int objects
-                return tuple(x.numerator for x in row)
-            return tuple(x.numerator * (scale // x.denominator) for x in row)
-
-        return (
-            scale,
-            tuple(scaled(row) for row in self.student_values),
-            tuple(scaled(row) for row in self.college_values),
-        )
-
-    @cached_property
     def _flags(self) -> "ClassificationFlags":
         _, sv, cv = self._kernel
-
-        def strictly_decreasing(row):
-            return all(map(gt, row, row[1:]))
-
-        def non_increasing(row):
-            return all(map(ge, row, row[1:]))
-
-        strict_students = all(len(set(row)) == len(row) for row in sv)
-        strict_colleges = all(len(set(row)) == len(row) for row in cv)
-        ranked = all(strictly_decreasing(r) for r in sv) and all(
-            strictly_decreasing(r) for r in cv
-        )
-        weakly_ranked = all(non_increasing(r) for r in sv) and all(
-            non_increasing(r) for r in cv
-        )
-        isometric = tuple(zip(*cv)) == sv
+        # students: one C-level scan per pair of adjacent columns, not one
+        # Python call per row (n is large, m small)
+        s_cols = tuple(zip(*sv))
+        s_pairs = tuple(zip(s_cols, s_cols[1:]))
+        ranked_s = all(all(map(gt, a, b)) for a, b in s_pairs)
+        weak_s = ranked_s or all(all(map(ge, a, b)) for a, b in s_pairs)
+        ranked_c = all(all(map(gt, row, row[1:])) for row in cv)
+        weak_c = ranked_c or all(all(map(ge, row, row[1:])) for row in cv)
+        # a strictly decreasing row has no ties
+        strict_s = ranked_s or all(len(set(row)) == len(row) for row in sv)
+        strict_c = ranked_c or all(len(set(row)) == len(row) for row in cv)
         return ClassificationFlags(
-            strict_students=strict_students,
-            strict_colleges=strict_colleges,
-            strict=strict_students and strict_colleges,
-            ranked=ranked,
-            weakly_ranked=weakly_ranked,
-            isometric=isometric,
+            strict_students=strict_s,
+            strict_colleges=strict_c,
+            strict=strict_s and strict_c,
+            ranked=ranked_s and ranked_c,
+            weakly_ranked=weak_s and weak_c,
+            isometric=s_cols == cv,
         )
+
+
+def _scaled(student_values, college_values) -> tuple:
+    """The kernel (scale, student_rows, college_rows): every value times
+    `scale`, the LCM of all value denominators, as plain ints laid out like
+    student_values and college_values.  Scaling by one positive constant
+    keeps every order, equality and sum exact."""
+    rows = (*student_values, *college_values)
+    scale = lcm(*{x.denominator for row in rows for x in row})
+
+    def scaled(row):
+        if scale == 1:  # shares the Fractions' own int objects
+            return tuple(x.numerator for x in row)
+        return tuple(x.numerator * (scale // x.denominator) for x in row)
+
+    return (
+        scale,
+        tuple(scaled(row) for row in student_values),
+        tuple(scaled(row) for row in college_values),
+    )
+
+
+def _fraction_rows(scale: int, rows) -> tuple:
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
+
+
+def _int_rows(rows):
+    """rows as a tuple of int tuples when rows is a list/tuple of list/tuple
+    rows of plain non-negative ints, else None; every test runs at C speed.
+    It accepts only input that as_value maps to Fraction(x) unchanged (a bool
+    is not a plain int), so every refusal and its message still comes from
+    as_value."""
+    if type(rows) not in (list, tuple) or not set(map(type, rows)) <= {list, tuple}:
+        return None
+    flat = list(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int} or min(flat) < 0:
+        return None
+    return tuple(map(tuple, rows))
 
 
 def _value_matrix(rows, name: str) -> tuple:
@@ -331,22 +408,22 @@ class LeximinTuple:
         return self.agent_at.index(agent)
 
 
-def _agent_sort_key(entry):
-    value, (kind, idx) = entry
-    return (value, 0 if kind == "s" else 1, idx)
-
-
 def leximin_tuple(instance: Instance, matching: Matching) -> LeximinTuple:
     matching.validate(instance)
+    scale, sv, cv = instance._kernel
+    # (value, 0 for a student or 1 for a college, index) sorts in LeximinTuple's
+    # order; scaled ints keep the order of the Fractions
     entries = [
-        (student_value(instance, matching, i), ("s", i)) for i in range(instance.n)
+        (0 if j is None else sv[i][j], 0, i) for i, j in enumerate(matching.assignment)
     ]
     entries += [
-        (college_value(instance, matching, j), ("c", j)) for j in range(instance.m)
+        (sum(map(cv[j].__getitem__, members)), 1, j)
+        for j, members in enumerate(matching.college_view(instance.m))
     ]
-    entries.sort(key=_agent_sort_key)
+    entries.sort()
     return LeximinTuple(
-        values=tuple(e[0] for e in entries), agent_at=tuple(e[1] for e in entries)
+        values=tuple(Fraction(v, scale) for v, _, _ in entries),
+        agent_at=tuple(("c" if kind else "s", idx) for _, kind, idx in entries),
     )
 
 

@@ -193,6 +193,24 @@ class TestDispatch:
                     continue
 
 
+    def test_solvers_leave_int_instances_without_fraction_rows(self):
+        # an instance loaded from JSON ints holds only its integer kernel;
+        # a solver that reads Fraction values (instance.u, .student_values)
+        # would build the rows and give the ingest saving back
+        cases = (
+            ("ranked_isometric", 3, "none", "fast"),
+            ("ranked", 3, "none", "fast_gen"),
+            ("ranked", 3, "random", "cap_fast_gen"),
+            ("strict", 2, "none", "fast_const"),
+        )
+        for kind, m, capacity_mode, algorithm in cases:
+            for seed in range(4):
+                spec = GenSpec(kind, n=9, m=m, seed=seed, capacity_mode=capacity_mode)
+                inst = load_instance(dump_instance(generate(spec)))
+                assert solve_dispatch(inst).algorithm == algorithm
+                assert "student_values" not in vars(inst), (spec, algorithm)
+                assert "college_values" not in vars(inst), (spec, algorithm)
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)

@@ -9,6 +9,7 @@ from lexmatch import (
     GREATER,
     LESS,
     BlockingPair,
+    GenSpec,
     Instance,
     InvalidInputError,
     LeximinTuple,
@@ -16,11 +17,16 @@ from lexmatch import (
     as_value,
     check_alpha_approx,
     classify,
+    college_value,
+    generate,
     is_stable,
     leximin_compare,
     leximin_tuple,
+    partition_to_smo,
+    student_value,
     value_to_str,
 )
+from lexmatch.generate import KINDS
 
 from conftest import random_instances
 
@@ -69,6 +75,72 @@ class TestInstance:
         assert single.capacities == (2,)
 
 
+    def test_int_rows_equal_fraction_and_string_rows(self):
+        sv, cv = [[4, 0], [3, 2], [1, 5]], [[9, 8, 0], [7, 0, 6]]
+        as_ints = Instance.build(sv, cv, capacities=[2, 3])
+        as_fractions = Instance.build(
+            [[Fraction(x) for x in row] for row in sv],
+            [[Fraction(x) for x in row] for row in cv],
+            capacities=[2, 3],
+        )
+        as_strings = Instance.build(
+            [[f"{x}/1" for x in row] for row in sv],
+            [[f"{x}/1" for x in row] for row in cv],
+            capacities=[2, 3],
+        )
+        # the int rows are the kernel; the others are parsed into Fraction rows
+        assert "student_values" not in vars(as_ints)
+        assert "student_values" in vars(as_strings)
+        for other in (as_fractions, as_strings):
+            assert other == as_ints and as_ints == other
+            assert hash(other) == hash(as_ints)
+            assert other._kernel == as_ints._kernel == (1, tuple(map(tuple, sv)), tuple(map(tuple, cv)))
+            assert repr(other) == repr(as_ints)
+        for inst in (as_ints, as_fractions, as_strings):
+            for row in inst.student_values + inst.college_values:
+                assert all(type(x) is Fraction for x in row)
+            assert all(type(inst.u(i, j)) is Fraction for i in range(3) for j in range(2))
+            assert all(type(inst.v(j, i)) is Fraction for i in range(3) for j in range(2))
+        assert as_ints.student_values == ((4, 0), (3, 2), (1, 5))
+        assert as_ints != Instance.build(sv, cv, capacities=[3, 3])
+        assert as_ints != Instance.build([[4, 0], [3, 2], [1, 6]], cv, capacities=[2, 3])
+
+    def test_mixed_int_and_string_rows_parse(self):
+        inst = Instance.build([[2, "1/2"], [4, 3]], [["3/4", 1], [4, 3]])
+        assert inst.student_values == ((2, Fraction(1, 2)), (4, 3))
+        assert inst._kernel == (4, ((8, 2), (16, 12)), ((3, 4), (16, 12)))
+
+    @pytest.mark.parametrize(
+        "sv, cv, message",
+        [
+            ([[1, -1]], [[1], [1]], "values must be non-negative, got -1"),
+            ([[1, True]], [[1], [1]], "value must be an exact rational, got True"),
+            ([[1, 2.0]], [[1], [1]], "value must be an exact rational, got 2.0"),
+            ([[1]], [[-3]], "values must be non-negative, got -3"),
+            ([[2, 1], [4]], [[2, 1], [4, 3]], "student value row length != number of colleges"),
+            ([[2, 1], [4, 3]], [[2, 1], [4]], "college value row length != number of students"),
+            ([], [[1]], "instance needs at least one student and one college"),
+            ([[]], [[1]], "student value row length != number of colleges"),
+            (["21", "43"], [[2, 1], [4, 3]], "student_values must be a list of value rows"),
+        ],
+    )
+    def test_refusals_keep_their_messages(self, sv, cv, message):
+        with pytest.raises(InvalidInputError, match=message.replace(".", r"\.")):
+            Instance.build(sv, cv)
+
+    def test_is_immutable(self):
+        built = Instance.build([[2, 1], [4, 3]], [[2, 4], [1, 3]])
+        given = Instance(built.student_values, built.college_values, built.capacities)
+        for inst in (built, given):
+            for name in ("student_values", "capacities", "_kernel", "n", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(inst, name, None)
+            for name in ("student_values", "capacities", "_kernel"):
+                with pytest.raises(AttributeError):
+                    delattr(inst, name)
+        assert built == given
+
+
 class TestClassify:
     def test_reference_instance(self, ref_instance):
         flags = classify(ref_instance)
@@ -103,6 +175,89 @@ class TestClassify:
             assert flags.weakly_ranked
             assert flags.strict
 
+
+    @staticmethod
+    def _flags_by_definition(inst):
+        rows_s = [[inst.u(i, j) for j in range(inst.m)] for i in range(inst.n)]
+        rows_c = [[inst.v(j, i) for i in range(inst.n)] for j in range(inst.m)]
+
+        def strictly_decreasing(row):
+            return all(row[k] > row[k + 1] for k in range(len(row) - 1))
+
+        def non_increasing(row):
+            return all(row[k] >= row[k + 1] for k in range(len(row) - 1))
+
+        def no_ties(rows):
+            return all(len(set(row)) == len(row) for row in rows)
+
+        ranked = all(map(strictly_decreasing, rows_s + rows_c))
+        return (
+            no_ties(rows_s),
+            no_ties(rows_c),
+            no_ties(rows_s) and no_ties(rows_c),
+            ranked,
+            all(map(non_increasing, rows_s + rows_c)),
+            all(rows_s[i][j] == rows_c[j][i] for i in range(inst.n) for j in range(inst.m)),
+        )
+
+    def _assert_flags_match_definition(self, inst):
+        flags = classify(inst)
+        assert (
+            flags.strict_students,
+            flags.strict_colleges,
+            flags.strict,
+            flags.ranked,
+            flags.weakly_ranked,
+            flags.isometric,
+        ) == self._flags_by_definition(inst)
+
+    def test_column_form_matches_the_row_definitions(self):
+        def by_35(inst):
+            def f(x):
+                return Fraction(7 * x + x % 5, 35)
+
+            return Instance.build(
+                [[f(x) for x in row] for row in inst.student_values],
+                [[f(x) for x in row] for row in inst.college_values],
+                inst.capacities,
+            )
+
+        checked = 0
+        for kind in KINDS:
+            for n, m in ((1, 1), (4, 1), (5, 2), (7, 3), (9, 5)):
+                for value_max in (None, max(n, m) + 3):
+                    for seed in range(3):
+                        try:
+                            inst = generate(GenSpec(kind, n, m, seed=seed, value_max=value_max))
+                        except InvalidInputError:
+                            continue  # too few distinct values for the kind
+                        self._assert_flags_match_definition(inst)
+                        self._assert_flags_match_definition(by_35(inst))
+                        checked += 1
+        assert checked > 100
+        for P in ([3, 1, 1, 1], [6, 1, 1], [5, 4, 3, 2, 2], [2, 2]):
+            image = partition_to_smo(P)
+            flags = classify(image)
+            assert flags.weakly_ranked and not flags.strict
+            self._assert_flags_match_definition(image)
+            self._assert_flags_match_definition(by_35(image))
+
+    @pytest.mark.parametrize(
+        "sv, cv",
+        [
+            ([[7]], [[7]]),
+            ([[7]], [[3]]),
+            ([[3, 2, 1]], [[3], [2], [1]]),
+            ([[3, 3, 1]], [[3], [3], [1]]),
+            ([[1, 2, 3]], [[1], [2], [3]]),
+            ([[3], [2], [1]], [[3, 2, 1]]),
+            ([[3], [3], [1]], [[3, 3, 1]]),
+            ([[1], [2], [3]], [[1, 2, 3]]),
+            ([[3], [2], [1]], [[3, 1, 2]]),
+        ],
+    )
+    def test_single_row_and_single_column_instances(self, sv, cv):
+        self._assert_flags_match_definition(Instance.build(sv, cv))
 
 class TestIsStable:
     def test_contiguous_split_is_stable(self, ref_instance):
@@ -168,6 +323,27 @@ class TestLeximinTuple:
             assert len(t.values) == inst.n + inst.m
             assert t.position_of(("s", 0)) == t.agent_at.index(("s", 0))
 
+
+    def test_matches_the_fraction_definition_on_partial_matchings(self):
+        import random
+
+        rng = random.Random(3)
+        for inst in random_instances("weak", seed=13, count=20, n_max=7, m_max=3, n_min=2):
+            scaled = Instance.build(
+                [[x / 6 for x in row] for row in inst.student_values],
+                [[x / 35 for x in row] for row in inst.college_values],
+                inst.capacities,
+            )
+            for case in (inst, scaled):
+                mu = Matching([rng.choice([None, *range(case.m)]) for _ in range(case.n)])
+                entries = sorted(
+                    [(student_value(case, mu, i), 0, i) for i in range(case.n)]
+                    + [(college_value(case, mu, j), 1, j) for j in range(case.m)]
+                )
+                t = leximin_tuple(case, mu)
+                assert t.values == tuple(v for v, _, _ in entries)
+                assert all(type(v) is Fraction for v in t.values)
+                assert t.agent_at == tuple(("sc"[kind], idx) for _, kind, idx in entries)
 
 def _lt(values):
     return LeximinTuple(values=tuple(values), agent_at=tuple(("s", i) for i in range(len(values))))

@@ -2,9 +2,9 @@
 each module binds them, and the benchmark calls ``lexmatch.cli`` directly.
 These names must keep resolving, or ``perfbench/run.py --trace 1`` crashes.
 The benchmark also checks each output against the result recorded in
-``perfbench/reference.json``; the ranked and strict m=2 workloads are pinned
-here too, so a solver change that moves them fails in the test suite, not
-only in a run."""
+``perfbench/reference.json``; the in-process workloads are pinned here too,
+so a solver change that moves them fails in the test suite, not only in a
+run."""
 
 import importlib.util
 import json
@@ -49,6 +49,15 @@ def _recorded_items(name):
 
 def _recorded_assignment(item):
     return [j for j, count in item.reference["ref"] for _ in range(count)]
+
+
+def test_iso_large_solves_to_the_recorded_assignments():
+    items = _recorded_items("iso_large")
+    assert len(items) == 5
+    for item in items:
+        report = solve_dispatch(lexmatch.load_instance(item.text), item.algo)
+        assert report.algorithm == "fast", item.key
+        assert list(report.matching.assignment) == _recorded_assignment(item), item.key
 
 
 def test_ranked_gen_solves_to_the_recorded_assignments():
