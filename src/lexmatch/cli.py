@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 
-from .bench import bench, records_to_csv
 from .const2 import fast_const
 from .errors import (
     BudgetExceededError,
@@ -42,7 +41,7 @@ EXIT_BUDGET = 5
 
 def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
     """Route an instance to the right solver.  This is the one name-to-solver
-    table: `lexmatch solve`, `bench` and library callers all go through it.
+    table: `lexmatch solve` and library callers both go through it.
     `auto` picks by structure: ranked+isometric -> fast, ranked -> fast_gen,
     strict with two colleges -> fast_const; anything else has no known
     polynomial solver and raises NpHardRegimeError (the oracle remains
@@ -172,21 +171,6 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    sizes = []
-    for chunk in args.sizes.split(","):
-        n_str, _, m_str = chunk.partition("x")
-        try:
-            sizes.append((int(n_str), int(m_str)))
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"sizes must look like 100x4,200x4 — bad chunk {chunk!r}"
-            ) from exc
-    records = bench(args.algo, sizes, repeats=args.repeats, seed=args.seed)
-    sys.stdout.write(records_to_csv(records))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexmatch",
@@ -236,18 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="problem JSON file or -")
     p.add_argument("--replicate", type=int, default=1)
     p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("bench", help="run the benchmark harness (CSV out)")
-    p.add_argument(
-        "--algo",
-        action="append",
-        required=True,
-        choices=["fast", "fast_gen", "fast_const", "oracle"],
-    )
-    p.add_argument("--sizes", required=True, help="comma list of NxM, e.g. 100x4,200x4")
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

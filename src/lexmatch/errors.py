@@ -29,3 +29,8 @@ class InfeasibleError(LexmatchError):
 
 class BudgetExceededError(LexmatchError):
     """The exhaustive oracle would enumerate more candidates than allowed."""
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of an immutable Instance.
+    An AttributeError, so code that catches that still catches it."""

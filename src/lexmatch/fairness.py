@@ -7,8 +7,8 @@ rival's student set with its own additive valuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import Instance, Matching, college_value, student_value, value_to_str
 
@@ -89,8 +89,7 @@ def welfare(instance: Instance, matching: Matching):
     return egalitarian, nash, utilitarian
 
 
-@dataclass(frozen=True)
-class FairnessReport:
+class FairnessReport(NamedTuple):
     e_s: Fraction
     e_c: Fraction
     e_total: Fraction

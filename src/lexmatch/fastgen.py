@@ -28,7 +28,6 @@ full tuples (of scaled ints) are built only to find the agent that loses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ._state import RankedState, initial_boundary
@@ -44,16 +43,30 @@ from .ranked import _require_ranked
 from .report import SolverReport
 
 
-@dataclass
 class FixSets:
     """Boundary bookkeeping.  upper_fix: colleges whose block may not grow;
     lower_fix: colleges whose block may not shrink; soft_fix: pairs
     (blocked, blocker) suspending `blocked` from being chosen as the
     receiving college until `up` moves past `blocker`."""
 
-    upper_fix: set = field(default_factory=set)
-    lower_fix: set = field(default_factory=set)
-    soft_fix: set = field(default_factory=set)
+    def __init__(self, upper_fix=None, lower_fix=None, soft_fix=None):
+        self.upper_fix = set() if upper_fix is None else upper_fix
+        self.lower_fix = set() if lower_fix is None else lower_fix
+        self.soft_fix = set() if soft_fix is None else soft_fix
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    # mutable, so unhashable
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"FixSets(upper_fix={self.upper_fix!r}, lower_fix={self.lower_fix!r}, "
+            f"soft_fix={self.soft_fix!r})"
+        )
 
     def soft_blocked(self, j: int) -> bool:
         return any(pair[0] == j for pair in self.soft_fix)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError
 from .model import Instance, classify
@@ -13,8 +12,7 @@ KINDS = ("ranked_isometric", "ranked", "strict", "weak", "weak_ranked_isometric"
 CAPACITY_MODES = ("none", "uniform", "random")
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     kind: str
     n: int
     m: int

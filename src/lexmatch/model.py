@@ -5,23 +5,23 @@ college j is ``u(i, j)``; a college's valuation of student i is ``v(j, i)``.
 A college values a set of students by the sum of its valuations.  All values
 are exact non-negative rationals (fractions.Fraction) — no floats anywhere,
 because the solvers branch on exact equality.  Internally the solvers,
-``classify`` and ``leximin_tuple`` work on an integer copy of the values, all
-scaled by the LCM of their denominators (``Instance._kernel``), and convert
-back to Fraction only for output.  An instance built from plain ints holds
-only that kernel; its Fraction rows are built on first read.
+``classify``, ``is_stable`` and ``leximin_tuple`` work on an integer copy of
+the values, all scaled by the LCM of their denominators
+(``Instance._kernel``), and convert back to Fraction only for output.  An
+instance built from plain ints holds only that kernel; its Fraction rows are
+built on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
 from operator import ge, gt
-from typing import Callable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import InvalidInputError
+from .errors import FrozenInstanceError, InvalidInputError
 
 Value = Fraction
 
@@ -257,8 +257,7 @@ def _value_matrix(rows, name: str) -> tuple:
     return tuple(tuple(as_value(x) for x in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class ClassificationFlags:
+class ClassificationFlags(NamedTuple):
     strict_students: bool
     strict_colleges: bool
     strict: bool
@@ -354,8 +353,7 @@ def college_value(instance: Instance, matching: Matching, j: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class BlockingPair:
+class BlockingPair(NamedTuple):
     """Certificate that (student, college) block the matching: the student
     strictly prefers the college to its current match and the college strictly
     prefers the student to displaced_student, one of its current members."""
@@ -375,20 +373,20 @@ def is_stable(instance: Instance, matching: Matching) -> Optional[BlockingPair]:
     college values least (smallest index on ties).
     """
     matching.validate(instance)
-    view = matching.college_view(instance.m)
-    # least-valued member of each nonempty college
-    weakest = [None] * instance.m
-    for j, ms in enumerate(view):
-        if ms:
-            weakest[j] = min(ms, key=lambda i: (instance.v(j, i), i))
-    for i in range(instance.n):
-        cur = student_value(instance, matching, i)
-        here = matching.assignment[i]
-        for j in range(instance.m):
-            if j == here or weakest[j] is None:
-                continue
-            if instance.u(i, j) > cur and instance.v(j, i) > instance.v(j, weakest[j]):
-                return BlockingPair(student=i, college=j, displaced_student=weakest[j])
+    _, sv, cv = instance._kernel
+    # least-valued member of each nonempty college: members are in ascending
+    # order and min keeps the first minimum, so ties go to the smallest index
+    weakest = [
+        min(members, key=cv[j].__getitem__) if members else None
+        for j, members in enumerate(matching.college_view(instance.m))
+    ]
+    for i, (row, here) in enumerate(zip(sv, matching.assignment)):
+        # a student never blocks with its own college: row[here] > row[here]
+        # is false, so no j == here test is needed
+        cur = 0 if here is None else row[here]
+        for j, w in enumerate(weakest):
+            if w is not None and row[j] > cur and cv[j][i] > cv[j][w]:
+                return BlockingPair(student=i, college=j, displaced_student=w)
     return None
 
 
@@ -396,8 +394,7 @@ def is_stable(instance: Instance, matching: Matching) -> Optional[BlockingPair]:
 Agent = tuple
 
 
-@dataclass(frozen=True)
-class LeximinTuple:
+class LeximinTuple(NamedTuple):
     """All n+m agent values sorted ascending.  Agents with equal value appear
     in increasing index order, students before colleges."""
 

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceededError, InfeasibleError
 from .model import (
@@ -23,8 +22,7 @@ from .ranked import enumerate_stable
 from .report import SolverReport
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(NamedTuple):
     """Cap on how many candidate matchings the oracle may enumerate."""
 
     max_enumerated: int = 10**7

@@ -9,22 +9,26 @@ therefore representable by its boundary vector k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import InvalidInputError, NotAdmissibleError
 from .model import Instance, Matching, classify
 
 
-@dataclass(frozen=True)
-class BoundaryVector:
+class BoundaryVector(NamedTuple("BoundaryVector", [("k", tuple)])):
     """College block sizes (k_0, ..., k_{m-1}), each >= 0."""
 
-    k: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any((not isinstance(x, int)) or x < 0 for x in self.k):
-            raise InvalidInputError(f"boundary vector parts must be ints >= 0: {self.k}")
+    def __new__(cls, k: tuple):
+        if any((not isinstance(x, int)) or x < 0 for x in k):
+            raise InvalidInputError(f"boundary vector parts must be ints >= 0: {k}")
+        return super().__new__(cls, k)
+
+    # namedtuple's _make (and so _replace) would skip the check in __new__
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _require_ranked(instance: Instance) -> None:

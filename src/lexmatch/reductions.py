@@ -9,8 +9,8 @@ All constructions use capacities n-m+1 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .model import Instance, as_value
@@ -163,8 +163,7 @@ def bin_packing_to_smo(weights, k: int, t: int = 1, epsilon=None) -> Instance:
     )
 
 
-@dataclass(frozen=True)
-class ReductionSpec:
+class ReductionSpec(NamedTuple):
     """Declarative form of a reduction request, mirroring the CLI."""
 
     kind: str  # subset_sum | balanced_partition | three_partition | bin_packing

@@ -1,10 +1,10 @@
 import itertools
 import json
-import math
 from fractions import Fraction
 
 import pytest
 
+import lexmatch.model
 from lexmatch import (
     GenSpec,
     Instance,
@@ -14,10 +14,8 @@ from lexmatch import (
     classify,
     generate,
     is_stable,
-    oracle_leximin,
     solve_dispatch,
 )
-from lexmatch.bench import bench, bench_one, records_to_csv
 from lexmatch.cli import main
 from lexmatch.serialize import (
     dump_instance,
@@ -238,6 +236,34 @@ class TestCli:
             "displaced_student": 2,
         }
 
+    def test_verify_leaves_int_instances_without_fraction_rows(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # is_stable and leximin_tuple read the integer kernel; building the
+        # Fraction rows of a JSON-int instance would cost more than both
+        texts = [
+            dump_instance(generate(GenSpec(kind, n=7, m=m, seed=1)))
+            for kind, m in (("ranked", 3), ("strict", 2), ("weak", 3))
+        ]
+
+        def refuse(scale, rows):
+            raise AssertionError("Fraction rows built")
+
+        monkeypatch.setattr(lexmatch.model, "_fraction_rows", refuse)
+        stable = []
+        for text in texts:
+            inst = load_instance(text)
+            path = _write(tmp_path, "inst.json", text)
+            for assignment in ([0] * 7, [None, 1, 0, 1, None, 0, 1], [i % 2 for i in range(7)]):
+                mu = Matching(assignment)
+                stable.append(is_stable(inst, mu) is None)
+                mu_path = _write(tmp_path, "mu.json", dump_matching(mu))
+                assert main(["verify", "--instance", path, "--matching", mu_path]) == 0
+                assert json.loads(capsys.readouterr().out)["stable"] is stable[-1]
+            assert "student_values" not in vars(inst)
+            assert "college_values" not in vars(inst)
+        assert set(stable) == {True, False}
+
     def test_enumerate_complete(self, tmp_path, capsys, ref_instance):
         path = _write(tmp_path, "inst.json", dump_instance(ref_instance))
         assert main(["enumerate", "--instance", path, "--complete"]) == 0
@@ -308,15 +334,6 @@ class TestCli:
         inst = load_instance(capsys.readouterr().out)
         assert (inst.n, inst.m) == (4, 3)
 
-    def test_bench_csv(self, capsys):
-        assert (
-            main(["bench", "--algo", "fast", "--sizes", "20x3,30x3", "--repeats", "2"])
-            == 0
-        )
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("algorithm,n,m,seed")
-        assert len(lines) == 1 + 2 * 2
-
     def test_exit_code_np_hard(self, tmp_path, capsys):
         inst = generate(GenSpec(kind="weak", n=4, m=3, seed=0))
         path = _write(tmp_path, "inst.json", dump_instance(inst))
@@ -338,39 +355,3 @@ class TestCli:
         assert (
             main(["enumerate", "--instance", path, "--budget", "10"]) == 5
         )
-
-
-class TestBench:
-    def test_deterministic_apart_from_wall_time(self):
-        a = bench(["fast"], [(20, 3)], repeats=2, seed=0)
-        b = bench(["fast"], [(20, 3)], repeats=2, seed=0)
-        strip = lambda recs: [
-            (r.algorithm, r.n, r.m, r.seed, r.steps, r.peak_candidates) for r in recs
-        ]
-        assert strip(a) == strip(b)
-
-    def test_sorted_output(self):
-        records = bench(["fast_gen", "fast"], [(30, 3), (20, 3)], repeats=1)
-        keys = [(r.algorithm, r.n) for r in records]
-        assert keys == sorted(keys)
-
-    def test_fast_const_needs_two_colleges(self):
-        with pytest.raises(InvalidInputError):
-            bench_one("fast_const", 10, 3)
-
-    @pytest.mark.parametrize("n,m", [(6, 3), (7, 2), (5, 5), (4, 1)])
-    def test_oracle_steps_match_the_oracle(self, n, m):
-        record = bench_one("oracle", n, m, seed=3)
-        report = oracle_leximin(
-            generate(GenSpec(kind="ranked", n=n, m=m, seed=3)), require_complete=True
-        )
-        # one candidate per composition of n into m nonempty blocks
-        assert record.steps == report.steps == math.comb(n - 1, m - 1)
-        assert record.peak_candidates == report.counters["enumerated"]
-
-    def test_csv_shape(self):
-        records = bench(["fast"], [(15, 2)])
-        text = records_to_csv(records)
-        lines = text.strip().splitlines()
-        assert len(lines) == 2
-        assert len(lines[1].split(",")) == 7

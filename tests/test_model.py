@@ -298,6 +298,54 @@ class TestIsStable:
                 assert (is_stable(inst, mu) is None) == (not blocked)
 
 
+    def test_matches_the_fraction_definition_on_random_matchings(self):
+        # the reference reads Fraction values through u/v; is_stable reads
+        # the scaled int kernel.  Small value ranges make ties common, so
+        # the displaced-student tie-break is exercised too.
+        import random
+
+        def first_blocking_pair(inst, mu):
+            weakest = [
+                min(ms, key=lambda i: (inst.v(j, i), i)) if ms else None
+                for j, ms in enumerate(mu.members(inst, j) for j in range(inst.m))
+            ]
+            for i in range(inst.n):
+                here = mu.assignment[i]
+                cur = Fraction(0) if here is None else inst.u(i, here)
+                for j in range(inst.m):
+                    w = weakest[j]
+                    if j == here or w is None:
+                        continue
+                    if inst.u(i, j) > cur and inst.v(j, i) > inst.v(j, w):
+                        return BlockingPair(student=i, college=j, displaced_student=w)
+            return None
+
+        rng = random.Random(17)
+        outcomes = set()
+        for kind in ("weak", "strict", "ranked"):
+            for value_max in (None, 3, 9):
+                if kind != "weak" and value_max == 3:
+                    continue  # too few distinct values for strict rows
+                for inst in random_instances(
+                    kind, seed=19, count=12, n_max=7, m_max=3, n_min=3, value_max=value_max
+                ):
+                    scaled = Instance.build(
+                        [[x / 6 for x in row] for row in inst.student_values],
+                        [[x / 35 for x in row] for row in inst.college_values],
+                        inst.capacities,
+                    )
+                    assert scaled._kernel[0] > 1
+                    for case in (inst, scaled):
+                        for _ in range(8):
+                            mu = Matching(
+                                [rng.choice([None, *range(case.m)]) for _ in range(case.n)]
+                            )
+                            expected = first_blocking_pair(case, mu)
+                            assert is_stable(case, mu) == expected, (case, mu)
+                            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+
 class TestLeximinTuple:
     def test_balanced_split_values(self, ref_instance):
         t = leximin_tuple(ref_instance, Matching([0, 0, 1, 1]))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from lexmatch import (
     leximin_compare,
     leximin_tuple,
     oracle_leximin,
+    solve_dispatch,
     subset_sum_to_smo,
 )
 from lexmatch.model import GREATER
@@ -69,6 +71,16 @@ class TestOracle:
         assert report.algorithm == "oracle"
         assert report.counters["enumerated"] == 5  # compositions of 4 into 2
         assert report.counters["stable"] == 5
+
+    @pytest.mark.parametrize("n,m", [(6, 3), (7, 2), (5, 5), (4, 1)])
+    def test_steps_count_one_candidate_per_composition(self, n, m):
+        inst = generate(GenSpec(kind="ranked", n=n, m=m, seed=3))
+        dispatched = solve_dispatch(inst, "oracle")
+        report = oracle_leximin(inst, require_complete=True)
+        # one candidate per composition of n into m nonempty blocks
+        assert dispatched.steps == report.steps == math.comb(n - 1, m - 1)
+        assert dispatched.counters["enumerated"] == report.counters["enumerated"]
+        assert report.counters["enumerated"] == report.steps
 
     def test_budget_exceeded(self):
         inst = generate(GenSpec(kind="weak", n=10, m=3, seed=1))

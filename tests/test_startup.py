@@ -1,0 +1,48 @@
+"""The command line as a process: `python -m lexmatch`, and what importing
+the CLI loads.  Every `lexmatch` process pays for its imports, so modules
+the CLI never uses must stay off its import path."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from lexmatch import dump_instance, solve_dispatch
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run(args, stdin=""):
+    return subprocess.run(
+        [sys.executable, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+
+
+def test_python_m_lexmatch_solves(ref_instance):
+    proc = _run(["-m", "lexmatch", "solve", "--instance", "-"], dump_instance(ref_instance))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == solve_dispatch(ref_instance).to_json_dict()
+
+
+def test_python_m_lexmatch_keeps_the_exit_codes():
+    proc = _run(["-m", "lexmatch", "solve", "--instance", "-"], "{broken")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid input: bad JSON")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+    # -S keeps site-packages start-up hooks out of the count
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); from lexmatch.cli import main; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules])"
+    )
+    proc = _run(["-S", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
