@@ -191,7 +191,6 @@ def _inner_run(
     """One full run of the main loop.  Mutates state/fixes/T in place and
     returns the final state."""
     m = instance.m
-    visited = {tuple(state.k)}
 
     def emit(st):
         if on_state is not None:
@@ -256,31 +255,20 @@ def _inner_run(
         giver, receiver = best
         best_removed.sort()
         best_added.sort()
-        loss_agent = None
+        # an EQUAL trial commits too: every commit moves a student from a
+        # college to one on its right, so sum(j * k[j]) rises and no
+        # boundary vector comes back
         if best_added >= best_removed:
-            trial = state.copy()
-            trial.demote(giver, receiver)
-            key = tuple(trial.k)
-            if best_added > best_removed or key not in visited:
-                if T is not None and caps is not None and state.k[giver] >= caps[giver]:
-                    T[giver] = 1
-                state = trial
-                visited.add(key)
-                emit(state)
-                continue
-            # an EQUAL commit that would revisit a boundary: treat as a
-            # loss caused by the giving college
-            loss_agent = ("c", giver)
-            up = giver
-        if loss_agent is None:
-            # attribute the loss from the canonical up -> down trial: its
-            # blame decides whether to fix a boundary or speculate ahead
-            canon = state.copy()
-            canon.demote(up, down)
-            loss_agent = _first_loss_agent(
-                canon.scaled_leximin(), state.scaled_leximin()
-            )
-        kind, idx = loss_agent
+            if T is not None and caps is not None and state.k[giver] >= caps[giver]:
+                T[giver] = 1
+            state.demote(giver, receiver)
+            emit(state)
+            continue
+        # attribute the loss from the canonical up -> down trial: its blame
+        # decides whether to fix a boundary or speculate ahead
+        canon = state.copy()
+        canon.demote(up, down)
+        kind, idx = _first_loss_agent(canon.scaled_leximin(), state.scaled_leximin())
         if kind == "c" and idx == up:
             fixes.lower_fix.add(up)
             fixes.upper_fix.add(up + 1)
@@ -301,7 +289,6 @@ def _inner_run(
             committed = _look_ahead(state, down, fixes, caps, counters)
             if committed is not None:
                 state = committed
-                visited.add(tuple(state.k))
                 emit(state)
     return state
 

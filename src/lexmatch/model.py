@@ -4,12 +4,12 @@ Students and colleges are indexed from 0.  A student's additive valuation of
 college j is ``u(i, j)``; a college's valuation of student i is ``v(j, i)``.
 A college values a set of students by the sum of its valuations.  All values
 are exact non-negative rationals (fractions.Fraction) — no floats anywhere,
-because the solvers branch on exact equality.  Internally the solvers,
-``classify``, ``is_stable`` and ``leximin_tuple`` work on an integer copy of
-the values, all scaled by the LCM of their denominators
-(``Instance._kernel``), and convert back to Fraction only for output.  An
-instance built from plain ints holds only that kernel; its Fraction rows are
-built on first read.
+because the solvers branch on exact equality.  An instance stores only an
+integer copy of the values, all scaled by the LCM of their denominators
+(``Instance._kernel``): the solvers, ``classify``, ``is_stable`` and
+``leximin_tuple`` work on it, and the Fraction rows read through
+``student_values``, ``college_values``, ``u`` and ``v`` are built from it on
+first read.
 """
 
 from __future__ import annotations
@@ -64,32 +64,28 @@ class Instance:
 
     student_values: n rows of m entries, row i = student i's value for each college.
     college_values: m rows of n entries, row j = college j's value for each student.
-    capacities: one positive bound per college, each at most n.
+    capacities: one positive bound per college, each at most n; None gives
+    n-1 each (n if there is a single college).
 
-    Instances are immutable (assignment raises FrozenInstanceError, an
-    AttributeError) and equal when their values and capacities are.
-    ``Instance(student_values, college_values, capacities)`` keeps the
-    Fraction rows it is given.  ``Instance.build`` on matrices of plain
-    non-negative ints keeps only the integer kernel, and the Fraction rows are
-    built on first read.  Either way every value read is a Fraction.
+    Every value is parsed once into the integer kernel: matrices of plain
+    non-negative ints are the kernel as they stand, anything else goes
+    through as_value.  An instance stores only ``_kernel`` and the
+    capacities (a tuple); ``student_values`` and ``college_values`` are
+    Fraction rows built from the kernel on first read.  Instances are
+    immutable (assignment raises FrozenInstanceError, an AttributeError) and
+    equal when their values and capacities are.
     """
 
     def __init__(self, student_values, college_values, capacities):
-        self._seal(
-            _scaled(student_values, college_values),
-            capacities,
-            (student_values, college_values),
-        )
-
-    def _seal(self, kernel, capacities, rows=None):
-        """Set the kernel, the capacities and (when given) the Fraction rows,
-        then check the shape and the capacities on the kernel."""
-        if rows is not None:
-            _set(self, "student_values", rows[0])
-            _set(self, "college_values", rows[1])
-        _set(self, "_kernel", kernel)
-        _set(self, "capacities", capacities)
-        _, sv, cv = kernel
+        sv, cv = _int_rows(student_values), _int_rows(college_values)
+        if sv is None or cv is None:
+            kernel = _scaled(
+                _value_matrix(student_values, "student_values"),
+                _value_matrix(college_values, "college_values"),
+            )
+            _, sv, cv = kernel
+        else:
+            kernel = (1, sv, cv)
         n, m = len(sv), len(cv)
         if n == 0 or m == 0:
             raise InvalidInputError("instance needs at least one student and one college")
@@ -99,6 +95,9 @@ class Instance:
         for row in cv:
             if len(row) != n:
                 raise InvalidInputError("college value row length != number of students")
+        if capacities is None:
+            capacities = (max(1, n - 1) if m > 1 else n,) * m
+        capacities = tuple(capacities)
         for j, b in enumerate(capacities):
             if not isinstance(b, int) or isinstance(b, bool) or b < 1 or b > n:
                 raise InvalidInputError(
@@ -106,6 +105,8 @@ class Instance:
                 )
         if len(capacities) != m:
             raise InvalidInputError("need exactly one capacity per college")
+        _set(self, "_kernel", kernel)
+        _set(self, "capacities", capacities)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -128,7 +129,6 @@ class Instance:
             f"college_values={self.college_values!r}, capacities={self.capacities!r})"
         )
 
-    # Fraction rows of an instance built from ints; __init__ sets them directly
     @cached_property
     def student_values(self) -> tuple:
         scale, rows, _ = self._kernel
@@ -157,25 +157,9 @@ class Instance:
 
     @staticmethod
     def build(student_values, college_values, capacities=None) -> "Instance":
-        """Construct from nested sequences of ints/Fractions/strings.
-        Default capacities are n-1 each (n if there is a single college).
-        Matrices of plain non-negative ints are the kernel as they stand;
-        anything else is parsed by as_value into Fraction rows."""
-        sv, cv = _int_rows(student_values), _int_rows(college_values)
-        if sv is None or cv is None:
-            rows = (
-                _value_matrix(student_values, "student_values"),
-                _value_matrix(college_values, "college_values"),
-            )
-            kernel = _scaled(*rows)
-        else:
-            rows, kernel = None, (1, sv, cv)
-        if capacities is None:
-            n, m = len(kernel[1]), len(kernel[2])
-            capacities = [max(1, n - 1) if m > 1 else n for _ in range(m)]
-        instance = Instance.__new__(Instance)
-        instance._seal(kernel, tuple(capacities), rows)
-        return instance
+        """The constructor, with capacities optional: values are nested
+        sequences of ints/Fractions/strings."""
+        return Instance(student_values, college_values, capacities)
 
     @staticmethod
     def from_matrix(matrix, capacities=None) -> "Instance":

@@ -52,11 +52,12 @@ def candidates(
 
 
 def candidate_count(instance: Instance, require_complete: bool = False) -> int:
-    """Size of the space `candidates` walks: C(n+m-1, m-1) compositions on a
-    ranked instance, else every assignment of the n students."""
+    """Size of the space `candidates` walks: on a ranked instance the
+    compositions of n into m parts, C(n+m-1, m-1), or C(n-1, m-1) when every
+    part must be nonempty; else every assignment of the n students."""
     n, m = instance.n, instance.m
     if classify(instance).ranked:
-        return math.comb(n + m - 1, m - 1)
+        return math.comb(n - 1 if require_complete else n + m - 1, m - 1)
     return (m if require_complete else m + 1) ** n
 
 

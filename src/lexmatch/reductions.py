@@ -20,6 +20,22 @@ def _caps(n: int, m: int) -> list:
     return [n - m + 1] * m
 
 
+def _plain_int(x, what: str) -> int:
+    """x when it is a plain int.  Anything else, a bool, a float or a numeric
+    string included, is refused rather than truncated."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidInputError(f"{what} must be an int, got {x!r}")
+    return x
+
+
+def _int_list(xs, what: str) -> list:
+    """xs as a list of plain ints; a string or a bare number is refused
+    too (a string would iterate by character)."""
+    if not isinstance(xs, (list, tuple)):
+        raise InvalidInputError(f"{what} must be a list of ints, got {xs!r}")
+    return [_plain_int(x, what) for x in xs]
+
+
 def subset_sum_to_smo(A, B) -> Instance:
     """Encode 'does some subset of A sum to exactly B?'.
 
@@ -29,12 +45,14 @@ def subset_sum_to_smo(A, B) -> Instance:
     integer college nonempty.  Requires distinct integers (duplicates would
     introduce ties in the collector's valuation row, breaking strictness).
     """
-    A = [int(a) for a in A]
+    A = _int_list(A, "subset-sum integers")
+    if not A:
+        raise InvalidInputError("subset-sum needs at least one integer")
     if any(a <= 0 for a in A):
         raise InvalidInputError("subset-sum integers must be positive")
     if len(set(A)) != len(A):
         raise InvalidInputError("subset-sum integers must be distinct")
-    B = int(B)
+    B = _plain_int(B, "subset-sum target")
     k = len(A)
     if not max(A) <= B <= sum(A):
         raise InvalidInputError("target must satisfy max(A) <= B <= sum(A)")
@@ -45,36 +63,32 @@ def subset_sum_to_smo(A, B) -> Instance:
     for i in range(k):
         for j in range(m):
             if j == i:
-                u[i][j] = Fraction(B)
+                u[i][j] = B
             elif j == m - 1:
                 u[i][j] = B - A[i] + eps
             else:
                 u[i][j] = (j + 1) * eps
     for i in range(k, n):
         for j in range(m):
-            u[i][j] = Fraction(B) if i == j + k else (j + 1) * eps
+            u[i][j] = B if i == j + k else (j + 1) * eps
     for j in range(k):
         for i in range(n):
             if i == j + k:
-                v[j][i] = Fraction(2 * B)
+                v[j][i] = 2 * B
             elif i == j:
-                v[j][i] = Fraction(B)
+                v[j][i] = B
             else:
                 v[j][i] = (i + 1) * eps
     for i in range(n):
-        v[m - 1][i] = Fraction(A[i]) if i < k else (i + 1) * eps
-    return Instance(
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in v),
-        tuple(_caps(n, m)),
-    )
+        v[m - 1][i] = A[i] if i < k else (i + 1) * eps
+    return Instance(u, v, _caps(n, m))
 
 
 def partition_to_smo(P) -> Instance:
     """Encode balanced partition: both colleges reach sum(P)/2 in the leximin
     optimum iff P splits into two equal-sum halves.  Every complete matching
     of the image instance is stable."""
-    P = [int(p) for p in P]
+    P = _int_list(P, "partition integers")
     if any(p <= 0 for p in P):
         raise InvalidInputError("partition integers must be positive")
     if sum(P) % 2 != 0:
@@ -85,7 +99,7 @@ def partition_to_smo(P) -> Instance:
 def three_partition_to_smo(P) -> Instance:
     """Encode 3-partition with k/3 colleges: all colleges reach the target
     3*sum(P)/k iff the triplet partition exists."""
-    P = [int(p) for p in P]
+    P = _int_list(P, "3-partition integers")
     k = len(P)
     if any(p <= 0 for p in P):
         raise InvalidInputError("3-partition integers must be positive")
@@ -101,10 +115,7 @@ def _uniform_columns(P, m: int) -> Instance:
     # image weakly ranked
     P = sorted(P, reverse=True)
     n = len(P)
-    matrix = [[Fraction(p)] * m for p in P]
-    sv = tuple(tuple(row) for row in matrix)
-    cv = tuple(tuple(Fraction(p) for p in P) for _ in range(m))
-    return Instance(sv, cv, tuple(_caps(n, m)))
+    return Instance([[p] * m for p in P], [P] * m, _caps(n, m))
 
 
 def bin_packing_to_smo(weights, k: int, t: int = 1, epsilon=None) -> Instance:
@@ -117,7 +128,11 @@ def bin_packing_to_smo(weights, k: int, t: int = 1, epsilon=None) -> Instance:
     0, and the collector at t+1; bins value items of same-or-earlier copies
     at w_i, later at 0.
     """
+    if not isinstance(weights, (list, tuple)):
+        raise InvalidInputError(f"weights must be a list, got {weights!r}")
     w = [as_value(x) for x in weights]
+    k = _plain_int(k, "bins")
+    t = _plain_int(t, "replication factor")
     ell = len(w)
     if any(not 0 <= x <= 1 for x in w):
         raise InvalidInputError("weights must lie in [0, 1]")
@@ -132,35 +147,29 @@ def bin_packing_to_smo(weights, k: int, t: int = 1, epsilon=None) -> Instance:
         epsilon = as_value(epsilon)
     # every strict inequality in the encoding needs eps below the smallest
     # possible overflow of a bin, i.e. 1/lcm of the weight denominators
-    lcm = 1
-    for x in w:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for x in w))
     if not 0 < epsilon < Fraction(1, lcm):
         raise InvalidInputError(
             f"epsilon must be in (0, 1/{lcm}) for these weights, got {epsilon}"
         )
-    u = [[Fraction(0)] * m for _ in range(n)]
-    v = [[Fraction(0)] * n for _ in range(m)]
+    u = [[0] * m for _ in range(n)]
+    v = [[0] * n for _ in range(m)]
     for p in range(t):
         for i in range(ell):
             s = p * ell + i
-            u[s][m - 1] = Fraction(t + 1)
+            u[s][m - 1] = t + 1
             for pp in range(p + 1):  # same or earlier copy
                 for j in range(k):
                     u[s][pp * k + j] = 1 - w[i] + epsilon
-    u[n - 1][m - 1] = Fraction(1)
+    u[n - 1][m - 1] = 1
     for p in range(t):
         for j in range(k):
             c = p * k + j
             for pp in range(p + 1):
                 for i in range(ell):
                     v[c][pp * ell + i] = w[i]
-    v[m - 1] = [Fraction((t + 1) * n)] * n
-    return Instance(
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in v),
-        tuple(_caps(n, m)),
-    )
+    v[m - 1] = [(t + 1) * n] * n
+    return Instance(u, v, _caps(n, m))
 
 
 class ReductionSpec(NamedTuple):
@@ -180,8 +189,8 @@ class ReductionSpec(NamedTuple):
         if kind == "bin_packing":
             return bin_packing_to_smo(
                 self.data["weights"],
-                int(self.data["bins"]),
-                t=int(self.data.get("replicate", 1)),
+                self.data["bins"],
+                t=self.data.get("replicate", 1),
                 epsilon=self.data.get("epsilon"),
             )
         raise InvalidInputError(f"unknown reduction kind {kind!r}")

@@ -334,6 +334,11 @@ class TestCli:
         inst = load_instance(capsys.readouterr().out)
         assert (inst.n, inst.m) == (4, 3)
 
+    def test_reduce_refuses_non_int_input(self, tmp_path, capsys):
+        path = _write(tmp_path, "in.json", json.dumps({"integers": [2.7, 2.2, 3, 1]}))
+        assert main(["reduce", "--from", "partition", "--input", path]) == 2
+        assert "partition integers must be an int, got 2.7" in capsys.readouterr().err
+
     def test_exit_code_np_hard(self, tmp_path, capsys):
         inst = generate(GenSpec(kind="weak", n=4, m=3, seed=0))
         path = _write(tmp_path, "inst.json", dump_instance(inst))

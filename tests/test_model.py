@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -88,9 +89,9 @@ class TestInstance:
             [[f"{x}/1" for x in row] for row in cv],
             capacities=[2, 3],
         )
-        # the int rows are the kernel; the others are parsed into Fraction rows
+        # every input is parsed into the kernel, and only the kernel is kept
         assert "student_values" not in vars(as_ints)
-        assert "student_values" in vars(as_strings)
+        assert "student_values" not in vars(as_strings)
         for other in (as_fractions, as_strings):
             assert other == as_ints and as_ints == other
             assert hash(other) == hash(as_ints)
@@ -111,6 +112,11 @@ class TestInstance:
         assert inst._kernel == (4, ((8, 2), (16, 12)), ((3, 4), (16, 12)))
 
     @pytest.mark.parametrize(
+        "construct",
+        [Instance.build, lambda sv, cv: Instance(sv, cv, [1] * len(cv))],
+        ids=["build", "positional"],
+    )
+    @pytest.mark.parametrize(
         "sv, cv, message",
         [
             ([[1, -1]], [[1], [1]], "values must be non-negative, got -1"),
@@ -122,11 +128,24 @@ class TestInstance:
             ([], [[1]], "instance needs at least one student and one college"),
             ([[]], [[1]], "student value row length != number of colleges"),
             (["21", "43"], [[2, 1], [4, 3]], "student_values must be a list of value rows"),
+            (
+                [[Fraction(-3), 1]],
+                [[Fraction(-2)], [1]],
+                "values must be non-negative, got Fraction(-3, 1)",
+            ),
+            ([[Fraction(1), False]], [[1], [1]], "value must be an exact rational, got False"),
         ],
     )
-    def test_refusals_keep_their_messages(self, sv, cv, message):
-        with pytest.raises(InvalidInputError, match=message.replace(".", r"\.")):
-            Instance.build(sv, cv)
+    def test_refusals_keep_their_messages(self, construct, sv, cv, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            construct(sv, cv)
+
+    @pytest.mark.parametrize("sv", [[[3, 1]], [[Fraction(3), "1"]]])
+    def test_stores_the_kernel_and_tuple_capacities(self, sv):
+        for inst in (Instance(sv, [[2], [1]], [1, 1]), Instance.build(sv, [[2], [1]], [1, 1])):
+            assert set(vars(inst)) == {"_kernel", "capacities"}
+            assert inst.capacities == (1, 1)
+            assert hash(inst) == hash(Instance.build([[3, 1]], [[2], [1]], (1, 1)))
 
     def test_is_immutable(self):
         built = Instance.build([[2, 1], [4, 3]], [[2, 4], [1, 3]])

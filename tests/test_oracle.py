@@ -87,6 +87,16 @@ class TestOracle:
         with pytest.raises(BudgetExceededError):
             oracle_leximin(inst, budget=OracleBudget(max_enumerated=100))
 
+    def test_complete_budget_counts_the_nonempty_compositions(self):
+        # C(9, 3) = 84 compositions of 10 into 4 nonempty blocks
+        inst = generate(GenSpec("ranked", 10, 4, 0))
+        report = oracle_leximin(
+            inst, require_complete=True, budget=OracleBudget(84)
+        )
+        assert report.counters["enumerated"] == 84
+        with pytest.raises(BudgetExceededError, match="84 candidates exceed"):
+            oracle_leximin(inst, require_complete=True, budget=OracleBudget(83))
+
     def test_infeasible_when_fewer_students_than_nonempty_colleges(self):
         inst = Instance.build([[5, 4]], [[7], [6]], capacities=[1, 1])
         with pytest.raises(InfeasibleError):

@@ -80,7 +80,21 @@ class TestSubsetSum:
 
     @pytest.mark.parametrize(
         "A,B",
-        [([0, 1], 1), ([2, 2], 2), ([3], 2), ([1, 2], 4)],
+        [
+            ([0, 1], 1),
+            ([2, 2], 2),
+            ([3], 2),
+            ([1, 2], 4),
+            ([], 0),
+            # non-ints are refused, not truncated
+            ([2.7, 1], 3),
+            ([True, 2], 2),
+            (["3", 1], 3),
+            ([1, 2], 3.0),
+            ([1, 2], True),
+            (3, 3),
+            ("12", 3),
+        ],
     )
     def test_preconditions(self, A, B):
         with pytest.raises(InvalidInputError):
@@ -108,7 +122,10 @@ class TestPartition:
         # total 8, but the 6 cannot be split: best is (6, 2)
         assert _college_values(partition_to_smo([6, 1, 1])) == [6, 2]
 
-    @pytest.mark.parametrize("P", [[3, 2], [0, 2], [-1, 1]])
+    @pytest.mark.parametrize(
+        "P",
+        [[3, 2], [0, 2], [-1, 1], [2.7, 2.2, 3, 1], [True, 1], ["2", 2], 4, "22"],
+    )
     def test_preconditions(self, P):
         with pytest.raises(InvalidInputError):
             partition_to_smo(P)
@@ -128,7 +145,8 @@ class TestThreePartition:
         assert _college_values(three_partition_to_smo([7, 1, 1, 1, 1, 1])) == [7, 5]
 
     @pytest.mark.parametrize(
-        "P", [[1, 2], [1, 2, 3, 4], [0, 3, 3], [1, 1, 1, 1, 1, 2]]
+        "P",
+        [[1, 2], [1, 2, 3, 4], [0, 3, 3], [1, 1, 1, 1, 1, 2], [5, 4, 3.0], [5, 4, "3"]],
     )
     def test_preconditions(self, P):
         with pytest.raises(InvalidInputError):
@@ -182,6 +200,10 @@ class TestBinPacking:
             ([Fraction(1, 2)] * 2, 1, 1),  # fewer than two bins
             ([Fraction(1, 2)], 2, 1),  # fewer items than bins
             ([Fraction(1, 2)] * 2, 2, 0),  # no replication
+            ([Fraction(1, 2)] * 2, 2.9, 1),  # bins not an int
+            ([Fraction(1, 2)] * 2, True, 1),
+            ([Fraction(1, 2)] * 2, 2, 1.0),  # replication not an int
+            (Fraction(1, 2), 2, 1),  # weights not a list
         ],
     )
     def test_preconditions(self, w, k, t):
@@ -201,6 +223,19 @@ class TestReductionSpec:
             "bin_packing", {"weights": ["1/2", "1/2"], "bins": 2, "replicate": 2}
         ).build()
         assert d == bin_packing_to_smo([Fraction(1, 2)] * 2, 2, t=2)
+
+    @pytest.mark.parametrize(
+        "kind, data",
+        [
+            ("balanced_partition", {"integers": [2.7, 2.2, 3, 1]}),
+            ("subset_sum", {"integers": [1, 2], "target": True}),
+            ("bin_packing", {"weights": ["1/2", "1/2"], "bins": 2.9}),
+            ("bin_packing", {"weights": ["1/2", "1/2"], "bins": "2"}),
+        ],
+    )
+    def test_refuses_non_int_input(self, kind, data):
+        with pytest.raises(InvalidInputError, match="must be an int"):
+            ReductionSpec(kind, data).build()
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):
