@@ -8,9 +8,10 @@ side of the chain); a college's block start is the sum of the block sizes
 before it, found by walking the prefix of k.
 
 All values here are the instance's integer kernel (``Instance._kernel``):
-each value times one common scale, so comparisons are plain int compares and
-``leximin()`` converts back to Fraction only when it builds the tuple
-(``scaled_leximin()`` skips even that).
+each value times one common scale, so comparisons are plain int compares.
+``leximin()`` returns the tuple as a ``ScaledLeximin`` of those ints; the
+solvers compare it as it stands and hand it to ``SolverReport``, which
+builds the Fraction tuple only when it is read.
 
 Delta comparison.  A chain demotion p -> q changes only q - p + 1 college
 totals and the values of the q - p students that move down one college;
@@ -26,11 +27,10 @@ all n + m values.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 from .errors import InfeasibleError
-from .model import Instance, LeximinTuple, Matching
+from .model import Instance, Matching, ScaledLeximin
 from .ranked import assignment_from_sizes
 
 
@@ -119,39 +119,24 @@ class RankedState:
     def matching(self) -> Matching:
         return assignment_from_sizes(self.k)
 
+    def _agent_values(self):
+        """(student values by index, college values by index), scaled."""
+        uc, pv = self._uc, self._pv
+        students, colleges, w = [], [], 0
+        for j, size in enumerate(self.k):
+            students += uc[j][w : w + size]
+            colleges.append(pv[j][w + size] - pv[j][w])
+            w += size
+        return students, colleges
+
     def values(self) -> list:
         """Every agent's scaled value, sorted ascending (the leximin tuple's
         values times scale)."""
-        uc, pv = self._uc, self._pv
-        values, w = [], 0
-        for j, size in enumerate(self.k):
-            values += uc[j][w : w + size]
-            values.append(pv[j][w + size] - pv[j][w])
-            w += size
-        values.sort()
-        return values
+        students, colleges = self._agent_values()
+        students += colleges
+        students.sort()
+        return students
 
-    def scaled_leximin(self) -> LeximinTuple:
-        """The leximin tuple with scaled int values: the agent order of
-        ``leximin()``, each value times scale.  Scaling keeps order and
-        equality, so it serves wherever only those are read."""
-        # (value, 0 for a student or 1 for a college, index) sorts in
-        # LeximinTuple's order
-        uc, pv = self._uc, self._pv
-        entries, w = [], 0
-        for j, size in enumerate(self.k):
-            entries += zip(uc[j][w : w + size], repeat(0), range(w, w + size))
-            entries.append((pv[j][w + size] - pv[j][w], 1, j))
-            w += size
-        entries.sort()
-        return LeximinTuple(
-            values=tuple(v for v, _, _ in entries),
-            agent_at=tuple(("c" if kind else "s", idx) for _, kind, idx in entries),
-        )
-
-    def leximin(self) -> LeximinTuple:
-        scaled, scale = self.scaled_leximin(), self.scale
-        return LeximinTuple(
-            values=tuple(Fraction(v, scale) for v in scaled.values),
-            agent_at=scaled.agent_at,
-        )
+    def leximin(self) -> ScaledLeximin:
+        """The leximin tuple on the scaled ints."""
+        return ScaledLeximin.build(self.scale, *self._agent_values())

@@ -21,7 +21,8 @@ from .fairness import fairness_report
 from .fast import fast
 from .fastgen import fast_gen
 from .generate import CAPACITY_MODES, KINDS, GenSpec, generate
-from .model import Instance, classify, is_stable, leximin_tuple, value_to_str
+# leximin_tuple is not called here; it is kept bound for perfbench/spans.py
+from .model import Instance, classify, is_stable, leximin_tuple, scaled_leximin
 from .oracle import candidate_count, candidates, oracle_leximin
 from .reductions import ReductionSpec
 from .report import SolverReport
@@ -96,7 +97,7 @@ def _cmd_verify(args) -> int:
     certificate = is_stable(instance, matching)
     out = {
         "stable": certificate is None,
-        "leximin": [value_to_str(v) for v in leximin_tuple(instance, matching).values],
+        "leximin": scaled_leximin(instance, matching).wire(),
     }
     if certificate is not None:
         out["blocking_pair"] = {

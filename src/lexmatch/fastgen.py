@@ -36,8 +36,10 @@ from .model import (
     Agent,
     Instance,
     Matching,
+    ScaledLeximin,
     classify,  # not called here; kept bound for perfbench/spans.py
-    leximin_tuple,
+    leximin_tuple,  # not called here; kept bound for perfbench/spans.py
+    scaled_leximin,
 )
 from .ranked import _require_ranked
 from .report import SolverReport
@@ -82,34 +84,34 @@ class FixSets:
         }
 
 
-def _first_loss_agent(new_tuple, old_tuple) -> Agent:
+def _first_loss_agent(new: ScaledLeximin, old: ScaledLeximin) -> Agent:
     """Agent blamed for a leximin decrease: the occupant, in the new sorted
     tuple, of the first index where new < old.  When equal values reshuffle,
     that occupant may not have lost anything itself; in that case blame the
     first agent in the tied block whose own value strictly decreased (without
     this, the fixing rules can fail to make progress)."""
-    new_values, old_values = new_tuple.values, old_tuple.values
+    new_values, old_values = new.values, old.values
     for t, (x, y) in enumerate(zip(new_values, old_values)):
         if x == y:
             continue
         if x > y:
             raise InvalidInputError("tuple does not lose at first divergence")
-        agent = new_tuple.agent_at[t]
-        old_of = dict(zip(old_tuple.agent_at, old_values))
+        agent = new.agents[t]
+        old_of = dict(zip(old.agents, old_values))
         if old_of[agent] > x:
-            return agent
-        for a, v in zip(new_tuple.agent_at, new_values):
+            return new.agent(agent)
+        for a, v in zip(new.agents, new_values):
             if v == x and old_of[a] > v:
-                return a
-        return agent
+                return new.agent(a)
+        return new.agent(agent)
     raise InvalidInputError("tuples are equal; no losing agent")
 
 
 def source_dec(instance: Instance, mu_new: Matching, mu_old: Matching) -> Agent:
     """The agent to blame for a leximin decrease between two matchings."""
-    new = leximin_tuple(instance, mu_new)
-    old = leximin_tuple(instance, mu_old)
-    return _first_loss_agent(new, old)
+    return _first_loss_agent(
+        scaled_leximin(instance, mu_new), scaled_leximin(instance, mu_old)
+    )
 
 
 class _Counters:
@@ -162,7 +164,7 @@ def _look_ahead(
             fixes.lower_fix = lf
             fixes.upper_fix = uf
             return shadow
-        kind, idx = _first_loss_agent(shadow.scaled_leximin(), state.scaled_leximin())
+        kind, idx = _first_loss_agent(shadow.leximin(), state.leximin())
         if kind == "c" and idx == up:
             lf.add(up)
             uf.add(up + 1)
@@ -268,7 +270,7 @@ def _inner_run(
         # decides whether to fix a boundary or speculate ahead
         canon = state.copy()
         canon.demote(up, down)
-        kind, idx = _first_loss_agent(canon.scaled_leximin(), state.scaled_leximin())
+        kind, idx = _first_loss_agent(canon.leximin(), state.leximin())
         if kind == "c" and idx == up:
             fixes.lower_fix.add(up)
             fixes.upper_fix.add(up + 1)

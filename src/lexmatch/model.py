@@ -9,7 +9,9 @@ integer copy of the values, all scaled by the LCM of their denominators
 (``Instance._kernel``): the solvers, ``classify``, ``is_stable`` and
 ``leximin_tuple`` work on it, and the Fraction rows read through
 ``student_values``, ``college_values``, ``u`` and ``v`` are built from it on
-first read.
+first read.  Leximin tuples are built the same way: a ``ScaledLeximin``
+holds the sorted scaled ints, and its ``LeximinTuple`` of Fractions is built
+only when read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
-from operator import ge, gt
+from operator import ge, gt, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import FrozenInstanceError, InvalidInputError
@@ -97,7 +99,10 @@ class Instance:
                 raise InvalidInputError("college value row length != number of students")
         if capacities is None:
             capacities = (max(1, n - 1) if m > 1 else n,) * m
-        capacities = tuple(capacities)
+        try:
+            capacities = tuple(capacities)
+        except TypeError as exc:
+            raise InvalidInputError("need exactly one capacity per college") from exc
         for j, b in enumerate(capacities):
             if not isinstance(b, int) or isinstance(b, bool) or b < 1 or b > n:
                 raise InvalidInputError(
@@ -312,10 +317,11 @@ class Matching:
         """
         if len(self.assignment) != instance.n:
             raise InvalidInputError("matching length != number of students")
+        m = instance.m
         for i, j in enumerate(self.assignment):
             if j is None:
                 continue
-            if not isinstance(j, int) or j < 0 or j >= instance.m:
+            if not isinstance(j, int) or isinstance(j, bool) or j < 0 or j >= m:
                 raise InvalidInputError(f"student {i} assigned to invalid college {j!r}")
         if enforce_capacities:
             for j, ms in enumerate(self.college_view(instance.m)):
@@ -389,23 +395,88 @@ class LeximinTuple(NamedTuple):
         return self.agent_at.index(agent)
 
 
-def leximin_tuple(instance: Instance, matching: Matching) -> LeximinTuple:
+class ScaledLeximin:
+    """A leximin tuple on the integer kernel: ``values`` are the n+m agent
+    values times ``scale``, sorted ascending, and ``agents[t]`` is the
+    position of the agent that holds ``values[t]`` (i for student i, n+j for
+    college j).  Scaling by one positive constant keeps order and equality,
+    so the solvers compare these directly.  ``view()`` is the public
+    LeximinTuple, built on first call; ``wire()`` gives the JSON strings."""
+
+    __slots__ = ("scale", "n", "values", "agents", "_view")
+
+    def __init__(self, scale: int, n: int, values, agents, view=None):
+        self.scale, self.n, self.values, self.agents = scale, n, values, agents
+        self._view = view
+
+    @staticmethod
+    def build(scale: int, student_values, college_values) -> "ScaledLeximin":
+        """The record of scaled student values (by index) and college values
+        (by index)."""
+        vals = [*student_values, *college_values]
+        # a stable sort keeps equal values in position order: students
+        # first, each side by index, as LeximinTuple requires
+        agents = sorted(range(len(vals)), key=vals.__getitem__)
+        return ScaledLeximin(
+            scale, len(student_values), list(map(vals.__getitem__, agents)), agents
+        )
+
+    @staticmethod
+    def of(t: LeximinTuple) -> "ScaledLeximin":
+        """The record of a LeximinTuple of exact values, kept as its view."""
+        values = t.values
+        scale = lcm(*{v.denominator for v in values})
+        if scale == 1:
+            ints = [v.numerator for v in values]
+        else:
+            ints = [v.numerator * (scale // v.denominator) for v in values]
+        n = list(map(itemgetter(0), t.agent_at)).count("s")
+        agents = [idx if kind == "s" else n + idx for kind, idx in t.agent_at]
+        return ScaledLeximin(scale, n, ints, agents, t)
+
+    def agent(self, position: int) -> Agent:
+        return ("s", position) if position < self.n else ("c", position - self.n)
+
+    def view(self) -> LeximinTuple:
+        if self._view is None:
+            scale, n = self.scale, self.n
+            self._view = LeximinTuple(
+                # Fraction(v) skips the gcd that Fraction(v, 1) runs
+                values=tuple(
+                    map(Fraction, self.values)
+                    if scale == 1
+                    else (Fraction(v, scale) for v in self.values)
+                ),
+                agent_at=tuple([("s", p) if p < n else ("c", p - n) for p in self.agents]),
+            )
+        return self._view
+
+    def wire(self) -> list:
+        """The values as the wire format's strings: '7' or '7/3'
+        (Fraction's str is value_to_str)."""
+        scale = self.scale
+        if scale == 1:
+            return list(map(str, self.values))
+        return [str(Fraction(v, scale)) for v in self.values]
+
+
+def scaled_leximin(instance: Instance, matching: Matching) -> ScaledLeximin:
+    """The matching's leximin tuple on the integer kernel; unmatched
+    students hold 0 and empty colleges 0."""
     matching.validate(instance)
     scale, sv, cv = instance._kernel
-    # (value, 0 for a student or 1 for a college, index) sorts in LeximinTuple's
-    # order; scaled ints keep the order of the Fractions
-    entries = [
-        (0 if j is None else sv[i][j], 0, i) for i, j in enumerate(matching.assignment)
-    ]
-    entries += [
-        (sum(map(cv[j].__getitem__, members)), 1, j)
-        for j, members in enumerate(matching.college_view(instance.m))
-    ]
-    entries.sort()
-    return LeximinTuple(
-        values=tuple(Fraction(v, scale) for v, _, _ in entries),
-        agent_at=tuple(("c" if kind else "s", idx) for _, kind, idx in entries),
+    return ScaledLeximin.build(
+        scale,
+        [0 if j is None else sv[i][j] for i, j in enumerate(matching.assignment)],
+        [
+            sum(map(cv[j].__getitem__, members))
+            for j, members in enumerate(matching.college_view(instance.m))
+        ],
     )
+
+
+def leximin_tuple(instance: Instance, matching: Matching) -> LeximinTuple:
+    return scaled_leximin(instance, matching).view()
 
 
 def leximin_compare(a: LeximinTuple, b: LeximinTuple) -> int:

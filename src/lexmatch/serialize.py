@@ -14,10 +14,18 @@ def _emit_value(x: Fraction):
     return int(x) if x.denominator == 1 else value_to_str(x)
 
 
+def _emit_rows(scale: int, rows) -> list:
+    """Kernel rows as wire rows: ints stay ints, others become "p/q"."""
+    if scale == 1:
+        return [list(row) for row in rows]
+    return [[_emit_value(Fraction(v, scale)) for v in row] for row in rows]
+
+
 def instance_to_dict(instance: Instance) -> dict:
+    scale, student_rows, college_rows = instance._kernel
     return {
-        "student_values": [[_emit_value(x) for x in row] for row in instance.student_values],
-        "college_values": [[_emit_value(x) for x in row] for row in instance.college_values],
+        "student_values": _emit_rows(scale, student_rows),
+        "college_values": _emit_rows(scale, college_rows),
         "capacities": list(instance.capacities),
     }
 

@@ -109,6 +109,16 @@ class TestSerialize:
         data = instance_to_dict(inst)
         assert data["student_values"] == [[2], [1]]
         assert data["capacities"] == [2]
+        dump_instance(inst)
+        assert "student_values" not in vars(inst)
+        assert "college_values" not in vars(inst)
+
+    def test_integer_values_stay_ints_beside_fractions(self):
+        inst = Instance.build([["1/2", 3]], [["3/2"], [Fraction(8, 4)]])
+        assert inst._kernel[0] == 2
+        data = instance_to_dict(inst)
+        assert data["student_values"] == [["1/2", 3]]
+        assert data["college_values"] == [["3/2"], [2]]
 
     def test_default_capacities_applied_when_omitted(self):
         inst = instance_from_dict(

@@ -111,34 +111,47 @@ class TestInstance:
         assert inst.student_values == ((2, Fraction(1, 2)), (4, 3))
         assert inst._kernel == (4, ((8, 2), (16, 12)), ((3, 4), (16, 12)))
 
+    @pytest.mark.parametrize("construct", [Instance.build, Instance], ids=["build", "positional"])
     @pytest.mark.parametrize(
-        "construct",
-        [Instance.build, lambda sv, cv: Instance(sv, cv, [1] * len(cv))],
-        ids=["build", "positional"],
-    )
-    @pytest.mark.parametrize(
-        "sv, cv, message",
+        "sv, cv, capacities, message",
         [
-            ([[1, -1]], [[1], [1]], "values must be non-negative, got -1"),
-            ([[1, True]], [[1], [1]], "value must be an exact rational, got True"),
-            ([[1, 2.0]], [[1], [1]], "value must be an exact rational, got 2.0"),
-            ([[1]], [[-3]], "values must be non-negative, got -3"),
-            ([[2, 1], [4]], [[2, 1], [4, 3]], "student value row length != number of colleges"),
-            ([[2, 1], [4, 3]], [[2, 1], [4]], "college value row length != number of students"),
-            ([], [[1]], "instance needs at least one student and one college"),
-            ([[]], [[1]], "student value row length != number of colleges"),
-            (["21", "43"], [[2, 1], [4, 3]], "student_values must be a list of value rows"),
+            ([[1, -1]], [[1], [1]], None, "values must be non-negative, got -1"),
+            ([[1, True]], [[1], [1]], None, "value must be an exact rational, got True"),
+            ([[1, 2.0]], [[1], [1]], None, "value must be an exact rational, got 2.0"),
+            ([[1]], [[-3]], None, "values must be non-negative, got -3"),
+            (
+                [[2, 1], [4]],
+                [[2, 1], [4, 3]],
+                None,
+                "student value row length != number of colleges",
+            ),
+            (
+                [[2, 1], [4, 3]],
+                [[2, 1], [4]],
+                None,
+                "college value row length != number of students",
+            ),
+            ([], [[1]], None, "instance needs at least one student and one college"),
+            ([[]], [[1]], None, "student value row length != number of colleges"),
+            (["21", "43"], [[2, 1], [4, 3]], None, "student_values must be a list of value rows"),
             (
                 [[Fraction(-3), 1]],
                 [[Fraction(-2)], [1]],
+                None,
                 "values must be non-negative, got Fraction(-3, 1)",
             ),
-            ([[Fraction(1), False]], [[1], [1]], "value must be an exact rational, got False"),
+            (
+                [[Fraction(1), False]],
+                [[1], [1]],
+                None,
+                "value must be an exact rational, got False",
+            ),
+            ([[2, 1]], [[2], [1]], 5, "need exactly one capacity per college"),
         ],
     )
-    def test_refusals_keep_their_messages(self, construct, sv, cv, message):
+    def test_refusals_keep_their_messages(self, construct, sv, cv, capacities, message):
         with pytest.raises(InvalidInputError, match=re.escape(message)):
-            construct(sv, cv)
+            construct(sv, cv, capacities)
 
     @pytest.mark.parametrize("sv", [[[3, 1]], [[Fraction(3), "1"]]])
     def test_stores_the_kernel_and_tuple_capacities(self, sv):
@@ -363,6 +376,16 @@ class TestIsStable:
                             assert is_stable(case, mu) == expected, (case, mu)
                             outcomes.add(expected is None)
         assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("check", [is_stable, leximin_tuple])
+@pytest.mark.parametrize("college", [True, False])
+def test_matchings_refuse_bool_colleges(ref_instance, check, college):
+    # a bool is an int, so Matching([True, ...]) once read as college 1
+    with pytest.raises(
+        InvalidInputError, match=f"^student 0 assigned to invalid college {college}$"
+    ):
+        check(ref_instance, Matching([college, 0, 1, 1]))
 
 
 class TestLeximinTuple:

@@ -156,6 +156,13 @@ def test_solver_report_fields_repr_equality_and_json(ref_instance):
     # mutable, as it was
     report.steps = 6
     assert report != solved
+    report.steps = 5
+    halves = LeximinTuple((Fraction(1, 2), Fraction(2)), (("s", 0), ("c", 0)))
+    report.leximin = halves
+    assert report.leximin is halves and report != solved
+    assert report.to_json_dict()["leximin"] == ["1/2", "2"]
+    report.leximin = solved.leximin
+    assert report == solved
     bare = SolverReport("oracle", Matching([0]), LeximinTuple((Fraction(1),), (("s", 0),)), 1)
     assert bare.counters == {} and bare.to_json_dict()["counters"] == {}
     assert SolverReport("oracle", Matching([0]), bare.leximin, 1).counters is not bare.counters

@@ -83,13 +83,11 @@ def test_state_matches_the_fraction_definitions(index):
         state = RankedState(inst, k)
         mu = state.matching()
         full = leximin_tuple(inst, mu)
-        tup = state.leximin()
-        assert tup.values == full.values
-        assert tup.agent_at == full.agent_at
-        scaled = state.scaled_leximin()
-        assert scaled.values == tuple(v * scale for v in full.values)
-        assert scaled.agent_at == full.agent_at
-        assert state.values() == list(scaled.values)
+        scaled = state.leximin()
+        assert scaled.view() == full
+        assert scaled.values == [v * scale for v in full.values]
+        assert list(map(scaled.agent, scaled.agents)) == list(full.agent_at)
+        assert state.values() == scaled.values
         for j in range(inst.m):
             assert state.college_value(j) == college_value(inst, mu, j) * scale
 
@@ -117,4 +115,4 @@ def test_delta_of_a_trial_that_only_reshuffles_values_is_equal():
     assert sorted(removed) == sorted(added) == [2, 3, 5]
     trial = state.copy()
     trial.demote(0, 1)
-    assert leximin_compare(trial.leximin(), state.leximin()) == EQUAL
+    assert leximin_compare(trial.leximin().view(), state.leximin().view()) == EQUAL
