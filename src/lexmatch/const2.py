@@ -2,33 +2,30 @@
 preferences.
 
 With m=2 a student's preference is just their favorite college, and the
-stable matchings have a closed form (is_stable_m2).  The solver starts from
-everyone-at-their-favorite (always stable) and repeatedly toggles the
-least-valued student of the richer college over to the poorer one, tracking
-the best matching seen.  A forbidden-pair cutoff stops the walk before a
-toggle that provably cannot appear in any optimum: an irreversible value
-drop for the moved student, an undo of an earlier toggle, or a stability
-violation.
+stable complete matchings have a closed form, stated once in
+``_staircase``: each college j hands the d_j fans it values least to the
+other college and, when d0 and d1 are both positive, must value every
+reluctant member above every fan it handed away.  The pairs (d0, d1) with
+d0, d1 >= 1 that pass form a staircase.  is_stable_m2 reads a matching's
+(d0, d1) off it; fast_const walks it.
 
-The walk runs on the integer kernel (``Instance._kernel``).  The forbidden
-pairs only ever grow and are only asked about the next mover, so they are
-kept as three thresholds: the largest poorer-college value seen so far
-(below it, leaving one's favorite is forbidden) and, per college, the
-largest value of a student it has given away (at or below it, joining that
-college is forbidden).  Each college keeps a heap of its members keyed by
-its value of them, so the mover is the richer college's heap top.  All
-n + 2 agent values are kept as one sorted int list; a toggle changes three
-of them (the mover's and both totals), so it costs three deletions and
-three insertions, and the best state so far is found by a plain list
-compare.  Scaling by a positive constant keeps the leximin order, so this
-compare ranks states exactly as leximin_compare on the Fraction tuples.
-One LeximinTuple is built, for the result.
+fast_const starts at d = (0, 0), everyone at their favorite, and moves the
+richer college's next fan to the poorer college, keeping the best matching
+seen.  It stops when the richer college has no fan left, when the next pair
+is not stable, or by rule A (an irreversible value drop for the mover).
+
+The walk runs on the integer kernel (``Instance._kernel``).  All n + 2
+agent values are kept as one sorted int list; a move changes three of them
+(the mover's and both totals), and the best state so far is found by a
+plain list compare.  Scaling by a positive constant keeps the leximin
+order, so this compare ranks states exactly as leximin_compare on the
+Fraction tuples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .errors import InvalidInputError, NotAdmissibleError
@@ -37,7 +34,8 @@ from .model import (
     Matching,
     classify,
     is_stable,  # not called here; kept bound for perfbench/spans.py
-    leximin_tuple,
+    leximin_tuple,  # not called here; kept bound for perfbench/spans.py
+    scaled_leximin,
 )
 from .report import SolverReport
 
@@ -54,40 +52,50 @@ def favorites(instance: Instance) -> list:
     return [0 if u0 > u1 else 1 for u0, u1 in instance._kernel[1]]
 
 
+def _staircase(instance: Instance) -> tuple:
+    """(fans, stable) on the kernel ints: fans[j] lists college j's fans in
+    ascending order of its value, and stable(d0, d1) tells whether the
+    complete matching in which each college j hands its first d_j fans to
+    the other is stable."""
+    _, _, cv = instance._kernel
+    alpha = favorites(instance)
+    fans = tuple(
+        sorted((i for i, a in enumerate(alpha) if a == j), key=cv[j].__getitem__)
+        for j in (0, 1)
+    )
+    # floor[j][k]: the other college's least value over fans[j][: k + 1],
+    # which are its reluctant members once college j has handed k + 1 away
+    floor = tuple(
+        list(accumulate((cv[1 - j][i] for i in fans[j]), min)) for j in (0, 1)
+    )
+
+    def stable(d0: int, d1: int) -> bool:
+        # fans are sorted, so fans[j][d_j - 1] is the best fan j handed away
+        return not (d0 and d1) or (
+            cv[0][fans[0][d0 - 1]] < floor[1][d1 - 1]
+            and cv[1][fans[1][d1 - 1]] < floor[0][d0 - 1]
+        )
+
+    return fans, stable
+
+
 def is_stable_m2(instance: Instance, matching: Matching) -> bool:
-    """Closed-form stability test for m=2: each college holds its top slice
-    of the students who prefer it, plus the other college's bottom slice of
-    the rest, and any reluctant member must still out-value the best student
-    the college turned away."""
+    """Closed-form stability test for m=2: each college must hand the other
+    its least-valued fans, and the counts (d0, d1) must pass the
+    staircase's stable test."""
     _require_m2_strict(instance)
     matching.validate(instance)
-    if any(j is None for j in matching.assignment):
+    assignment = matching.assignment
+    if any(j is None for j in assignment):
         raise InvalidInputError("characterization needs every student matched")
-    alpha = favorites(instance)
-    view = matching.college_view(2)
-    for j in (0, 1):
-        oj = 1 - j
-        A_j = [i for i in range(instance.n) if alpha[i] == j]
-        members = set(view[j])
-        own = members & set(A_j)
-        reluctant = members - set(A_j)
-        # own must be c_j's most preferred |own| students of A_j
-        top = sorted(A_j, key=lambda i: -instance.v(j, i))[: len(own)]
-        if own != set(top):
+    fans, stable = _staircase(instance)
+    d = []
+    for j, fans_j in enumerate(fans):
+        d_j = sum(assignment[i] != j for i in fans_j)
+        if any(assignment[i] == j for i in fans_j[:d_j]):
             return False
-        # reluctant must be c_oj's least preferred slice of its own fans
-        A_oj = [i for i in range(instance.n) if alpha[i] == oj]
-        bottom = sorted(A_oj, key=lambda i: instance.v(oj, i))[: len(reluctant)]
-        if reluctant != set(bottom):
-            return False
-        if reluctant:
-            turned_away = [i for i in A_j if i not in members]
-            if turned_away:
-                best_refused = max(instance.v(j, i) for i in turned_away)
-                worst_reluctant = min(instance.v(j, i) for i in reluctant)
-                if not best_refused < worst_reluctant:
-                    return False
-    return True
+        d.append(d_j)
+    return stable(*d)
 
 
 def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
@@ -97,59 +105,44 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     if any(b < n - 1 for b in instance.capacities):
         raise NotAdmissibleError("solver assumes capacities of at least n-1")
     _, sv, cv = instance._kernel
+    fans, stable = _staircase(instance)
     assignment = favorites(instance)
-    heaps = ([], [])
-    totals = [0, 0]
-    for i, j in enumerate(assignment):
-        heaps[j].append((cv[j][i], i))
-        totals[j] += cv[j][i]
-    for heap in heaps:
-        heapify(heap)
+    totals = [sum(map(cv[j].__getitem__, fans[j])) for j in (0, 1)]
     values = sorted([sv[i][j] for i, j in enumerate(assignment)] + totals)
     best, best_values = list(assignment), list(values)
     toggles = 0
-    moved = bytearray(n)
-    # The forbidden pairs, as thresholds.  Rule A forbids (i, 1 - alpha[i])
-    # once u(i, 1 - alpha[i]) falls below the poorer college's value at some
-    # step, so a_max is the largest such value seen.  Rule B forbids (i, j)
-    # once college j has given away a student it values at least v(j, i),
-    # so bar[j] is the largest value of a student j has given away.
-    alpha = tuple(assignment)
+    d = [0, 0]
+    # Rule A forbids a student from leaving their favorite for a college
+    # they value below the poorer college's total at some step, so a_max is
+    # the largest such total seen.
     a_max = -1
-    bar = [-1, -1]
 
     if on_state is not None:
         on_state(Matching(assignment))
     while True:
         low, high = (0, 1) if totals[0] <= totals[1] else (1, 0)
         a_max = max(a_max, totals[low])
-        if not heaps[high]:
+        if d[high] == len(fans[high]):
             break
-        v_high, mover = heaps[high][0]
-        v_low = cv[low][mover]
-        if (low != alpha[mover] and sv[mover][low] < a_max) or v_low <= bar[low]:
+        mover = fans[high][d[high]]
+        if sv[mover][low] < a_max:
             break
-        if moved[mover]:
-            raise InvalidInputError("toggle walk revisited a student")
-        moved[mover] = 1
-        heappop(heaps[high])
-        heappush(heaps[low], (v_low, mover))
+        d[high] += 1
+        if not stable(*d):
+            break
         assignment[mover] = low
         toggles += 1
         if on_state is not None:
             on_state(Matching(assignment))
-        # a toggle changes three agents' values: the mover's and both totals
+        # a move changes three agents' values: the mover's and both totals
         for old in (sv[mover][high], totals[high], totals[low]):
             del values[bisect_left(values, old)]
-        totals[high] -= v_high
-        totals[low] += v_low
+        totals[high] -= cv[high][mover]
+        totals[low] += cv[low][mover]
         for new in (sv[mover][low], totals[high], totals[low]):
             insort(values, new)
         if values > best_values:
             best, best_values = list(assignment), list(values)
-        # no student the source college likes at most as much as the one it
-        # just lost may ever (re)join it
-        bar[high] = max(bar[high], v_high)
 
     tuple_comparisons = toggles  # one list compare per toggle
     steps = toggles + tuple_comparisons * (n + 2)
@@ -157,7 +150,7 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     return SolverReport(
         algorithm="fast_const",
         matching=matching,
-        leximin=leximin_tuple(instance, matching),
+        leximin=scaled_leximin(instance, matching),
         steps=steps,
         counters={"toggles": toggles, "tuple_comparisons": tuple_comparisons},
     )

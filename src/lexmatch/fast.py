@@ -11,6 +11,11 @@ whole run only if the full sorted value tuple strictly improves.
 The capacitated variant is the same walk with three extra guards: the
 initial fill respects capacities, a full college is skipped, and the
 speculative run stops at the capacity of `down`.
+
+The walk is a heuristic, not an exact solver: its stopping rule can end
+before the optimum even at m=2.  On
+``generate(GenSpec("ranked_isometric", 5, 2, seed=211977))`` it returns block
+sizes (3, 2), while the leximin optimum (``oracle_leximin``) is (1, 4).
 """
 
 from __future__ import annotations
@@ -124,8 +129,9 @@ def _run(
 
 
 def fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
-    """Leximin-optimal complete stable matching of a ranked instance with
-    non-binding capacities.  Dispatches to cap_fast when a capacity is below
+    """Complete stable matching of a ranked instance with non-binding
+    capacities, aiming at the leximin optimum but not always reaching it (see
+    the module docstring).  Dispatches to cap_fast when a capacity is below
     n-1 and could bind."""
     if not fast_admissible(instance):
         raise NotAdmissibleError(

@@ -24,6 +24,12 @@ beat its sorted removed ones, and trial 1 beats trial 2 iff sorted(A1 + R2)
 beats sorted(A2 + R1), since adding the same multiset to two equal-size
 multisets keeps their leximin order.  Only the chosen trial is applied, and
 full tuples (of scaled ints) are built only to find the agent that loses.
+
+The rules are heuristic, not exact: on
+``generate(GenSpec("ranked", 4, 2, seed=54, value_max=7))`` fast_gen returns
+block sizes (3, 1), while the leximin optimum (``oracle_leximin``) is (1, 3).
+Along (3, 1) -> (2, 2) -> (1, 3) the tuple first gets worse and then better,
+so a walk that stops at the first loss misses it.
 """
 
 from __future__ import annotations
@@ -296,7 +302,8 @@ def _inner_run(
 
 
 def fast_gen(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
-    """Leximin-optimal complete stable matching for general ranked valuations.
+    """Complete stable matching for general ranked valuations, aiming at the
+    leximin optimum but not always reaching it (see the module docstring).
     Dispatches to cap_fast_gen when a capacity is below n-1."""
     _require_ranked(instance)
     n, m = instance.n, instance.m

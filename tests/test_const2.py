@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,20 +9,20 @@ from lexmatch import (
     Instance,
     Matching,
     NotAdmissibleError,
+    dump_instance,
     fast_const,
     generate,
     is_stable,
     leximin_compare,
     leximin_tuple,
+    load_instance,
     oracle_leximin,
 )
 from lexmatch.const2 import favorites, is_stable_m2
-from lexmatch.model import GREATER
+from lexmatch.model import GREATER, scaled_leximin
 
 
 def _strict_m2_instances(seed, count, n_max, n_min=2):
-    import random
-
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(n_min, n_max)
@@ -57,6 +58,57 @@ def _oracle_sweep_instances():
 ORACLE_SWEEP = list(_oracle_sweep_instances())
 
 
+def _crossed(n, seed):
+    """Half the students prefer each college, each college values the other
+    college's fans above its own, and every student value exceeds any
+    college total.  Every (d0, d1) is then stable, so the stable set is the
+    whole grid."""
+    rng = random.Random(seed)
+    fan = [0] * (n // 2) + [1] * (n - n // 2)
+    cv = [[0] * n for _ in range(2)]
+    for j in (0, 1):
+        own = [i for i in range(n) if fan[i] == j]
+        others = [i for i in range(n) if fan[i] != j]
+        ranks = rng.sample(range(1, len(own) + 1), len(own)) + rng.sample(
+            range(len(own) + 1, n + 1), len(others)
+        )
+        for i, v in zip(own + others, ranks):
+            cv[j][i] = v
+    base = n * (n + 1) // 2 + 1  # above any college total
+    sv = []
+    for i in range(n):
+        hi, lo = sorted(rng.sample(range(base, base + n * n), 2), reverse=True)
+        sv.append([hi, lo] if fan[i] == 0 else [lo, hi])
+    return Instance.build(sv, cv)
+
+
+def _grid_best(instance):
+    """Exact strict m=2 optimum without brute force: try the
+    (|A0|+1)(|A1|+1) matchings in which each college j hands the d_j fans
+    it values least to the other, keep the complete ones that the general
+    is_stable accepts, and return the best leximin values."""
+    alpha = favorites(instance)
+    cv = instance.college_values
+    fans = [
+        sorted((i for i, a in enumerate(alpha) if a == j), key=cv[j].__getitem__)
+        for j in (0, 1)
+    ]
+    best = None
+    for d0 in range(len(fans[0]) + 1):
+        for d1 in range(len(fans[1]) + 1):
+            assignment = list(alpha)
+            for i in fans[0][:d0]:
+                assignment[i] = 1
+            for i in fans[1][:d1]:
+                assignment[i] = 0
+            mu = Matching(assignment)
+            if mu.is_complete(instance) and is_stable(instance, mu) is None:
+                t = scaled_leximin(instance, mu)
+                if best is None or t.values > best.values:
+                    best = t
+    return best.view().values
+
+
 class TestFavorites:
     def test_reference_instance(self, ref_instance):
         assert favorites(ref_instance) == [0, 0, 0, 0]
@@ -87,6 +139,13 @@ class TestIsStableM2:
                     inst,
                     assignment,
                 )
+
+    def test_reads_only_the_kernel(self):
+        # an instance loaded from JSON ints holds only its kernel; the test
+        # must not build the Fraction matrices
+        inst = load_instance(dump_instance(generate(GenSpec("strict", 9, 2, seed=1))))
+        assert is_stable_m2(inst, fast_const(inst).matching)
+        assert "college_values" not in vars(inst)
 
 
 class TestFastConst:
@@ -146,6 +205,9 @@ class TestFastConst:
                 # every student stays matched throughout the walk (a college
                 # may be empty, e.g. when everyone shares a favorite)
                 assert all(j is not None for j in mu.assignment)
+                # and every state the walk visits is stable
+                assert is_stable(inst, mu) is None, (inst, mu)
+                assert is_stable_m2(inst, mu), (inst, mu)
 
     def test_oracle_sweep_default_and_tie_heavy_values(self):
         assert len(ORACLE_SWEEP) == 560
@@ -155,10 +217,31 @@ class TestFastConst:
             report = fast_const(inst)
             want = oracle_leximin(inst, require_complete=True).leximin.values
             assert report.leximin.values == want, inst
+            assert _grid_best(inst) == want, inst
             assert is_stable(inst, report.matching) is None, inst
             toggled += report.counters["toggles"] > 0
         # the sweep must exercise the walk, not only its starting point
         assert toggled > 0
+
+    def test_grid_reference_beyond_brute_force(self):
+        for n in range(15, 61, 5):
+            for value_max in (None, 2 * n + 3, n + 1):
+                for seed in range(3):
+                    inst = generate(GenSpec("strict", n, 2, seed=seed, value_max=value_max))
+                    assert fast_const(inst).leximin.values == _grid_best(inst), inst
+
+    def test_crossed_family(self):
+        for n in (8, 10):
+            for seed in range(20):
+                inst = _crossed(n, seed)
+                report = fast_const(inst)
+                want = oracle_leximin(inst, require_complete=True).leximin.values
+                assert report.leximin.values == want, (n, seed)
+                assert report.counters["toggles"] > 0
+        for n in (20, 30, 40):
+            for seed in range(5):
+                inst = _crossed(n, seed)
+                assert fast_const(inst).leximin.values == _grid_best(inst), (n, seed)
 
     # One hand-made walk per stopping rule.  All three students prefer
     # college 0 and college 0 ranks them 0, 1, 2 from the bottom, so the
