@@ -2,13 +2,14 @@
 
 On ranked instances every stable complete matching is a contiguous block
 assignment, so the solvers never materialize full matchings while iterating.
-They mutate a boundary vector and read per-college totals off prefix sums of
-the college values.  A chain demotion is O(1) (one boundary moves on each
-side of the chain); a college's block start is the sum of the block sizes
-before it, found by walking the prefix of k.
+They mutate a boundary vector and keep, besides it, only each college's
+block start and total: O(m) state over the instance's kernel.  A chain
+demotion p -> q passes one student down across each of the q - p boundaries
+and so is O(q - p); a college's value is read in O(1).
 
-All values here are the instance's integer kernel (``Instance._kernel``):
-each value times one common scale, so comparisons are plain int compares.
+All values here are the instance's integer kernel (``Instance._kernel``,
+college by college: ``u[j][i]`` and ``v[j][i]``): each value times one
+common scale, so comparisons are plain int compares.
 ``leximin()`` returns the tuple as a ``ScaledLeximin`` of those ints; the
 solvers compare it as it stands and hand it to ``SolverReport``, which
 builds the Fraction tuple only when it is read.
@@ -58,76 +59,75 @@ def initial_boundary(instance: Instance, capacities=None) -> list:
 
 
 class RankedState:
-    """Boundary vector k plus the scaled student values, column by column
-    (``_uc[j][i]`` is student i's value for college j), and prefix sums of
-    every college's scaled student values.  Mutated in place by demote();
-    copy() is cheap (everything but k is shared)."""
+    """Boundary vector k plus each college's block start and total scaled
+    value, over the instance's kernel columns ``u`` and ``v``.  Mutated in
+    place by demote(); copy() is O(m) (the kernel is shared)."""
 
-    __slots__ = ("instance", "k", "scale", "_uc", "_pv")
+    __slots__ = ("instance", "k", "scale", "_u", "_v", "_start", "_total")
 
-    def __init__(self, instance: Instance, k, _shared=None):
+    def __init__(self, instance: Instance, k):
         self.instance = instance
         self.k = list(k)
-        if _shared is None:
-            scale, student_rows, college_rows = instance._kernel
-            _shared = (
-                scale,
-                tuple(zip(*student_rows)),
-                [[0, *accumulate(row)] for row in college_rows],
-            )
-        self.scale, self._uc, self._pv = _shared
+        self.scale, self._u, self._v = instance._kernel
+        self._start = [0, *accumulate(self.k)]
+        self._total = [
+            sum(row[s:e]) for row, s, e in zip(self._v, self._start, self._start[1:])
+        ]
 
     def copy(self) -> "RankedState":
-        return RankedState(self.instance, self.k, (self.scale, self._uc, self._pv))
+        other = RankedState.__new__(RankedState)
+        other.instance, other.scale, other._u, other._v = (
+            self.instance, self.scale, self._u, self._v
+        )
+        other.k, other._start, other._total = self.k[:], self._start[:], self._total[:]
+        return other
 
     def college_value(self, j: int) -> int:
         """Scaled total value of college j's block."""
-        w = sum(self.k[:j])
-        row = self._pv[j]
-        return row[w + self.k[j]] - row[w]
+        return self._total[j]
 
     def delta(self, p: int, q: int):
         """(removed, added): the scaled values that demote(p, q) would take
         out of and put into the agents' value multiset, without applying it.
         Covers colleges p..q and the bottom student of each of p..q-1."""
-        k, pv, uc = self.k, self._pv, self._uc
+        u, v, start, total = self._u, self._v, self._start, self._total
         removed, added = [], []
-        start = sum(k[:p])
+        gained = 0  # college t's value of the student it gains from t - 1
         for t in range(p, q + 1):
-            end = start + k[t]
-            row = pv[t]
-            removed.append(row[end] - row[start])
-            # p keeps its start and loses its bottom student; every college
-            # after it gains the bottom student of the one before, and all
-            # but q pass their own bottom student on
-            added.append(
-                row[end if t == q else end - 1] - row[start if t == p else start - 1]
-            )
-            if t < q:
-                removed.append(uc[t][end - 1])
-                added.append(uc[t + 1][end - 1])
-            start = end
+            removed.append(total[t])
+            if t == q:
+                added.append(total[t] + gained)
+                break
+            # college t passes its bottom student b on to t + 1
+            b = start[t + 1] - 1
+            added.append(total[t] + gained - v[t][b])
+            removed.append(u[t][b])
+            added.append(u[t + 1][b])
+            gained = v[t + 1][b]
         return removed, added
 
     def demote(self, up: int, down: int) -> None:
         """Chain demotion on the block structure: each college up..down-1
         passes its bottom student to the next, so only the two end block
-        sizes change."""
+        sizes change, but every boundary between them moves."""
+        v, start, total = self._v, self._start, self._total
         self.k[up] -= 1
         self.k[down] += 1
+        for t in range(up, down):
+            b = start[t + 1] - 1
+            total[t] -= v[t][b]
+            total[t + 1] += v[t + 1][b]
+            start[t + 1] = b
 
     def matching(self) -> Matching:
         return assignment_from_sizes(self.k)
 
     def _agent_values(self):
         """(student values by index, college values by index), scaled."""
-        uc, pv = self._uc, self._pv
-        students, colleges, w = [], [], 0
-        for j, size in enumerate(self.k):
-            students += uc[j][w : w + size]
-            colleges.append(pv[j][w + size] - pv[j][w])
-            w += size
-        return students, colleges
+        students = []
+        for row, s, e in zip(self._u, self._start, self._start[1:]):
+            students += row[s:e]
+        return students, list(self._total)
 
     def values(self) -> list:
         """Every agent's scaled value, sorted ascending (the leximin tuple's

@@ -10,7 +10,7 @@ d0, d1 >= 1 that pass form a staircase.  is_stable_m2 reads a matching's
 (d0, d1) off it; fast_const walks it.
 
 fast_const starts at d = (0, 0), everyone at their favorite, and moves the
-richer college's next fan to the poorer college, keeping the best matching
+richer college's next fan to the poorer college, keeping the best (d0, d1)
 seen.  It stops when the richer college has no fan left, when the next pair
 is not stable, or by rule A (an irreversible value drop for the mover).
 
@@ -49,7 +49,8 @@ def _require_m2_strict(instance: Instance) -> None:
 
 def favorites(instance: Instance) -> list:
     """alpha: each student's preferred college (0 or 1)."""
-    return [0 if u0 > u1 else 1 for u0, u1 in instance._kernel[1]]
+    u0, u1 = instance._kernel[1]
+    return [0 if a > b else 1 for a, b in zip(u0, u1)]
 
 
 def _staircase(instance: Instance) -> tuple:
@@ -57,23 +58,23 @@ def _staircase(instance: Instance) -> tuple:
     ascending order of its value, and stable(d0, d1) tells whether the
     complete matching in which each college j hands its first d_j fans to
     the other is stable."""
-    _, _, cv = instance._kernel
+    _, _, v = instance._kernel
     alpha = favorites(instance)
     fans = tuple(
-        sorted((i for i, a in enumerate(alpha) if a == j), key=cv[j].__getitem__)
+        sorted((i for i, a in enumerate(alpha) if a == j), key=v[j].__getitem__)
         for j in (0, 1)
     )
     # floor[j][k]: the other college's least value over fans[j][: k + 1],
     # which are its reluctant members once college j has handed k + 1 away
     floor = tuple(
-        list(accumulate((cv[1 - j][i] for i in fans[j]), min)) for j in (0, 1)
+        list(accumulate((v[1 - j][i] for i in fans[j]), min)) for j in (0, 1)
     )
 
     def stable(d0: int, d1: int) -> bool:
         # fans are sorted, so fans[j][d_j - 1] is the best fan j handed away
         return not (d0 and d1) or (
-            cv[0][fans[0][d0 - 1]] < floor[1][d1 - 1]
-            and cv[1][fans[1][d1 - 1]] < floor[0][d0 - 1]
+            v[0][fans[0][d0 - 1]] < floor[1][d1 - 1]
+            and v[1][fans[1][d1 - 1]] < floor[0][d0 - 1]
         )
 
     return fans, stable
@@ -104,14 +105,15 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     n = instance.n
     if any(b < n - 1 for b in instance.capacities):
         raise NotAdmissibleError("solver assumes capacities of at least n-1")
-    _, sv, cv = instance._kernel
+    _, u, v = instance._kernel
     fans, stable = _staircase(instance)
     assignment = favorites(instance)
-    totals = [sum(map(cv[j].__getitem__, fans[j])) for j in (0, 1)]
-    values = sorted([sv[i][j] for i, j in enumerate(assignment)] + totals)
-    best, best_values = list(assignment), list(values)
+    totals = [sum(map(v[j].__getitem__, fans[j])) for j in (0, 1)]
+    values = sorted([u[j][i] for i, j in enumerate(assignment)] + totals)
+    best_values = list(values)
     toggles = 0
     d = [0, 0]
+    best_d = (0, 0)
     # Rule A forbids a student from leaving their favorite for a college
     # they value below the poorer college's total at some step, so a_max is
     # the largest such total seen.
@@ -125,7 +127,7 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
         if d[high] == len(fans[high]):
             break
         mover = fans[high][d[high]]
-        if sv[mover][low] < a_max:
+        if u[low][mover] < a_max:
             break
         d[high] += 1
         if not stable(*d):
@@ -135,17 +137,22 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
         if on_state is not None:
             on_state(Matching(assignment))
         # a move changes three agents' values: the mover's and both totals
-        for old in (sv[mover][high], totals[high], totals[low]):
+        for old in (u[high][mover], totals[high], totals[low]):
             del values[bisect_left(values, old)]
-        totals[high] -= cv[high][mover]
-        totals[low] += cv[low][mover]
-        for new in (sv[mover][low], totals[high], totals[low]):
+        totals[high] -= v[high][mover]
+        totals[low] += v[low][mover]
+        for new in (u[low][mover], totals[high], totals[low]):
             insort(values, new)
         if values > best_values:
-            best, best_values = list(assignment), list(values)
+            best_d, best_values = tuple(d), list(values)
 
     tuple_comparisons = toggles  # one list compare per toggle
     steps = toggles + tuple_comparisons * (n + 2)
+    # the best state: each college j has handed its first d_j fans away
+    best = favorites(instance)
+    for j, d_j in enumerate(best_d):
+        for i in fans[j][:d_j]:
+            best[i] = 1 - j
     matching = Matching(best)
     return SolverReport(
         algorithm="fast_const",

@@ -39,9 +39,9 @@ def fast_admissible(instance: Instance) -> bool:
         return False
     if flags.isometric:
         return True
-    _, sv, cv = instance._kernel
-    dominated = all(map(le, chain.from_iterable(zip(*sv)), chain.from_iterable(cv)))
-    columns_monotone = all(all(map(ge, col, col[1:])) for col in zip(*sv))
+    _, u, v = instance._kernel
+    dominated = all(map(le, chain.from_iterable(u), chain.from_iterable(v)))
+    columns_monotone = all(all(map(ge, col, col[1:])) for col in u)
     return dominated and columns_monotone
 
 
@@ -54,7 +54,7 @@ def _run(
     n, m = instance.n, instance.m
     state = RankedState(instance, initial_boundary(instance, caps))
     k = state.k
-    u = instance._kernel[1]  # scaled u(i, j), like every value below
+    u = instance._kernel[1]  # u[j][i] is scaled u(i, j), like every value below
     iterations = chain_moves = tuple_comparisons = 0
 
     def emit():
@@ -74,16 +74,16 @@ def _run(
             j -= 1
             continue
         vj = state.college_value(j)
-        if vj >= u[ib][j - 1] or k[j] >= caps[j]:
+        if vj >= u[j - 1][ib] or k[j] >= caps[j]:
             j -= 1
             continue
-        if u[ib][j] > vj:
+        if u[j][ib] > vj:
             up = max(p for p in range(j) if k[p] > 1)
             state.demote(up, j)
             chain_moves += j - up
             emit()
             continue
-        if u[ib][j] < vj:
+        if u[j][ib] < vj:
             j -= 1
             continue
         # exact tie: the demotee would land exactly at the college's current

@@ -333,7 +333,7 @@ def cap_preprocess(instance: Instance):
     n, m = instance.n, instance.m
     state = RankedState(instance, initial_boundary(instance))
     fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
-    student_rows = instance._kernel[1]
+    u = instance._kernel[1]
     college_values = [state.college_value(j) for j in range(m)]
     matching = state.matching()
     assignment = matching.assignment
@@ -341,7 +341,7 @@ def cap_preprocess(instance: Instance):
         j = assignment[i]
         if (
             all(state.k[p] == 1 for p in range(j, m))
-            and all(student_rows[i][j] <= cv for cv in college_values)
+            and all(u[j][i] <= cv for cv in college_values)
         ):
             for p in range(j, m):
                 fixes.lower_fix.add(p)

@@ -5,13 +5,15 @@ college j is ``u(i, j)``; a college's valuation of student i is ``v(j, i)``.
 A college values a set of students by the sum of its valuations.  All values
 are exact non-negative rationals (fractions.Fraction) — no floats anywhere,
 because the solvers branch on exact equality.  An instance stores only an
-integer copy of the values, all scaled by the LCM of their denominators
-(``Instance._kernel``): the solvers, ``classify``, ``is_stable`` and
-``leximin_tuple`` work on it, and the Fraction rows read through
-``student_values``, ``college_values``, ``u`` and ``v`` are built from it on
-first read.  Leximin tuples are built the same way: a ``ScaledLeximin``
-holds the sorted scaled ints, and its ``LeximinTuple`` of Fractions is built
-only when read.
+integer copy of the values, all scaled by the LCM of their denominators and
+laid out college by college (``Instance._kernel == (scale, u, v)``, where
+``u[j][i]`` is student i's value for college j and ``v[j][i]`` is college
+j's value for student i, so both are m tuples of n ints).  The solvers,
+``classify``, ``is_stable`` and ``leximin_tuple`` work on it, and the
+Fraction rows read through ``student_values``, ``college_values``, ``u`` and
+``v`` are built from it on first read.  Leximin tuples are built the same
+way: a ``ScaledLeximin`` holds the sorted scaled ints, and its
+``LeximinTuple`` of Fractions is built only when read.
 """
 
 from __future__ import annotations
@@ -69,34 +71,32 @@ class Instance:
     capacities: one positive bound per college, each at most n; None gives
     n-1 each (n if there is a single college).
 
-    Every value is parsed once into the integer kernel: matrices of plain
-    non-negative ints are the kernel as they stand, anything else goes
-    through as_value.  An instance stores only ``_kernel`` and the
-    capacities (a tuple); ``student_values`` and ``college_values`` are
-    Fraction rows built from the kernel on first read.  Instances are
-    immutable (assignment raises FrozenInstanceError, an AttributeError) and
-    equal when their values and capacities are.
+    Every value is parsed once into the integer kernel, college by college:
+    matrices of plain non-negative ints are the kernel once the student rows
+    are transposed, anything else goes through as_value.  An instance stores
+    only ``_kernel`` and the capacities (a tuple); ``student_values`` and
+    ``college_values`` are Fraction rows built from the kernel on first
+    read.  Instances are immutable (assignment raises FrozenInstanceError,
+    an AttributeError) and equal when their values and capacities are.
     """
 
     def __init__(self, student_values, college_values, capacities):
-        sv, cv = _int_rows(student_values), _int_rows(college_values)
-        if sv is None or cv is None:
-            kernel = _scaled(
-                _value_matrix(student_values, "student_values"),
-                _value_matrix(college_values, "college_values"),
-            )
-            _, sv, cv = kernel
+        kernel = _int_kernel(student_values, college_values)
+        if kernel is None:
+            sv = _value_matrix(student_values, "student_values")
+            cv = _value_matrix(college_values, "college_values")
+            n, m = len(sv), len(cv)
+            if n == 0 or m == 0:
+                raise InvalidInputError("instance needs at least one student and one college")
+            for row in sv:
+                if len(row) != m:
+                    raise InvalidInputError("student value row length != number of colleges")
+            for row in cv:
+                if len(row) != n:
+                    raise InvalidInputError("college value row length != number of students")
+            kernel = _scaled(sv, cv)
         else:
-            kernel = (1, sv, cv)
-        n, m = len(sv), len(cv)
-        if n == 0 or m == 0:
-            raise InvalidInputError("instance needs at least one student and one college")
-        for row in sv:
-            if len(row) != m:
-                raise InvalidInputError("student value row length != number of colleges")
-        for row in cv:
-            if len(row) != n:
-                raise InvalidInputError("college value row length != number of students")
+            n, m = len(student_values), len(college_values)
         if capacities is None:
             capacities = (max(1, n - 1) if m > 1 else n,) * m
         try:
@@ -136,21 +136,21 @@ class Instance:
 
     @cached_property
     def student_values(self) -> tuple:
-        scale, rows, _ = self._kernel
-        return _fraction_rows(scale, rows)
+        scale, u, _ = self._kernel
+        return _fraction_rows(scale, zip(*u))
 
     @cached_property
     def college_values(self) -> tuple:
-        scale, _, rows = self._kernel
-        return _fraction_rows(scale, rows)
+        scale, _, v = self._kernel
+        return _fraction_rows(scale, v)
 
     @property
     def n(self) -> int:
-        return len(self._kernel[1])
+        return len(self._kernel[1][0])
 
     @property
     def m(self) -> int:
-        return len(self._kernel[2])
+        return len(self._kernel[1])
 
     def u(self, i: int, j: int) -> Fraction:
         """Student i's value for college j."""
@@ -176,33 +176,33 @@ class Instance:
 
     @cached_property
     def _flags(self) -> "ClassificationFlags":
-        _, sv, cv = self._kernel
-        # students: one C-level scan per pair of adjacent columns, not one
-        # Python call per row (n is large, m small)
-        s_cols = tuple(zip(*sv))
-        s_pairs = tuple(zip(s_cols, s_cols[1:]))
+        _, u, v = self._kernel
+        # students: one C-level scan per pair of adjacent colleges, not one
+        # Python call per student (n is large, m small)
+        s_pairs = tuple(zip(u, u[1:]))
         ranked_s = all(all(map(gt, a, b)) for a, b in s_pairs)
         weak_s = ranked_s or all(all(map(ge, a, b)) for a, b in s_pairs)
-        ranked_c = all(all(map(gt, row, row[1:])) for row in cv)
-        weak_c = ranked_c or all(all(map(ge, row, row[1:])) for row in cv)
+        ranked_c = all(all(map(gt, row, row[1:])) for row in v)
+        weak_c = ranked_c or all(all(map(ge, row, row[1:])) for row in v)
         # a strictly decreasing row has no ties
-        strict_s = ranked_s or all(len(set(row)) == len(row) for row in sv)
-        strict_c = ranked_c or all(len(set(row)) == len(row) for row in cv)
+        strict_s = ranked_s or all(len(set(row)) == len(row) for row in zip(*u))
+        strict_c = ranked_c or all(len(set(row)) == len(row) for row in v)
         return ClassificationFlags(
             strict_students=strict_s,
             strict_colleges=strict_c,
             strict=strict_s and strict_c,
             ranked=ranked_s and ranked_c,
             weakly_ranked=weak_s and weak_c,
-            isometric=s_cols == cv,
+            isometric=u == v,
         )
 
 
 def _scaled(student_values, college_values) -> tuple:
-    """The kernel (scale, student_rows, college_rows): every value times
-    `scale`, the LCM of all value denominators, as plain ints laid out like
-    student_values and college_values.  Scaling by one positive constant
-    keeps every order, equality and sum exact."""
+    """The kernel (scale, u, v) of Fraction matrices of checked shape: every
+    value times `scale`, the LCM of all value denominators, as plain ints,
+    with the student rows transposed so that both sides are m tuples of n.
+    Scaling by one positive constant keeps every order, equality and sum
+    exact."""
     rows = (*student_values, *college_values)
     scale = lcm(*{x.denominator for row in rows for x in row})
 
@@ -213,8 +213,8 @@ def _scaled(student_values, college_values) -> tuple:
 
     return (
         scale,
-        tuple(scaled(row) for row in student_values),
-        tuple(scaled(row) for row in college_values),
+        tuple(map(scaled, zip(*student_values))),
+        tuple(map(scaled, college_values)),
     )
 
 
@@ -222,18 +222,33 @@ def _fraction_rows(scale: int, rows) -> tuple:
     return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
 
 
-def _int_rows(rows):
-    """rows as a tuple of int tuples when rows is a list/tuple of list/tuple
-    rows of plain non-negative ints, else None; every test runs at C speed.
-    It accepts only input that as_value maps to Fraction(x) unchanged (a bool
-    is not a plain int), so every refusal and its message still comes from
-    as_value."""
-    if type(rows) not in (list, tuple) or not set(map(type, rows)) <= {list, tuple}:
+def _rows(rows) -> bool:
+    return type(rows) in (list, tuple) and set(map(type, rows)) <= {list, tuple}
+
+
+def _int_kernel(student_values, college_values):
+    """The kernel (1, u, v) when the matrices are lists/tuples of list/tuple
+    rows of plain non-negative ints, n >= 1 student rows of width m >= 1 and
+    m college rows of width n; else None.  The student rows are transposed
+    once and every test runs at C speed on the m long columns.  It accepts
+    only input that as_value maps to Fraction(x) unchanged (a bool is not a
+    plain int) in a shape the constructor accepts, so every refusal and its
+    message still comes from the general path."""
+    if not (_rows(student_values) and _rows(college_values)):
         return None
-    flat = list(chain.from_iterable(rows))
-    if set(map(type, flat)) != {int} or min(flat) < 0:
+    n, m = len(student_values), len(college_values)
+    if (
+        not n
+        or set(map(len, student_values)) != {m}
+        or set(map(len, college_values)) != {n}
+    ):
         return None
-    return tuple(map(tuple, rows))
+    u = tuple(zip(*student_values))
+    v = tuple(map(tuple, college_values))
+    for cols in (u, v):
+        if set(map(type, chain.from_iterable(cols))) != {int} or min(map(min, cols)) < 0:
+            return None
+    return (1, u, v)
 
 
 def _value_matrix(rows, name: str) -> tuple:
@@ -363,19 +378,21 @@ def is_stable(instance: Instance, matching: Matching) -> Optional[BlockingPair]:
     college values least (smallest index on ties).
     """
     matching.validate(instance)
-    _, sv, cv = instance._kernel
-    # least-valued member of each nonempty college: members are in ascending
-    # order and min keeps the first minimum, so ties go to the smallest index
-    weakest = [
-        min(members, key=cv[j].__getitem__) if members else None
-        for j, members in enumerate(matching.college_view(instance.m))
-    ]
-    for i, (row, here) in enumerate(zip(sv, matching.assignment)):
-        # a student never blocks with its own college: row[here] > row[here]
-        # is false, so no j == here test is needed
-        cur = 0 if here is None else row[here]
-        for j, w in enumerate(weakest):
-            if w is not None and row[j] > cur and cv[j][i] > cv[j][w]:
+    _, u, v = instance._kernel
+    # (college, its least-valued member, u and v columns, that member's
+    # value) per nonempty college: members are in ascending order and min
+    # keeps the first minimum, so ties go to the smallest index
+    nonempty = []
+    for j, members in enumerate(matching.college_view(instance.m)):
+        if members:
+            w = min(members, key=v[j].__getitem__)
+            nonempty.append((j, w, u[j], v[j], v[j][w]))
+    for i, here in enumerate(matching.assignment):
+        # a student never blocks with its own college: u[here][i] >
+        # u[here][i] is false, so no j == here test is needed
+        cur = 0 if here is None else u[here][i]
+        for j, w, u_j, v_j, floor in nonempty:
+            if u_j[i] > cur and v_j[i] > floor:
                 return BlockingPair(student=i, college=j, displaced_student=w)
     return None
 
@@ -464,12 +481,12 @@ def scaled_leximin(instance: Instance, matching: Matching) -> ScaledLeximin:
     """The matching's leximin tuple on the integer kernel; unmatched
     students hold 0 and empty colleges 0."""
     matching.validate(instance)
-    scale, sv, cv = instance._kernel
+    scale, u, v = instance._kernel
     return ScaledLeximin.build(
         scale,
-        [0 if j is None else sv[i][j] for i, j in enumerate(matching.assignment)],
+        [0 if j is None else u[j][i] for i, j in enumerate(matching.assignment)],
         [
-            sum(map(cv[j].__getitem__, members))
+            sum(map(v[j].__getitem__, members))
             for j, members in enumerate(matching.college_view(instance.m))
         ],
     )

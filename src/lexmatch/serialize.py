@@ -22,10 +22,11 @@ def _emit_rows(scale: int, rows) -> list:
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    scale, student_rows, college_rows = instance._kernel
+    scale, u, v = instance._kernel
     return {
-        "student_values": _emit_rows(scale, student_rows),
-        "college_values": _emit_rows(scale, college_rows),
+        # the kernel is college by college; the wire rows are per student
+        "student_values": _emit_rows(scale, zip(*u)),
+        "college_values": _emit_rows(scale, v),
         "capacities": list(instance.capacities),
     }
 

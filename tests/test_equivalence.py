@@ -1,0 +1,124 @@
+"""Every solver's output on a fixed generated sweep, pinned by digest.
+
+``tests/data/equivalence.json`` maps each sweep instance's key to the sha256
+of ``report.to_json_dict()`` (canonical JSON) for every solver, or of the
+error the solver raises.  The sweep covers every generator kind, capacities
+none and random, and for each instance one image scaled to denominators of
+5, 7 and 35.  A change that keeps outputs as they are (a refactor, a speed-up)
+must leave every digest in place; the digests change only in a change that
+states an output change, which records them again with
+
+    PYTHONPATH=src python tests/test_equivalence.py --record
+"""
+
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from lexmatch import (
+    GenSpec,
+    Instance,
+    LexmatchError,
+    cap_fast,
+    cap_fast_gen,
+    fast,
+    fast_const,
+    fast_gen,
+    generate,
+    oracle_leximin,
+)
+from lexmatch.generate import KINDS
+
+DATA = Path(__file__).resolve().parent / "data" / "equivalence.json"
+SIZES = ((2, 2), (5, 2), (7, 3), (16, 3), (30, 5))
+ORACLE_MAX_N = 7
+
+
+def _oracle(instance):
+    return oracle_leximin(instance, require_complete=True, respect_capacities=True)
+
+
+SOLVERS = {
+    "fast": fast,
+    "cap_fast": cap_fast,
+    "fast_gen": fast_gen,
+    "cap_fast_gen": cap_fast_gen,
+    "fast_const": fast_const,
+    "oracle": _oracle,
+}
+
+
+def _image(instance):
+    # x -> (7x + x mod 5)/35 is strictly increasing on ints, so it keeps
+    # every structural class while making denominators of 5, 7 and 35
+    def f(x):
+        return Fraction(7 * x + x % 5, 35)
+
+    return Instance.build(
+        [[f(x) for x in row] for row in instance.student_values],
+        [[f(x) for x in row] for row in instance.college_values],
+        instance.capacities,
+    )
+
+
+def _sweep():
+    """(key, instance) for every instance of the sweep, in a fixed order."""
+    for kind in KINDS:
+        for n, m in SIZES:
+            for capacity_mode in ("none", "random"):
+                spec = GenSpec(kind, n, m, seed=n * m, capacity_mode=capacity_mode)
+                inst = generate(spec)
+                key = f"{kind}/n{n}/m{m}/{capacity_mode}"
+                yield key, inst
+                yield key + "/scaled", _image(inst)
+
+
+SWEEP = dict(_sweep())
+
+
+def _digest(data) -> str:
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(instance) -> dict:
+    """Solver name -> digest of its report, or of the error it raises."""
+    out = {}
+    for name, solver in SOLVERS.items():
+        if name == "oracle" and instance.n > ORACLE_MAX_N:
+            continue
+        try:
+            data = solver(instance).to_json_dict()
+        except LexmatchError as exc:
+            data = {"error": type(exc).__name__, "message": str(exc)}
+        out[name] = _digest(data)
+    return out
+
+
+def _recorded() -> dict:
+    with open(DATA, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_the_recording_covers_the_sweep():
+    assert sorted(_recorded()) == sorted(SWEEP)
+    scales = {inst._kernel[0] for inst in SWEEP.values()}
+    assert 1 in scales and max(scales) > 1
+
+
+@pytest.mark.parametrize("key", list(SWEEP))
+def test_outputs_match_the_recorded_digests(key):
+    assert digests(SWEEP[key]) == _recorded()[key]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py --record")
+    DATA.parent.mkdir(exist_ok=True)
+    with open(DATA, "w", encoding="utf-8") as fh:
+        json.dump({key: digests(inst) for key, inst in SWEEP.items()}, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -95,7 +95,9 @@ class TestInstance:
         for other in (as_fractions, as_strings):
             assert other == as_ints and as_ints == other
             assert hash(other) == hash(as_ints)
-            assert other._kernel == as_ints._kernel == (1, tuple(map(tuple, sv)), tuple(map(tuple, cv)))
+            # college by college: u[j][i] is student i's value for college j
+            assert other._kernel == as_ints._kernel == (1, tuple(zip(*sv)), tuple(map(tuple, cv)))
+            assert as_ints._kernel[1] == ((4, 3, 1), (0, 2, 5))
             assert repr(other) == repr(as_ints)
         for inst in (as_ints, as_fractions, as_strings):
             for row in inst.student_values + inst.college_values:
@@ -109,7 +111,7 @@ class TestInstance:
     def test_mixed_int_and_string_rows_parse(self):
         inst = Instance.build([[2, "1/2"], [4, 3]], [["3/4", 1], [4, 3]])
         assert inst.student_values == ((2, Fraction(1, 2)), (4, 3))
-        assert inst._kernel == (4, ((8, 2), (16, 12)), ((3, 4), (16, 12)))
+        assert inst._kernel == (4, ((8, 16), (2, 12)), ((3, 4), (16, 12)))
 
     @pytest.mark.parametrize("construct", [Instance.build, Instance], ids=["build", "positional"])
     @pytest.mark.parametrize(
@@ -152,6 +154,41 @@ class TestInstance:
     def test_refusals_keep_their_messages(self, construct, sv, cv, capacities, message):
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             construct(sv, cv, capacities)
+
+    @pytest.mark.parametrize("construct", [Instance.build, Instance], ids=["build", "positional"])
+    @pytest.mark.parametrize(
+        "sv, cv, message",
+        [
+            # ragged student rows
+            ([[1], [2, 3]], [[1, 2]], "student value row length != number of colleges"),
+            ([[1, 2], [1]], [[1, 2], [1, 2]], "student value row length != number of colleges"),
+            # one width throughout, but the wrong one
+            ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4]], "student value row length != number of colleges"),
+            ([[1, 2], [3, 4]], [[1, 2, 3], [3, 4, 5]], "college value row length != number of students"),
+            ([[1]], [[1, 2]], "college value row length != number of students"),
+            # no values at all
+            ([[]], [[1]], "student value row length != number of colleges"),
+            ([[]], [], "instance needs at least one student and one college"),
+            ([[1, 2]], [], "instance needs at least one student and one college"),
+            # a non-int among ints, on either side
+            ([[False, 2]], [[1], [1]], "value must be an exact rational, got False"),
+            ([[2, 1]], [[1], [True]], "value must be an exact rational, got True"),
+            ([[1, 1]], [[1.5], [1]], "value must be an exact rational, got 1.5"),
+            ([[1, 2.0]], [[1], [1]], "value must be an exact rational, got 2.0"),
+            ([[1, 2]], [[1], [-1]], "values must be non-negative, got -1"),
+            ([[0, -4]], [[1], [1]], "values must be non-negative, got -4"),
+        ],
+    )
+    def test_int_fast_path_refusals_keep_their_messages(self, construct, sv, cv, message):
+        # all-int matrices the fast path must hand to the general path, which
+        # gives the message it gives for any other input
+        with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+            construct(sv, cv, None)
+
+    def test_int_fast_path_accepts_tuple_rows(self):
+        inst = Instance.build(((1, 2), (3, 4), (5, 6)), [(1, 2, 3), [4, 5, 6]])
+        assert inst._kernel == (1, ((1, 3, 5), (2, 4, 6)), ((1, 2, 3), (4, 5, 6)))
+        assert inst == Instance.build([[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 6]])
 
     @pytest.mark.parametrize("sv", [[[3, 1]], [[Fraction(3), "1"]]])
     def test_stores_the_kernel_and_tuple_capacities(self, sv):

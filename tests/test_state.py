@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from lexmatch import GenSpec, Instance, generate, leximin_compare, leximin_tuple
-from lexmatch._state import RankedState
-from lexmatch.model import EQUAL, GREATER, LESS, college_value
+from lexmatch._state import RankedState, initial_boundary
+from lexmatch.model import EQUAL, GREATER, LESS, college_value, student_value
+from lexmatch.ranked import assignment_from_sizes
 
 from conftest import random_sizes
 
@@ -61,13 +62,14 @@ def test_the_sweep_covers_scales_above_one():
 
 def test_kernel_is_every_value_times_the_lcm_of_denominators():
     inst = Instance.build([["1/2", "1/3"], ["1/4", 0]], [[5, "2/3"], ["7/6", 1]])
-    scale, student_rows, college_rows = inst._kernel
+    scale, u, v = inst._kernel
     assert scale == 12
-    assert student_rows == ((6, 4), (3, 0))
-    assert college_rows == ((60, 8), (14, 12))
+    # college by college: u[j][i] is student i's value for college j
+    assert u == ((6, 3), (4, 0))
+    assert v == ((60, 8), (14, 12))
     for rows, scaled in (
-        (inst.student_values, student_rows),
-        (inst.college_values, college_rows),
+        (tuple(zip(*inst.student_values)), u),
+        (inst.college_values, v),
     ):
         for row, scaled_row in zip(rows, scaled):
             assert [Fraction(v, scale) for v in scaled_row] == list(row)
@@ -116,3 +118,83 @@ def test_delta_of_a_trial_that_only_reshuffles_values_is_equal():
     trial = state.copy()
     trial.demote(0, 1)
     assert leximin_compare(trial.leximin().view(), state.leximin().view()) == EQUAL
+
+
+def _chain_instances():
+    # uncapacitated and capacitated ranked instances, each with its scaled image
+    for sizes_seed, kind in enumerate(("ranked", "ranked_isometric"), start=7):
+        for n, m, seed in random_sizes(sizes_seed, 6, 12, 5, n_min=4):
+            m = max(m, 2)
+            for capacity_mode in ("none", "random"):
+                inst = generate(GenSpec(kind, n, m, seed=seed, capacity_mode=capacity_mode))
+                yield inst
+                yield _scaled_by_35(inst)
+
+
+CHAIN_INSTANCES = list(_chain_instances())
+
+
+def _check_against_fractions(inst, state):
+    """Every read of the state equals its definition on Fraction values."""
+    scale = inst._kernel[0]
+    k = state.k
+    mu = state.matching()
+    full = leximin_tuple(inst, mu)
+    assert state.values() == [x * scale for x in full.values]
+    assert state.leximin().view() == full
+    for j in range(inst.m):
+        assert state.college_value(j) == college_value(inst, mu, j) * scale
+    for p, q in itertools.combinations(range(inst.m), 2):
+        if k[p] <= 1:
+            continue
+        trial_k = list(k)
+        trial_k[p] -= 1
+        trial_k[q] += 1
+        trial = assignment_from_sizes(trial_k)
+        # the agents demote(p, q) touches: colleges p..q and the bottom
+        # student of each of p..q-1
+        movers = [sum(k[: t + 1]) - 1 for t in range(p, q)]
+        removed = [college_value(inst, mu, t) for t in range(p, q + 1)]
+        removed += [student_value(inst, mu, i) for i in movers]
+        added = [college_value(inst, trial, t) for t in range(p, q + 1)]
+        added += [student_value(inst, trial, i) for i in movers]
+        got_removed, got_added = state.delta(p, q)
+        assert sorted(got_removed) == sorted(x * scale for x in removed)
+        assert sorted(got_added) == sorted(x * scale for x in added)
+
+
+def _starts(inst, rng):
+    """The left-heavy fill, then random complete boundaries within the
+    capacities."""
+    yield initial_boundary(inst)
+    found = 0
+    for k in _boundaries(inst, rng, 40):
+        if all(size <= cap for size, cap in zip(k, inst.capacities)):
+            yield k
+            found += 1
+            if found == 2:
+                return
+
+
+@pytest.mark.parametrize("index", range(len(CHAIN_INSTANCES)))
+def test_random_demote_chains_keep_the_state_exact(index):
+    inst = CHAIN_INSTANCES[index]
+    rng = random.Random(1000 + index)
+    caps = inst.capacities
+    for k in list(_starts(inst, rng)):
+        state = RankedState(inst, k)
+        _check_against_fractions(inst, state)
+        for _ in range(3 * inst.n):
+            moves = [
+                (p, q)
+                for p, q in itertools.combinations(range(inst.m), 2)
+                if state.k[p] > 1 and state.k[q] < caps[q]
+            ]
+            if not moves:
+                break
+            p, q = rng.choice(moves)
+            before = state.copy()
+            state.demote(p, q)
+            assert before.k != state.k, "a copy must not share the boundary vector"
+            _check_against_fractions(inst, before)
+            _check_against_fractions(inst, state)
