@@ -28,6 +28,7 @@ all n + m values.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate
 
 from .errors import InfeasibleError
@@ -85,6 +86,10 @@ class RankedState:
     def college_value(self, j: int) -> int:
         """Scaled total value of college j's block."""
         return self._total[j]
+
+    def college_of(self, i: int) -> int:
+        """The college whose block holds student i."""
+        return bisect_right(self._start, i) - 1
 
     def delta(self, p: int, q: int):
         """(removed, added): the scaled values that demote(p, q) would take

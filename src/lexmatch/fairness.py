@@ -67,9 +67,7 @@ def _bounded_envy_check(instance: Instance, matching: Matching, drop_best: bool)
             rival_items = [instance.v(j, i) for i in view[jp]]
             rival = sum(rival_items, Fraction(0))
             if rival <= own:
-                continue
-            if not rival_items:
-                return False  # unreachable: empty bundle cannot be envied
+                continue  # always so for an empty bundle: values are >= 0
             removed = max(rival_items) if drop_best else min(rival_items)
             if rival - removed > own:
                 return False

@@ -65,10 +65,7 @@ def _run(
     j = m - 1
     while j >= 1:
         iterations += 1
-        w = 0
-        for p in range(j):
-            w += k[p]
-        ib = w - 1  # weakest student of college j-1, the candidate demotee
+        ib = sum(k[:j]) - 1  # weakest student of college j-1, the candidate demotee
         if ib < j:
             # colleges 0..j-1 hold one student each; nothing can move
             j -= 1
@@ -93,10 +90,7 @@ def _run(
         trial = state.copy()
         committed = False
         while True:
-            tw = 0
-            for p in range(j):
-                tw += trial.k[p]
-            if tw - 1 < j or trial.k[j] >= caps[j]:
+            if sum(trial.k[:j]) - 1 < j or trial.k[j] >= caps[j]:
                 break
             t_up = max(p for p in range(j) if trial.k[p] > 1)
             trial.demote(t_up, j)

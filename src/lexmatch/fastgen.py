@@ -25,6 +25,20 @@ beats sorted(A2 + R1), since adding the same multiset to two equal-size
 multisets keeps their leximin order.  Only the chosen trial is applied, and
 full tuples (of scaled ints) are built only to find the agent that loses.
 
+Progress.  On a ranked instance a chain demotion strictly lowers the value of
+every student it moves and leaves every other student's value unchanged.  So
+the blame never falls on a student who did not move: at the first index where
+the new tuple is lower, more agents hold that value than before; if none of
+them lost value, every student among them held it before too, and since
+students sort first at equal values, the occupant at that index is a
+college.  The blamed student therefore sat in [up, down - 1] before
+the canonical up -> down trial, and ends right of `up` in the look-ahead.
+Hence every iteration commits a demotion (sum(j * k[j]) rises), grows
+lower_fix or upper_fix, or adds a soft pair whose blocker lies right of `up`,
+which purge(up) keeps until lower_fix grows.  lower_fix and sum(j * k[j])
+never fall, and upper_fix and soft_fix never shrink while lower_fix stays put,
+so no configuration recurs and each run ends.
+
 The rules are heuristic, not exact: on
 ``generate(GenSpec("ranked", 4, 2, seed=54, value_max=7))`` fast_gen returns
 block sizes (3, 1), while the leximin optimum (``oracle_leximin``) is (1, 3).
@@ -127,16 +141,20 @@ class _Counters:
         self.iterations = self.chain_moves = self.tuple_comparisons = 0
         self.reruns = 0
 
-    def steps(self, n: int, m: int) -> int:
-        return self.iterations + self.chain_moves + self.tuple_comparisons * (n + m)
-
-    def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "chain_moves": self.chain_moves,
-            "tuple_comparisons": self.tuple_comparisons,
-            "reruns": self.reruns,
-        }
+    def report(self, algorithm: str, state: RankedState) -> SolverReport:
+        n, m = state.instance.n, state.instance.m
+        return SolverReport(
+            algorithm=algorithm,
+            matching=state.matching(),
+            leximin=state.leximin(),
+            steps=self.iterations + self.chain_moves + self.tuple_comparisons * (n + m),
+            counters={
+                "iterations": self.iterations,
+                "chain_moves": self.chain_moves,
+                "tuple_comparisons": self.tuple_comparisons,
+                "reruns": self.reruns,
+            },
+        )
 
 
 def _look_ahead(
@@ -153,7 +171,8 @@ def _look_ahead(
     shadow = state.copy()
     lf = set(fixes.lower_fix)
     uf = set(fixes.upper_fix)
-    base = state.values()
+    old = state.leximin()
+    base = old.values
     while len(lf) < m:
         if caps is not None and shadow.k[down] >= caps[down]:
             break
@@ -170,13 +189,13 @@ def _look_ahead(
             fixes.lower_fix = lf
             fixes.upper_fix = uf
             return shadow
-        kind, idx = _first_loss_agent(shadow.leximin(), state.leximin())
+        kind, idx = _first_loss_agent(shadow.leximin(), old)
         if kind == "c" and idx == up:
             lf.add(up)
             uf.add(up + 1)
             continue
         if kind == "s":
-            t = shadow.matching().assignment[idx]
+            t = shadow.college_of(idx)
             if t == down:
                 fixes.upper_fix.add(down)
             else:
@@ -205,22 +224,10 @@ def _inner_run(
             on_state(tuple(st.k))
 
     emit(state)
-    seen_configs = set()
+    # terminates by the progress measure in the module docstring
     while len(fixes.lower_fix) < m:
         counters.iterations += 1
         up = min(j for j in range(m) if j not in fixes.lower_fix)
-        sig = (
-            tuple(state.k),
-            frozenset(fixes.lower_fix),
-            frozenset(fixes.upper_fix),
-            frozenset(fixes.soft_fix),
-        )
-        if sig in seen_configs:
-            # livelock escape: this exact configuration was seen before, so
-            # no rule can make further progress from it
-            fixes.lower_fix.add(up)
-            continue
-        seen_configs.add(sig)
         fixes.purge(up)
         unfixed = fixes.unfixed(m)
         if not unfixed:
@@ -263,11 +270,9 @@ def _inner_run(
         giver, receiver = best
         best_removed.sort()
         best_added.sort()
-        # an EQUAL trial commits too: every commit moves a student from a
-        # college to one on its right, so sum(j * k[j]) rises and no
-        # boundary vector comes back
+        # an EQUAL trial commits too: sum(j * k[j]) still rises (see Progress)
         if best_added >= best_removed:
-            if T is not None and caps is not None and state.k[giver] >= caps[giver]:
+            if T is not None and state.k[giver] >= caps[giver]:
                 T[giver] = 1
             state.demote(giver, receiver)
             emit(state)
@@ -281,18 +286,13 @@ def _inner_run(
             fixes.lower_fix.add(up)
             fixes.upper_fix.add(up + 1)
         elif kind == "s":
-            t = state.matching().assignment[idx]
-            before = (set(fixes.lower_fix), set(fixes.upper_fix), set(fixes.soft_fix))
+            # the student moved, so up <= t < down: t + 1 is a college, and
+            # either t + 1 == down joins upper_fix or (down, t + 1) is a new
+            # soft pair (down is in unfixed, so not soft-blocked yet)
+            t = state.college_of(idx)
             fixes.lower_fix.add(t)
-            if t + 1 < m:
-                fixes.upper_fix.add(t + 1)
-                fixes.soft_fix |= {(j, t + 1) for j in unfixed if j > t + 1}
-            if (fixes.lower_fix, fixes.upper_fix, fixes.soft_fix) == before:
-                # everything around the blamed student is already pinned,
-                # so the only remaining conclusion is that the giving
-                # college cannot shrink further
-                fixes.lower_fix.add(up)
-                fixes.upper_fix.add(up + 1)
+            fixes.upper_fix.add(t + 1)
+            fixes.soft_fix |= {(j, t + 1) for j in unfixed if j > t + 1}
         else:
             committed = _look_ahead(state, down, fixes, caps, counters)
             if committed is not None:
@@ -313,40 +313,33 @@ def fast_gen(instance: Instance, on_state: Optional[Callable] = None) -> SolverR
     fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
     counters = _Counters()
     state = _inner_run(instance, state, fixes, None, None, counters, on_state)
-    return SolverReport(
-        algorithm="fast_gen",
-        matching=state.matching(),
-        leximin=state.leximin(),
-        steps=counters.steps(n, m),
-        counters=counters.as_dict(),
-    )
+    return counters.report("fast_gen", state)
 
 
 def cap_preprocess(instance: Instance):
-    """Capacity-aware starting point: the left-heavy feasible fill, plus fix
-    sets.  When some tail student already sits at or below every college's
-    value and is alone at its college, that college and everything to its
-    right can never profitably shed students, so their lower boundaries are
-    fixed up front.  (Only the lower ones: such a college may still *gain*
-    members when that raises its value without hurting the minimum.)"""
+    """Capacity-aware starting point: the state of the left-heavy feasible
+    fill, plus fix sets.  When some student i in 1..n-2 is alone at its
+    college, as is every college right of it, and already sits at or below
+    every college's value, that college and everything to its right can
+    never profitably shed students, so their lower boundaries are fixed up
+    front.  (Only the lower ones: such a college may still *gain* members
+    when that raises its value without hurting the minimum.)  O(n + m)."""
     _require_ranked(instance)
     n, m = instance.n, instance.m
     state = RankedState(instance, initial_boundary(instance))
     fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
-    u = instance._kernel[1]
-    college_values = [state.college_value(j) for j in range(m)]
-    matching = state.matching()
-    assignment = matching.assignment
-    for i in range(1, n - 1):
-        j = assignment[i]
-        if (
-            all(state.k[p] == 1 for p in range(j, m))
-            and all(u[j][i] <= cv for cv in college_values)
-        ):
-            for p in range(j, m):
-                fixes.lower_fix.add(p)
+    u, k = instance._kernel[1], state.k
+    floor = min(state.college_value(j) for j in range(m))
+    tail = m  # colleges tail..m-1 hold one student each
+    while tail and k[tail - 1] == 1:
+        tail -= 1
+    # college j of the tail holds student n - m + j alone; i = n - 1 is out
+    for j in range(tail, m - 1):
+        i = n - m + j
+        if i >= 1 and u[j][i] <= floor:
+            fixes.lower_fix.update(range(j, m))
             break
-    return matching, fixes
+    return state, fixes
 
 
 def cap_fast_gen(
@@ -354,11 +347,8 @@ def cap_fast_gen(
 ) -> SolverReport:
     """Capacity-respecting variant of fast_gen with the restart rule for
     prematurely fixed boundaries."""
-    _require_ranked(instance)
-    n, m = instance.n, instance.m
-    matching, fixes = cap_preprocess(instance)
-    k0 = [len(ms) for ms in matching.college_view(m)]
-    state = RankedState(instance, k0)
+    state, fixes = cap_preprocess(instance)
+    m = instance.m
     caps = list(instance.capacities)
     counters = _Counters()
     T = [0] * m
@@ -370,10 +360,4 @@ def cap_fast_gen(
         j_star = min(j for j in range(m) if T[j])
         fixes = FixSets(upper_fix=set(range(j_star)) or {0}, lower_fix={m - 1})
         T = [0] * m
-    return SolverReport(
-        algorithm="cap_fast_gen",
-        matching=state.matching(),
-        leximin=state.leximin(),
-        steps=counters.steps(n, m),
-        counters=counters.as_dict(),
-    )
+    return counters.report("cap_fast_gen", state)

@@ -499,14 +499,10 @@ def leximin_tuple(instance: Instance, matching: Matching) -> LeximinTuple:
 def leximin_compare(a: LeximinTuple, b: LeximinTuple) -> int:
     """Lexicographic comparison of the sorted value lists: LESS (-1), EQUAL
     (0) or GREATER (1).  EQUAL means the two value multisets coincide."""
-    if len(a.values) != len(b.values):
+    x, y = tuple(a.values), tuple(b.values)
+    if len(x) != len(y):
         raise InvalidInputError("cannot compare leximin tuples of different lengths")
-    for x, y in zip(a.values, b.values):
-        if x < y:
-            return LESS
-        if x > y:
-            return GREATER
-    return EQUAL
+    return GREATER if x > y else LESS if x < y else EQUAL
 
 
 def check_alpha_approx(optimal: LeximinTuple, candidate: LeximinTuple, alpha) -> bool:

@@ -3,8 +3,9 @@
 ``tests/data/equivalence.json`` maps each sweep instance's key to the sha256
 of ``report.to_json_dict()`` (canonical JSON) for every solver, or of the
 error the solver raises.  The sweep covers every generator kind, capacities
-none and random, and for each instance one image scaled to denominators of
-5, 7 and 35.  A change that keeps outputs as they are (a refactor, a speed-up)
+none and random, tie-heavy ranked values (``value_max`` n+3, keys ending in
+``/ties``), and for each instance one image scaled to denominators of 5, 7
+and 35.  A change that keeps outputs as they are (a refactor, a speed-up)
 must leave every digest in place; the digests change only in a change that
 states an output change, which records them again with
 
@@ -70,11 +71,16 @@ def _sweep():
     for kind in KINDS:
         for n, m in SIZES:
             for capacity_mode in ("none", "random"):
-                spec = GenSpec(kind, n, m, seed=n * m, capacity_mode=capacity_mode)
-                inst = generate(spec)
-                key = f"{kind}/n{n}/m{m}/{capacity_mode}"
-                yield key, inst
-                yield key + "/scaled", _image(inst)
+                for value_max in (None, n + 3) if kind == "ranked" else (None,):
+                    spec = GenSpec(
+                        kind, n, m, seed=n * m, capacity_mode=capacity_mode,
+                        value_max=value_max,
+                    )
+                    inst = generate(spec)
+                    key = f"{kind}/n{n}/m{m}/{capacity_mode}"
+                    key += "" if value_max is None else "/ties"
+                    yield key, inst
+                    yield key + "/scaled", _image(inst)
 
 
 SWEEP = dict(_sweep())

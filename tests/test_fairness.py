@@ -77,6 +77,11 @@ class TestEF1EFX:
                 if efx_check(inst, mu):
                     assert ef1_check(inst, mu)
 
+    def test_empty_rival_bundle_is_never_envied(self, ref_instance):
+        # an empty bundle sums to 0 <= own, since values are non-negative
+        for mu in (Matching([None] * 4), Matching([None, None, None, 0])):
+            assert ef1_check(ref_instance, mu) and efx_check(ref_instance, mu)
+
     def test_single_college_trivially_fair(self):
         inst = Instance.build([[3], [2]], [[5, 4]], capacities=[2])
         mu = Matching([0, 0])

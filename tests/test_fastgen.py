@@ -17,7 +17,10 @@ from lexmatch import (
     oracle_leximin,
     source_dec,
 )
-from lexmatch.fastgen import cap_preprocess
+from lexmatch import fastgen
+from lexmatch._state import initial_boundary
+from lexmatch.fastgen import FixSets, cap_preprocess
+from lexmatch.model import college_value
 
 from conftest import random_instances, random_sizes
 
@@ -90,18 +93,111 @@ class TestFastGen:
                 assert boundary_from_matching(inst, mu) is not None
 
 
+def _tie_heavy_ranked(seed, count, n_max, m_max):
+    """Ranked instances with values in [1, n+1] or [1, n+3], under
+    capacities none, random and uniform (ceil(n/m), sometimes one more)."""
+    for n, m, s in random_sizes(seed, count, n_max, m_max, n_min=3):
+        for value_max in (n + 1, n + 3):
+            for mode in ("none", "random", "uniform"):
+                cap = min(n, -(-n // m) + s % 2) if mode == "uniform" else None
+                yield generate(
+                    GenSpec(
+                        "ranked", n, m, seed=s, capacity_mode=mode,
+                        capacity=cap, value_max=value_max,
+                    )
+                )
+
+
+def _tail_lower_fix_by_scan(instance, k):
+    """cap_preprocess's lower_fix by its first O(n * m) form: the first
+    student i in 1..n-2 whose college and every college right of it hold one
+    student each, and whose value is at or below every college's value,
+    fixes its college and every college right of it."""
+    n, m = instance.n, instance.m
+    mu = Matching([j for j, size in enumerate(k) for _ in range(size)])
+    college_values = [college_value(instance, mu, j) for j in range(m)]
+    lower_fix = {m - 1}
+    for i in range(1, n - 1):
+        j = mu.assignment[i]
+        if all(k[p] == 1 for p in range(j, m)) and all(
+            instance.u(i, j) <= cv for cv in college_values
+        ):
+            lower_fix.update(range(j, m))
+            break
+    return lower_fix
+
+
 class TestCapPreprocess:
     def test_cascade_fill(self):
         inst = generate(GenSpec(kind="ranked", n=5, m=3, seed=5))
         capped = Instance(inst.student_values, inst.college_values, (2, 2, 2))
-        matching, fixes = cap_preprocess(capped)
-        assert boundary_from_matching(capped, matching).k == (2, 2, 1)
+        state, fixes = cap_preprocess(capped)
+        assert state.k == [2, 2, 1]
         assert 0 in fixes.upper_fix and 2 in fixes.lower_fix
 
     def test_unconstrained_matches_plain_start(self):
         inst = generate(GenSpec(kind="ranked", n=6, m=3, seed=6))
-        matching, _ = cap_preprocess(inst)
-        assert boundary_from_matching(inst, matching).k == (4, 1, 1)
+        state, _ = cap_preprocess(inst)
+        assert state.k == [4, 1, 1]
+
+    def test_matches_the_quadratic_scan(self):
+        fired = 0
+        for inst in _tie_heavy_ranked(seed=61, count=200, n_max=12, m_max=6):
+            state, fixes = cap_preprocess(inst)
+            assert state.k == initial_boundary(inst)
+            lower_fix = _tail_lower_fix_by_scan(inst, state.k)
+            assert fixes == FixSets(upper_fix={0}, lower_fix=lower_fix)
+            fired += len(lower_fix) > 1
+        assert fired >= 10
+
+
+class TestProgress:
+    """The progress measure of the fastgen module docstring, checked on
+    tie-heavy instances, where equal values reshuffle the sorted tuple."""
+
+    def test_no_configuration_recurs(self, monkeypatch):
+        seen, alive, commits = set(), [], [0]
+        purge = FixSets.purge
+
+        def recording_purge(self, up):
+            # purge runs once per main-loop iteration, before any rule fires
+            key = (
+                id(self),
+                commits[0],
+                frozenset(self.lower_fix),
+                frozenset(self.upper_fix),
+                frozenset(self.soft_fix),
+            )
+            assert key not in seen
+            seen.add(key)
+            alive.append(self)  # keeps id(self) from being reused
+            purge(self, up)
+
+        def mark(k):
+            commits[0] += 1
+
+        monkeypatch.setattr(FixSets, "purge", recording_purge)
+        for inst in _tie_heavy_ranked(seed=67, count=40, n_max=14, m_max=6):
+            fast_gen(inst, on_state=mark)
+        assert len(seen) > 1000
+
+    def test_blame_falls_on_a_student_only_if_it_moved(self, monkeypatch):
+        blamed = []
+        first_loss_agent = fastgen._first_loss_agent
+
+        def checked(new, old):
+            kind, idx = agent = first_loss_agent(new, old)
+            if kind == "s":
+                new_of = dict(zip(new.agents, new.values))
+                old_of = dict(zip(old.agents, old.values))
+                assert new_of[idx] < old_of[idx]
+                blamed.append(agent)
+            return agent
+
+        monkeypatch.setattr(fastgen, "_first_loss_agent", checked)
+        for inst in _tie_heavy_ranked(seed=71, count=40, n_max=14, m_max=6):
+            fast_gen(inst)
+        assert len(blamed) > 20
 
 
 class TestCapFastGen:

@@ -92,6 +92,7 @@ def test_state_matches_the_fraction_definitions(index):
         assert state.values() == scaled.values
         for j in range(inst.m):
             assert state.college_value(j) == college_value(inst, mu, j) * scale
+        assert list(map(state.college_of, range(inst.n))) == list(mu.assignment)
 
         trials = {}
         for p, q in itertools.combinations(range(inst.m), 2):
@@ -101,6 +102,9 @@ def test_state_matches_the_fraction_definitions(index):
             trial = state.copy()
             trial.demote(p, q)
             trial_tuple = leximin_tuple(inst, trial.matching())
+            assert list(map(trial.college_of, range(inst.n))) == list(
+                trial.matching().assignment
+            )
             assert _verdict(sorted(added), sorted(removed)) == leximin_compare(trial_tuple, full)
             trials[p, q] = (removed, added, trial_tuple)
         for (r1, a1, t1), (r2, a2, t2) in itertools.product(trials.values(), repeat=2):
