@@ -22,7 +22,7 @@ from .fast import fast
 from .fastgen import fast_gen
 from .generate import CAPACITY_MODES, KINDS, GenSpec, generate
 # leximin_tuple is not called here; it is kept bound for perfbench/spans.py
-from .model import Instance, classify, is_stable, leximin_tuple, scaled_leximin
+from .model import Instance, _capacity_binds, classify, is_stable, leximin_tuple, scaled_leximin
 from .oracle import candidate_count, candidates, oracle_leximin
 from .reductions import ReductionSpec
 from .report import SolverReport
@@ -53,9 +53,7 @@ def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
             algo = "fast"
         elif flags.ranked:
             algo = "fast-gen"
-        elif flags.strict and instance.m == 2 and all(
-            b >= instance.n - 1 for b in instance.capacities
-        ):
+        elif flags.strict and instance.m == 2 and not _capacity_binds(instance):
             algo = "fast-const"
         else:
             raise NpHardRegimeError(

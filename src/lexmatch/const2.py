@@ -32,6 +32,7 @@ from .errors import InvalidInputError, NotAdmissibleError
 from .model import (
     Instance,
     Matching,
+    _capacity_binds,
     classify,
     is_stable,  # not called here; kept bound for perfbench/spans.py
     leximin_tuple,  # not called here; kept bound for perfbench/spans.py
@@ -102,9 +103,9 @@ def is_stable_m2(instance: Instance, matching: Matching) -> bool:
 def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
     """Leximin-optimal stable matching for m=2 with strict preferences."""
     _require_m2_strict(instance)
-    n = instance.n
-    if any(b < n - 1 for b in instance.capacities):
+    if _capacity_binds(instance):
         raise NotAdmissibleError("solver assumes capacities of at least n-1")
+    n = instance.n
     _, u, v = instance._kernel
     fans, stable = _staircase(instance)
     assignment = favorites(instance)

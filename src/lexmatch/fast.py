@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from ._state import RankedState, initial_boundary
 from .errors import NotAdmissibleError
-from .model import Instance, classify
+from .model import Instance, _capacity_binds, classify
 from .report import SolverReport
 
 
@@ -131,10 +131,9 @@ def fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverRepor
         raise NotAdmissibleError(
             "solver requires a ranked instance with college-dominant values"
         )
-    n = instance.n
-    if any(b < n - 1 for b in instance.capacities):
+    if _capacity_binds(instance):
         return cap_fast(instance, on_state=on_state)
-    return _run(instance, [n] * instance.m, "fast", on_state)
+    return _run(instance, [instance.n] * instance.m, "fast", on_state)
 
 
 def cap_fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:

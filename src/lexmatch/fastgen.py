@@ -57,6 +57,7 @@ from .model import (
     Instance,
     Matching,
     ScaledLeximin,
+    _capacity_binds,
     classify,  # not called here; kept bound for perfbench/spans.py
     leximin_tuple,  # not called here; kept bound for perfbench/spans.py
     scaled_leximin,
@@ -306,9 +307,9 @@ def fast_gen(instance: Instance, on_state: Optional[Callable] = None) -> SolverR
     leximin optimum but not always reaching it (see the module docstring).
     Dispatches to cap_fast_gen when a capacity is below n-1."""
     _require_ranked(instance)
-    n, m = instance.n, instance.m
-    if any(b < n - 1 for b in instance.capacities):
+    if _capacity_binds(instance):
         return cap_fast_gen(instance, on_state=on_state)
+    n, m = instance.n, instance.m
     state = RankedState(instance, initial_boundary(instance, [n] * m))
     fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
     counters = _Counters()

@@ -11,8 +11,9 @@ laid out college by college (``Instance._kernel == (scale, u, v)``, where
 j's value for student i, so both are m tuples of n ints).  The solvers,
 ``classify``, ``is_stable`` and ``leximin_tuple`` work on it, and the
 Fraction rows read through ``student_values``, ``college_values``, ``u`` and
-``v`` are built from it on first read.  Leximin tuples are built the same
-way: a ``ScaledLeximin`` holds the sorted scaled ints, and its
+``v`` are built from it on first read.  ``Instance`` is the one way in: it
+checks rows and shape once, then parses each value once.  Leximin tuples are
+built the same way: a ``ScaledLeximin`` holds the sorted scaled ints, and its
 ``LeximinTuple`` of Fractions is built only when read.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
 from operator import ge, gt, itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -71,32 +72,26 @@ class Instance:
     capacities: one positive bound per college, each at most n; None gives
     n-1 each (n if there is a single college).
 
-    Every value is parsed once into the integer kernel, college by college:
-    matrices of plain non-negative ints are the kernel once the student rows
-    are transposed, anything else goes through as_value.  An instance stores
-    only ``_kernel`` and the capacities (a tuple); ``student_values`` and
-    ``college_values`` are Fraction rows built from the kernel on first
+    Both matrices must be lists of list rows, then nonempty and of fitting
+    row lengths, and only then is each value parsed once into the integer
+    kernel, so a shape fault is reported before a value fault.  An instance
+    stores only ``_kernel`` and the capacities (a tuple); ``student_values``
+    and ``college_values`` are Fraction rows built from the kernel on first
     read.  Instances are immutable (assignment raises FrozenInstanceError,
     an AttributeError) and equal when their values and capacities are.
     """
 
     def __init__(self, student_values, college_values, capacities):
-        kernel = _int_kernel(student_values, college_values)
-        if kernel is None:
-            sv = _value_matrix(student_values, "student_values")
-            cv = _value_matrix(college_values, "college_values")
-            n, m = len(sv), len(cv)
-            if n == 0 or m == 0:
-                raise InvalidInputError("instance needs at least one student and one college")
-            for row in sv:
-                if len(row) != m:
-                    raise InvalidInputError("student value row length != number of colleges")
-            for row in cv:
-                if len(row) != n:
-                    raise InvalidInputError("college value row length != number of students")
-            kernel = _scaled(sv, cv)
-        else:
-            n, m = len(student_values), len(college_values)
+        _check_rows(student_values, "student_values")
+        _check_rows(college_values, "college_values")
+        n, m = len(student_values), len(college_values)
+        if n == 0 or m == 0:
+            raise InvalidInputError("instance needs at least one student and one college")
+        if set(map(len, student_values)) != {m}:
+            raise InvalidInputError("student value row length != number of colleges")
+        if set(map(len, college_values)) != {n}:
+            raise InvalidInputError("college value row length != number of students")
+        kernel = _kernel(student_values, college_values)
         if capacities is None:
             capacities = (max(1, n - 1) if m > 1 else n,) * m
         try:
@@ -170,12 +165,12 @@ class Instance:
     def from_matrix(matrix, capacities=None) -> "Instance":
         """Build an isometric instance from a single n-by-m matrix V where
         V[i][j] is both u_i(c_j) and v_j(s_i)."""
-        sv = [list(row) for row in matrix]
-        cv = [[row[j] for row in matrix] for j in range(len(matrix[0]))]
-        return Instance.build(sv, cv, capacities)
+        _check_rows(matrix, "matrix")
+        return Instance(matrix, list(zip(*matrix)), capacities)
 
     @cached_property
     def _flags(self) -> "ClassificationFlags":
+        """Read off the kernel alone: the flags ignore how values were spelled."""
         _, u, v = self._kernel
         # students: one C-level scan per pair of adjacent colleges, not one
         # Python call per student (n is large, m small)
@@ -197,68 +192,48 @@ class Instance:
         )
 
 
-def _scaled(student_values, college_values) -> tuple:
-    """The kernel (scale, u, v) of Fraction matrices of checked shape: every
+def _check_rows(rows, name: str) -> None:
+    # a string is iterable: unchecked, "21" would read as the row [2, 1]
+    seq = (list, tuple)
+    if not isinstance(rows, seq) or not all(map(isinstance, rows, repeat(seq))):
+        raise InvalidInputError(f"{name} must be a list of value rows, each a list")
+
+
+def _kernel(student_values, college_values) -> tuple:
+    """The kernel (scale, u, v) of value matrices of checked shape: every
     value times `scale`, the LCM of all value denominators, as plain ints,
     with the student rows transposed so that both sides are m tuples of n.
     Scaling by one positive constant keeps every order, equality and sum
-    exact."""
-    rows = (*student_values, *college_values)
-    scale = lcm(*{x.denominator for row in rows for x in row})
+    exact.  Plain non-negative ints (not bools) are the kernel as they stand,
+    tested at C speed on the m long columns; anything else goes row by row
+    through as_value, so a refusal names the first bad value read."""
+    u = tuple(zip(*student_values))
+    v = tuple(map(tuple, college_values))
+    if all(
+        set(map(type, chain.from_iterable(cols))) == {int} and min(map(min, cols)) >= 0
+        for cols in (u, v)
+    ):
+        return (1, u, v)
+    sv = [tuple(map(as_value, row)) for row in student_values]
+    cv = [tuple(map(as_value, row)) for row in college_values]
+    scale = lcm(*{x.denominator for row in (*sv, *cv) for x in row})
 
     def scaled(row):
         if scale == 1:  # shares the Fractions' own int objects
             return tuple(x.numerator for x in row)
         return tuple(x.numerator * (scale // x.denominator) for x in row)
 
-    return (
-        scale,
-        tuple(map(scaled, zip(*student_values))),
-        tuple(map(scaled, college_values)),
-    )
+    return (scale, tuple(map(scaled, zip(*sv))), tuple(map(scaled, cv)))
 
 
 def _fraction_rows(scale: int, rows) -> tuple:
     return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
 
 
-def _rows(rows) -> bool:
-    return type(rows) in (list, tuple) and set(map(type, rows)) <= {list, tuple}
-
-
-def _int_kernel(student_values, college_values):
-    """The kernel (1, u, v) when the matrices are lists/tuples of list/tuple
-    rows of plain non-negative ints, n >= 1 student rows of width m >= 1 and
-    m college rows of width n; else None.  The student rows are transposed
-    once and every test runs at C speed on the m long columns.  It accepts
-    only input that as_value maps to Fraction(x) unchanged (a bool is not a
-    plain int) in a shape the constructor accepts, so every refusal and its
-    message still comes from the general path."""
-    if not (_rows(student_values) and _rows(college_values)):
-        return None
-    n, m = len(student_values), len(college_values)
-    if (
-        not n
-        or set(map(len, student_values)) != {m}
-        or set(map(len, college_values)) != {n}
-    ):
-        return None
-    u = tuple(zip(*student_values))
-    v = tuple(map(tuple, college_values))
-    for cols in (u, v):
-        if set(map(type, chain.from_iterable(cols))) != {int} or min(map(min, cols)) < 0:
-            return None
-    return (1, u, v)
-
-
-def _value_matrix(rows, name: str) -> tuple:
-    """Parse a value matrix given as a list of lists.  A string is iterable,
-    so without the type check "21" would read as the row [2, 1]."""
-    if not isinstance(rows, (list, tuple)) or not all(
-        isinstance(row, (list, tuple)) for row in rows
-    ):
-        raise InvalidInputError(f"{name} must be a list of value rows, each a list")
-    return tuple(tuple(as_value(x) for x in row) for row in rows)
+def _capacity_binds(instance: Instance) -> bool:
+    """Some capacity is below n-1 and so can bind (the uncapacitated solvers
+    assume each college can take n-1 students)."""
+    return any(b < instance.n - 1 for b in instance.capacities)
 
 
 class ClassificationFlags(NamedTuple):
@@ -506,9 +481,9 @@ def leximin_compare(a: LeximinTuple, b: LeximinTuple) -> int:
 
 
 def check_alpha_approx(optimal: LeximinTuple, candidate: LeximinTuple, alpha) -> bool:
-    """Componentwise alpha-approximation check:
+    """Componentwise alpha-approximation check, alpha parsed by as_value:
     alpha * optimal[t] <= candidate[t] <= optimal[t] / alpha for every t."""
-    alpha = Fraction(alpha) if not isinstance(alpha, float) else Fraction(str(alpha))
+    alpha = as_value(alpha)
     if not 0 < alpha <= 1:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
     if len(optimal.values) != len(candidate.values):

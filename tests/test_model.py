@@ -31,6 +31,27 @@ from lexmatch.generate import KINDS
 
 from conftest import random_instances
 
+# Each refusal table runs on three spellings of its matrices: every plain
+# non-negative int as it stands, as a Fraction and as a "p/q" string.  The
+# faulty entries are kept as written, so each spelling must give the same
+# message.
+SPELLINGS = {"int": int, "fraction": Fraction, "string": lambda x: f"{x}/1"}
+
+# marks a refusal row built by Instance.from_matrix(sv, capacities)
+FROM_MATRIX = "from_matrix"
+
+
+def _respell(rows, spelling):
+    if not isinstance(rows, list):
+        return rows
+    spell = SPELLINGS[spelling]
+    return [
+        [spell(x) if type(x) is int and x >= 0 else x for x in row]
+        if isinstance(row, list)
+        else row
+        for row in rows
+    ]
+
 
 class TestValues:
     def test_accepts_ints_fractions_strings(self):
@@ -113,6 +134,7 @@ class TestInstance:
         assert inst.student_values == ((2, Fraction(1, 2)), (4, 3))
         assert inst._kernel == (4, ((8, 16), (2, 12)), ((3, 4), (16, 12)))
 
+    @pytest.mark.parametrize("spelling", SPELLINGS)
     @pytest.mark.parametrize("construct", [Instance.build, Instance], ids=["build", "positional"])
     @pytest.mark.parametrize(
         "sv, cv, capacities, message",
@@ -149,12 +171,27 @@ class TestInstance:
                 "value must be an exact rational, got False",
             ),
             ([[2, 1]], [[2], [1]], 5, "need exactly one capacity per college"),
+            ([], FROM_MATRIX, None, "instance needs at least one student and one college"),
+            (
+                [[1, 2], [3]],
+                FROM_MATRIX,
+                None,
+                "student value row length != number of colleges",
+            ),
+            ("12", FROM_MATRIX, None, "matrix must be a list of value rows, each a list"),
         ],
     )
-    def test_refusals_keep_their_messages(self, construct, sv, cv, capacities, message):
+    def test_refusals_keep_their_messages(
+        self, construct, spelling, sv, cv, capacities, message
+    ):
+        sv, cv = _respell(sv, spelling), _respell(cv, spelling)
         with pytest.raises(InvalidInputError, match=re.escape(message)):
-            construct(sv, cv, capacities)
+            if cv == FROM_MATRIX:
+                Instance.from_matrix(sv, capacities)
+            else:
+                construct(sv, cv, capacities)
 
+    @pytest.mark.parametrize("spelling", SPELLINGS)
     @pytest.mark.parametrize("construct", [Instance.build, Instance], ids=["build", "positional"])
     @pytest.mark.parametrize(
         "sv, cv, message",
@@ -177,13 +214,16 @@ class TestInstance:
             ([[1, 2.0]], [[1], [1]], "value must be an exact rational, got 2.0"),
             ([[1, 2]], [[1], [-1]], "values must be non-negative, got -1"),
             ([[0, -4]], [[1], [1]], "values must be non-negative, got -4"),
+            # a shape fault is reported before a value fault
+            ([[1, -1], [2]], [[1, 2], [1, 2]], "student value row length != number of colleges"),
+            ([[1, 2]], [[True], [1, 1]], "college value row length != number of students"),
         ],
     )
-    def test_int_fast_path_refusals_keep_their_messages(self, construct, sv, cv, message):
-        # all-int matrices the fast path must hand to the general path, which
-        # gives the message it gives for any other input
+    def test_shape_and_value_refusals_keep_their_messages(
+        self, construct, spelling, sv, cv, message
+    ):
         with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
-            construct(sv, cv, None)
+            construct(_respell(sv, spelling), _respell(cv, spelling), None)
 
     def test_int_fast_path_accepts_tuple_rows(self):
         inst = Instance.build(((1, 2), (3, 4), (5, 6)), [(1, 2, 3), [4, 5, 6]])
@@ -534,5 +574,18 @@ class TestAlphaApprox:
         assert not check_alpha_approx(_lt([1, 1]), _lt([0, 1]), Fraction(9, 10))
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            check_alpha_approx(_lt([1]), _lt([1]), 0)
+        # alpha is parsed like every other value, then range-checked
+        for alpha, message in [
+            (0, "alpha must be in (0, 1], got 0"),
+            ("3/2", "alpha must be in (0, 1], got 3/2"),
+            (-1, "values must be non-negative, got -1"),
+            ("x", "cannot parse value 'x'"),
+            (None, "cannot parse value None"),
+            (True, "value must be an exact rational, got True"),
+            (0.5, "value must be an exact rational, got 0.5"),
+        ]:
+            with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+                check_alpha_approx(_lt([1]), _lt([1]), alpha)
+        for alpha in ("1/2", Fraction(1, 2)):
+            assert check_alpha_approx(_lt([2, 4]), _lt([1, 4]), alpha)
+        assert check_alpha_approx(_lt([2, 4]), _lt([2, 4]), 1)
