@@ -23,7 +23,13 @@ max-min, the counts #{values <= t} of the added multiset add to both sides).
 So a trial with removed R and added A compares with its base as sorted(A)
 against sorted(R), and two trials from the same base compare as
 sorted(A1 + R2) against sorted(A2 + R1): O(m log m) instead of re-sorting
-all n + m values.
+all n + m values.  A run of moves compares with the state it started from
+the same way, by all the values it has removed and added so far.  The users:
+fast_gen ranks its demotion trials by their deltas, and three walks compare
+a state with a fixed earlier one by what changed since it: the speculative
+runs of fast (its tie case) and of fast_gen's _look_ahead against their base,
+and const2.fast_const (on its own values, not through this class) against
+the best state it has seen.
 """
 
 from __future__ import annotations
@@ -127,21 +133,9 @@ class RankedState:
     def matching(self) -> Matching:
         return assignment_from_sizes(self.k)
 
-    def _agent_values(self):
-        """(student values by index, college values by index), scaled."""
+    def leximin(self) -> ScaledLeximin:
+        """The leximin tuple on the scaled ints."""
         students = []
         for row, s, e in zip(self._u, self._start, self._start[1:]):
             students += row[s:e]
-        return students, list(self._total)
-
-    def values(self) -> list:
-        """Every agent's scaled value, sorted ascending (the leximin tuple's
-        values times scale)."""
-        students, colleges = self._agent_values()
-        students += colleges
-        students.sort()
-        return students
-
-    def leximin(self) -> ScaledLeximin:
-        """The leximin tuple on the scaled ints."""
-        return ScaledLeximin.build(self.scale, *self._agent_values())
+        return ScaledLeximin.build(self.scale, students, list(self._total))

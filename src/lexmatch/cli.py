@@ -6,9 +6,9 @@ Exit codes: 0 ok; 2 invalid input; 3 NP-hard regime (no exact solver);
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .const2 import fast_const
 from .errors import (
@@ -33,6 +33,9 @@ from .serialize import (
     matching_to_dict,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NP_HARD = 3
@@ -46,7 +49,13 @@ def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
     `auto` picks by structure: ranked+isometric -> fast, ranked -> fast_gen,
     strict with two colleges -> fast_const; anything else has no known
     polynomial solver and raises NpHardRegimeError (the oracle remains
-    available explicitly)."""
+    available explicitly).
+
+    Known gap: strict two-college instances with a capacity below n-1 also
+    raise NpHardRegimeError (exit 3), although the class is polynomial:
+    stability there does not involve capacities, so the (d0, d1) staircase
+    of const2 with a size filter would solve them.  ROADMAP item 2 tracks
+    it."""
     if algo == "auto":
         flags = classify(instance)
         if flags.ranked and flags.isometric:
@@ -171,6 +180,9 @@ def _cmd_reduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here so that `import lexmatch` does not load argparse
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lexmatch",
         description="Leximin-optimal stable many-to-one matchings under "

@@ -14,17 +14,22 @@ richer college's next fan to the poorer college, keeping the best (d0, d1)
 seen.  It stops when the richer college has no fan left, when the next pair
 is not stable, or by rule A (an irreversible value drop for the mover).
 
-The walk runs on the integer kernel (``Instance._kernel``).  All n + 2
-agent values are kept as one sorted int list; a move changes three of them
-(the mover's and both totals), and the best state so far is found by a
-plain list compare.  Scaling by a positive constant keeps the leximin
-order, so this compare ranks states exactly as leximin_compare on the
-Fraction tuples.
+The walk runs on the integer kernel (``Instance._kernel``).  A move
+changes three agent values: the mover's and both totals.  The walk does
+not keep the n + 2 values; it keeps two small sorted int lists, ``gone``
+(the values removed since the best state) and ``came`` (the values added
+since then).  The current state is the best state minus ``gone`` plus
+``came``, and adding the same multiset to two equal-size multisets keeps
+their leximin order (see ``_state``), so the current state beats the best
+iff ``came > gone`` as plain lists.  Both are cleared when the best
+changes, so a move costs O(moves since the best state), not O(n).
+Scaling by a positive constant keeps the leximin order, so this compare
+ranks states exactly as leximin_compare on the Fraction tuples.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -110,8 +115,7 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     fans, stable = _staircase(instance)
     assignment = favorites(instance)
     totals = [sum(map(v[j].__getitem__, fans[j])) for j in (0, 1)]
-    values = sorted([u[j][i] for i, j in enumerate(assignment)] + totals)
-    best_values = list(values)
+    gone, came = [], []  # values removed and added since the best state
     toggles = 0
     d = [0, 0]
     best_d = (0, 0)
@@ -139,13 +143,15 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
             on_state(Matching(assignment))
         # a move changes three agents' values: the mover's and both totals
         for old in (u[high][mover], totals[high], totals[low]):
-            del values[bisect_left(values, old)]
+            insort(gone, old)
         totals[high] -= v[high][mover]
         totals[low] += v[low][mover]
         for new in (u[low][mover], totals[high], totals[low]):
-            insort(values, new)
-        if values > best_values:
-            best_d, best_values = tuple(d), list(values)
+            insort(came, new)
+        if came > gone:
+            best_d = tuple(d)
+            gone.clear()
+            came.clear()
 
     tuple_comparisons = toggles  # one list compare per toggle
     steps = toggles + tuple_comparisons * (n + 2)

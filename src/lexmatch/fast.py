@@ -85,25 +85,32 @@ def _run(
             continue
         # exact tie: the demotee would land exactly at the college's current
         # value.  Speculate forward; only a strict improvement of the whole
-        # sorted tuple justifies committing the run.
-        base = state.values()
+        # sorted tuple justifies committing the run.  The trial is compared
+        # with its base by the values its moves have removed (gone) and
+        # added (came), both kept sorted: it beats the base iff came > gone
+        # (see _state).
         trial = state.copy()
+        gone, came = [], []
         committed = False
         while True:
             if sum(trial.k[:j]) - 1 < j or trial.k[j] >= caps[j]:
                 break
             t_up = max(p for p in range(j) if trial.k[p] > 1)
+            removed, added = trial.delta(t_up, j)
+            gone += removed
+            came += added
+            gone.sort()
+            came.sort()
             trial.demote(t_up, j)
             chain_moves += j - t_up
-            values = trial.values()
             tuple_comparisons += 1
-            if values > base:
+            if came > gone:
                 state = trial
                 k = state.k
                 committed = True
                 emit()
                 break
-            if values != base:
+            if came != gone:
                 break
         if not committed:
             j -= 1

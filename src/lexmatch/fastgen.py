@@ -173,7 +173,7 @@ def _look_ahead(
     lf = set(fixes.lower_fix)
     uf = set(fixes.upper_fix)
     old = state.leximin()
-    base = old.values
+    gone, came = [], []  # values the shadow has removed and added (see _state)
     while len(lf) < m:
         if caps is not None and shadow.k[down] >= caps[down]:
             break
@@ -183,10 +183,15 @@ def _look_ahead(
         if shadow.k[up] == 1 or shadow.college_value(up) <= shadow.college_value(down):
             lf.add(up)
             continue
+        removed, added = shadow.delta(up, down)
+        gone += removed
+        came += added
+        gone.sort()
+        came.sort()
         shadow.demote(up, down)
         counters.chain_moves += down - up
         counters.tuple_comparisons += 1
-        if shadow.values() >= base:
+        if came >= gone:
             fixes.lower_fix = lf
             fixes.upper_fix = uf
             return shadow

@@ -19,6 +19,7 @@ built the same way: a ``ScaledLeximin`` holds the sorted scaled ints, and its
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -36,9 +37,16 @@ EQUAL = 0
 GREATER = 1
 
 
+# a value string: ASCII digits, optionally '/' and more digits ('7', '7/3');
+# a leading '-' is parsed so that it is refused as negative
+_VALUE_STR = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def as_value(x) -> Fraction:
-    """Coerce x (int, Fraction, or a 'p/q' / decimal-integer string) to an
-    exact non-negative Fraction.  Floats are rejected to avoid silent rounding."""
+    """Coerce x (an int, a Fraction, or a digit string '7' or 'p/q' string
+    '7/3') to an exact non-negative Fraction.  Floats are rejected to avoid
+    silent rounding; any other string ('0.5', '1e3', ' 7 ', '1_000', '+3')
+    cannot be parsed."""
     # the common JSON case first; type(True) is bool, so bools go on to be refused
     if type(x) is int:
         if x < 0:
@@ -46,10 +54,15 @@ def as_value(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, bool) or isinstance(x, float):
         raise InvalidInputError(f"value must be an exact rational, got {x!r}")
-    try:
-        v = Fraction(x) if isinstance(x, (int, Fraction)) else Fraction(str(x))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"cannot parse value {x!r}") from exc
+    if isinstance(x, (int, Fraction)):
+        v = Fraction(x)
+    elif isinstance(x, str) and _VALUE_STR.fullmatch(x):
+        try:
+            v = Fraction(x)  # 'p/0' and over-long digit strings fail here
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"cannot parse value {x!r}") from exc
+    else:
+        raise InvalidInputError(f"cannot parse value {x!r}")
     if v < 0:
         raise InvalidInputError(f"values must be non-negative, got {x!r}")
     return v

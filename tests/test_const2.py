@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -80,6 +82,27 @@ def _crossed(n, seed):
         hi, lo = sorted(rng.sample(range(base, base + n * n), 2), reverse=True)
         sv.append([hi, lo] if fan[i] == 0 else [lo, hi])
     return Instance.build(sv, cv)
+
+
+def _toggle_family(n, seed):
+    """Everyone prefers college 0, each college ranks the students in
+    random order (so the instance is not ranked), and every student value
+    exceeds any college total: the walk moves students one at a time until
+    the two totals balance."""
+    rng = random.Random(seed)
+    cv = [rng.sample(range(1, 4 * n + 1), n) for _ in range(2)]
+    floor = 4 * n * n + 1
+    sv = [[floor + 2 * b + 1, floor + 2 * b] for b in rng.sample(range(4 * n), n)]
+    return Instance.build(sv, cv)
+
+
+def _walk_digest(instance):
+    """sha256 of the on_state assignments in order, then of the report's
+    canonical JSON."""
+    h = hashlib.sha256()
+    report = fast_const(instance, on_state=lambda mu: h.update(bytes(mu.assignment)))
+    h.update(json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")).encode())
+    return h.hexdigest()
 
 
 def _grid_best(instance):
@@ -242,6 +265,50 @@ class TestFastConst:
             for seed in range(5):
                 inst = _crossed(n, seed)
                 assert fast_const(inst).leximin.values == _grid_best(inst), (n, seed)
+
+    def test_reports_the_first_best_state_of_its_walk(self):
+        # whatever the walk compares internally, its answer is the state it
+        # visited with the largest tuple, the earliest one on ties
+        def cases():
+            for n in range(2, 41):
+                for value_max in (None, 2 * n + 3, n + 1):
+                    # small n with many seeds reaches walks that go on for
+                    # two moves past their best state
+                    for seed in range(25 if n <= 6 else 3):
+                        yield generate(GenSpec("strict", n, 2, seed=seed, value_max=value_max))
+            for n in (8, 9, 20, 41):
+                for seed in range(3):
+                    yield _crossed(n, seed)
+            for n in (2, 3, 5, 12, 40, 151):
+                for seed in range(3):
+                    yield _toggle_family(n, seed)
+
+        past_best = set()
+        for inst in cases():
+            seen = []
+            report = fast_const(inst, on_state=seen.append)
+            tuples = [scaled_leximin(inst, mu).values for mu in seen]
+            first_best = tuples.index(max(tuples))
+            assert report.matching == seen[first_best], inst
+            assert report.leximin.values == scaled_leximin(inst, seen[first_best]).view().values
+            past_best.add(len(seen) - 1 - first_best)
+        # the walk must go on past its best state, by one move and by two
+        assert {1, 2} <= past_best
+
+    @pytest.mark.parametrize(
+        "family, n, digest",
+        [
+            ("toggle", 1000, "8064cb0fd00d585281b3ccfd81110562e477a53a5e1eacafbd10eeb882e1dd49"),
+            ("toggle", 3000, "24620b461e9d08ef26dc771388c57369a714c7ec30bfa24fd2856689c099d15a"),
+            ("crossed", 400, "a32926ec8dd889712a165995fc1ce19fc8c8031905c263394b0e870d79ae1a6b"),
+            ("crossed", 1000, "a6ce3fdcb303c6a622944cea05f77f9cdbd3086e49252408a35d8fc60b4ec5d6"),
+        ],
+    )
+    def test_long_walks_keep_their_recorded_outputs(self, family, n, digest):
+        # reports and traces far beyond the reference checks' sizes, pinned
+        # before the walk's comparison was rewritten
+        make = {"toggle": _toggle_family, "crossed": _crossed}[family]
+        assert _walk_digest(make(n, 0)) == digest
 
     # One hand-made walk per stopping rule.  All three students prefer
     # college 0 and college 0 ranks them 0, 1, 2 from the bottom, so the

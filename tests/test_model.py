@@ -59,10 +59,28 @@ class TestValues:
         assert as_value(Fraction(7, 2)) == Fraction(7, 2)
         assert as_value("7/3") == Fraction(7, 3)
 
-    @pytest.mark.parametrize("bad", [1.5, True, -1, "-2/3", "x"])
+    @pytest.mark.parametrize(
+        "bad", [1.5, True, -1, "-2/3", "x", "0.5", "1e3", " 7 ", "1_000", "+3"]
+    )
     def test_rejects_floats_bools_negatives_garbage(self, bad):
         with pytest.raises(InvalidInputError):
             as_value(bad)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0.5", "1e3", " 7 ", "1_000", "+3", "-0.5", "7/", "/3", "1/0", "3/-4", "٣"],
+    )
+    def test_strings_are_digits_or_digits_over_digits(self, text):
+        # Fraction(str) would take decimals, exponents, blanks and
+        # underscores; the documented grammar is '7' and '7/3' only
+        with pytest.raises(InvalidInputError, match=re.escape(f"cannot parse value {text!r}") + "$"):
+            as_value(text)
+
+    def test_a_minus_sign_on_a_valid_string_is_a_negative_value(self):
+        for text in ("-3", "-2/3"):
+            with pytest.raises(InvalidInputError, match=re.escape(f"non-negative, got {text!r}") + "$"):
+                as_value(text)
+        assert as_value("007") == 7 and as_value("14/4") == Fraction(7, 2)
 
     def test_int_fast_path_keeps_types_and_messages(self):
         assert type(as_value(0)) is Fraction and as_value(0) == 0

@@ -46,3 +46,14 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     proc = _run(["-S", "-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_library_import_loads_no_argparse():
+    # only the command line needs argparse; build_parser imports it
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import lexmatch; "
+        "print('argparse' in sys.modules)"
+    )
+    proc = _run(["-S", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
