@@ -54,7 +54,7 @@ def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
     Known gap: strict two-college instances with a capacity below n-1 also
     raise NpHardRegimeError (exit 3), although the class is polynomial:
     stability there does not involve capacities, so the (d0, d1) staircase
-    of const2 with a size filter would solve them.  ROADMAP item 2 tracks
+    of const2 with a size filter would solve them.  ROADMAP item 4 tracks
     it."""
     if algo == "auto":
         flags = classify(instance)

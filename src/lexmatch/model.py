@@ -4,17 +4,17 @@ Students and colleges are indexed from 0.  A student's additive valuation of
 college j is ``u(i, j)``; a college's valuation of student i is ``v(j, i)``.
 A college values a set of students by the sum of its valuations.  All values
 are exact non-negative rationals (fractions.Fraction) — no floats anywhere,
-because the solvers branch on exact equality.  An instance stores only an
-integer copy of the values, all scaled by the LCM of their denominators and
-laid out college by college (``Instance._kernel == (scale, u, v)``, where
-``u[j][i]`` is student i's value for college j and ``v[j][i]`` is college
-j's value for student i, so both are m tuples of n ints).  The solvers,
-``classify``, ``is_stable`` and ``leximin_tuple`` work on it, and the
-Fraction rows read through ``student_values``, ``college_values``, ``u`` and
-``v`` are built from it on first read.  ``Instance`` is the one way in: it
-checks rows and shape once, then parses each value once.  Leximin tuples are
-built the same way: a ``ScaledLeximin`` holds the sorted scaled ints, and its
-``LeximinTuple`` of Fractions is built only when read.
+because the solvers branch on exact equality.  An instance stores an integer
+copy of the values, all scaled by the LCM of their denominators and laid out
+college by college (``Instance._kernel == (scale, u, v)``, where ``u[j][i]``
+is student i's value for college j and ``v[j][i]`` is college j's value for
+student i, so both are m tuples of n ints), and its flags (``classify``).
+The solvers, ``is_stable`` and ``leximin_tuple`` work on the kernel; the
+Fraction rows (``student_values``, ``college_values``, ``u``, ``v``) are
+built from it on first read.  ``Instance`` is the one way in: it checks rows
+and shape once, then types and flags the kernel columns as it builds them.  A
+``ScaledLeximin`` holds sorted scaled ints; who holds each, and its
+``LeximinTuple`` of Fractions, are found only when read.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ def value_to_str(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-# Instance refuses attribute assignment; its own set-up writes through this
-_set = object.__setattr__
-
-
 class Instance:
     """A many-to-one matching market.
 
@@ -88,10 +84,10 @@ class Instance:
     Both matrices must be lists of list rows, then nonempty and of fitting
     row lengths, and only then is each value parsed once into the integer
     kernel, so a shape fault is reported before a value fault.  An instance
-    stores only ``_kernel`` and the capacities (a tuple); ``student_values``
-    and ``college_values`` are Fraction rows built from the kernel on first
-    read.  Instances are immutable (assignment raises FrozenInstanceError,
-    an AttributeError) and equal when their values and capacities are.
+    stores ``_kernel``, its ``_flags`` and the capacities (a tuple); the
+    Fraction rows are built from the kernel on first read.  Instances are
+    immutable (assignment raises FrozenInstanceError, an AttributeError) and
+    equal when their values and capacities are.
     """
 
     def __init__(self, student_values, college_values, capacities):
@@ -104,7 +100,7 @@ class Instance:
             raise InvalidInputError("student value row length != number of colleges")
         if set(map(len, college_values)) != {n}:
             raise InvalidInputError("college value row length != number of students")
-        kernel = _kernel(student_values, college_values)
+        kernel, flags = _kernel(student_values, college_values)
         if capacities is None:
             capacities = (max(1, n - 1) if m > 1 else n,) * m
         try:
@@ -118,8 +114,8 @@ class Instance:
                 )
         if len(capacities) != m:
             raise InvalidInputError("need exactly one capacity per college")
-        _set(self, "_kernel", kernel)
-        _set(self, "capacities", capacities)
+        # assignment is refused, so set-up writes the fields directly
+        vars(self).update(_kernel=kernel, _flags=flags, capacities=capacities)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -181,29 +177,6 @@ class Instance:
         _check_rows(matrix, "matrix")
         return Instance(matrix, list(zip(*matrix)), capacities)
 
-    @cached_property
-    def _flags(self) -> "ClassificationFlags":
-        """Read off the kernel alone: the flags ignore how values were spelled."""
-        _, u, v = self._kernel
-        # students: one C-level scan per pair of adjacent colleges, not one
-        # Python call per student (n is large, m small)
-        s_pairs = tuple(zip(u, u[1:]))
-        ranked_s = all(all(map(gt, a, b)) for a, b in s_pairs)
-        weak_s = ranked_s or all(all(map(ge, a, b)) for a, b in s_pairs)
-        ranked_c = all(all(map(gt, row, row[1:])) for row in v)
-        weak_c = ranked_c or all(all(map(ge, row, row[1:])) for row in v)
-        # a strictly decreasing row has no ties
-        strict_s = ranked_s or all(len(set(row)) == len(row) for row in zip(*u))
-        strict_c = ranked_c or all(len(set(row)) == len(row) for row in v)
-        return ClassificationFlags(
-            strict_students=strict_s,
-            strict_colleges=strict_c,
-            strict=strict_s and strict_c,
-            ranked=ranked_s and ranked_c,
-            weakly_ranked=weak_s and weak_c,
-            isometric=u == v,
-        )
-
 
 def _check_rows(rows, name: str) -> None:
     # a string is iterable: unchecked, "21" would read as the row [2, 1]
@@ -212,21 +185,44 @@ def _check_rows(rows, name: str) -> None:
         raise InvalidInputError(f"{name} must be a list of value rows, each a list")
 
 
+def _classify(u, v) -> "ClassificationFlags":
+    """The flags of kernel columns u and v: they ignore how values were spelled."""
+    # students: one C-level scan per pair of adjacent colleges, not one
+    # Python call per student (n is large, m small)
+    s_pairs = tuple(zip(u, u[1:]))
+    ranked_s = all(all(map(gt, a, b)) for a, b in s_pairs)
+    weak_s = ranked_s or all(all(map(ge, a, b)) for a, b in s_pairs)
+    ranked_c = all(all(map(gt, row, row[1:])) for row in v)
+    weak_c = ranked_c or all(all(map(ge, row, row[1:])) for row in v)
+    # a strictly decreasing row has no ties
+    strict_s = ranked_s or all(len(set(row)) == len(row) for row in zip(*u))
+    strict_c = ranked_c or all(len(set(row)) == len(row) for row in v)
+    return ClassificationFlags(
+        strict_students=strict_s,
+        strict_colleges=strict_c,
+        strict=strict_s and strict_c,
+        ranked=ranked_s and ranked_c,
+        weakly_ranked=weak_s and weak_c,
+        isometric=u == v,
+    )
+
+
 def _kernel(student_values, college_values) -> tuple:
-    """The kernel (scale, u, v) of value matrices of checked shape: every
-    value times `scale`, the LCM of all value denominators, as plain ints,
-    with the student rows transposed so that both sides are m tuples of n.
-    Scaling by one positive constant keeps every order, equality and sum
-    exact.  Plain non-negative ints (not bools) are the kernel as they stand,
-    tested at C speed on the m long columns; anything else goes row by row
+    """The kernel (scale, u, v) of value matrices of checked shape, and its
+    flags: every value times `scale`, the LCM of all value denominators, as
+    plain ints, with the student rows transposed so that both sides are m
+    tuples of n; scaling by one positive constant keeps every order, equality
+    and sum exact.  Plain non-negative ints (not bools) are the kernel as they
+    stand: types are tested column by column at C speed, and a weakly ranked
+    kernel's rows have their minimum last.  Anything else goes row by row
     through as_value, so a refusal names the first bad value read."""
     u = tuple(zip(*student_values))
     v = tuple(map(tuple, college_values))
-    if all(
-        set(map(type, chain.from_iterable(cols))) == {int} and min(map(min, cols)) >= 0
-        for cols in (u, v)
-    ):
-        return (1, u, v)
+    if all(set(map(type, col)) == {int} for col in chain(u, v)):
+        flags = _classify(u, v)
+        lows = (u[-1], [col[-1] for col in v]) if flags.weakly_ranked else chain(u, v)
+        if min(map(min, lows)) >= 0:
+            return (1, u, v), flags
     sv = [tuple(map(as_value, row)) for row in student_values]
     cv = [tuple(map(as_value, row)) for row in college_values]
     scale = lcm(*{x.denominator for row in (*sv, *cv) for x in row})
@@ -236,7 +232,8 @@ def _kernel(student_values, college_values) -> tuple:
             return tuple(x.numerator for x in row)
         return tuple(x.numerator * (scale // x.denominator) for x in row)
 
-    return (scale, tuple(map(scaled, zip(*sv))), tuple(map(scaled, cv)))
+    u, v = tuple(map(scaled, zip(*sv))), tuple(map(scaled, cv))
+    return (scale, u, v), _classify(u, v)
 
 
 def _fraction_rows(scale: int, rows) -> tuple:
@@ -264,8 +261,8 @@ def classify(instance: Instance) -> ClassificationFlags:
     ranked means both sides share the index order as a common strict ranking:
     every student row strictly decreases in j and every college row strictly
     decreases in i.  weakly_ranked allows ties (non-increasing).  isometric
-    means u_i(c_j) == v_j(s_i) for all pairs.  The flags are computed on the
-    first call and kept on the (immutable) instance.
+    means u_i(c_j) == v_j(s_i) for all pairs.  The flags are computed from
+    the kernel when the instance is built and kept on it.
     """
     return instance._flags
 
@@ -402,29 +399,32 @@ class LeximinTuple(NamedTuple):
 
 class ScaledLeximin:
     """A leximin tuple on the integer kernel: ``values`` are the n+m agent
-    values times ``scale``, sorted ascending, and ``agents[t]`` is the
-    position of the agent that holds ``values[t]`` (i for student i, n+j for
-    college j).  Scaling by one positive constant keeps order and equality,
-    so the solvers compare these directly.  ``view()`` is the public
-    LeximinTuple, built on first call; ``wire()`` gives the JSON strings."""
+    values times ``scale``, sorted ascending, and ``agents[t]``, found on
+    first read, is the position of the agent holding ``values[t]`` (i for
+    student i, n+j for college j).  Scaling by one positive constant keeps
+    order and equality, so the solvers compare these directly.  ``view()``
+    is the public LeximinTuple, built on first call; ``wire()`` the JSON."""
 
-    __slots__ = ("scale", "n", "values", "agents", "_view")
+    __slots__ = ("scale", "n", "values", "_agents", "_by_position", "_view")
 
-    def __init__(self, scale: int, n: int, values, agents, view=None):
-        self.scale, self.n, self.values, self.agents = scale, n, values, agents
-        self._view = view
+    def __init__(self, scale: int, n: int, values, agents, view=None, by_position=None):
+        self.scale, self.n, self.values, self._agents = scale, n, values, agents
+        self._view, self._by_position = view, by_position
 
     @staticmethod
     def build(scale: int, student_values, college_values) -> "ScaledLeximin":
         """The record of scaled student values (by index) and college values
         (by index)."""
         vals = [*student_values, *college_values]
+        return ScaledLeximin(scale, len(student_values), sorted(vals), None, by_position=vals)
+
+    @property
+    def agents(self) -> list:
         # a stable sort keeps equal values in position order: students
         # first, each side by index, as LeximinTuple requires
-        agents = sorted(range(len(vals)), key=vals.__getitem__)
-        return ScaledLeximin(
-            scale, len(student_values), list(map(vals.__getitem__, agents)), agents
-        )
+        if self._agents is None:
+            self._agents = sorted(range(len(self._by_position)), key=self._by_position.__getitem__)
+        return self._agents
 
     @staticmethod
     def of(t: LeximinTuple) -> "ScaledLeximin":

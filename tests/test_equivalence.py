@@ -26,6 +26,7 @@ from lexmatch import (
     LexmatchError,
     cap_fast,
     cap_fast_gen,
+    classify,
     fast,
     fast_const,
     fast_gen,
@@ -114,6 +115,21 @@ def test_the_recording_covers_the_sweep():
     assert sorted(_recorded()) == sorted(SWEEP)
     scales = {inst._kernel[0] for inst in SWEEP.values()}
     assert 1 in scales and max(scales) > 1
+
+
+def test_int_and_digit_string_rows_give_the_same_kernel_and_flags():
+    # plain ints take the column-typed fast path and digit strings the
+    # value parser at scale 1; both must give one kernel and one set of flags
+    for key, inst in SWEEP.items():
+        _, u, v = inst._kernel
+        sv, cv = list(zip(*u)), list(v)
+        as_ints = Instance.build(sv, cv, inst.capacities)
+        as_strings = Instance.build(
+            [list(map(str, row)) for row in sv], [list(map(str, row)) for row in cv],
+            inst.capacities,
+        )
+        assert as_ints._kernel == as_strings._kernel == (1, u, v), key
+        assert classify(as_ints) == classify(as_strings) == classify(inst), key
 
 
 @pytest.mark.parametrize("key", list(SWEEP))

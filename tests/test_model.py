@@ -28,6 +28,7 @@ from lexmatch import (
     value_to_str,
 )
 from lexmatch.generate import KINDS
+from lexmatch.model import ScaledLeximin
 
 from conftest import random_instances
 
@@ -243,6 +244,30 @@ class TestInstance:
         with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
             construct(_respell(sv, spelling), _respell(cv, spelling), None)
 
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @pytest.mark.parametrize(
+        "sv, cv, message",
+        [
+            # ranked: the refusal names the first value read, not the minimum
+            ([[-1, -2]], [[5], [4]], "values must be non-negative, got -1"),
+            # weakly ranked and isometric, the minimum -2 read after -1
+            ([[3, 3], [-1, -2]], [[3, -1], [3, -2]], "values must be non-negative, got -1"),
+            # ranked, the only negative value last in a student or a college row
+            ([[5, -1]], [[2], [1]], "values must be non-negative, got -1"),
+            ([[5, 4], [3, 2]], [[5, 3], [4, -2]], "values must be non-negative, got -2"),
+            # isometric by ==, but the college side is not all ints
+            ([[3, 1]], [[3.0], [1]], "value must be an exact rational, got 3.0"),
+            ([[3, 1]], [[3], [True]], "value must be an exact rational, got True"),
+        ],
+    )
+    def test_ranked_and_isometric_inputs_keep_their_value_refusals(
+        self, spelling, sv, cv, message
+    ):
+        # a (weakly) ranked int input reads only each row's last value for
+        # the sign; isometry never stands in for the college side's types
+        with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+            Instance(_respell(sv, spelling), _respell(cv, spelling), None)
+
     def test_int_fast_path_accepts_tuple_rows(self):
         inst = Instance.build(((1, 2), (3, 4), (5, 6)), [(1, 2, 3), [4, 5, 6]])
         assert inst._kernel == (1, ((1, 3, 5), (2, 4, 6)), ((1, 2, 3), (4, 5, 6)))
@@ -251,7 +276,9 @@ class TestInstance:
     @pytest.mark.parametrize("sv", [[[3, 1]], [[Fraction(3), "1"]]])
     def test_stores_the_kernel_and_tuple_capacities(self, sv):
         for inst in (Instance(sv, [[2], [1]], [1, 1]), Instance.build(sv, [[2], [1]], [1, 1])):
-            assert set(vars(inst)) == {"_kernel", "capacities"}
+            # the flags are found while the kernel is built, and stored with it
+            assert set(vars(inst)) == {"_kernel", "_flags", "capacities"}
+            assert inst._flags == TestClassify._flags_by_definition(inst)
             assert inst.capacities == (1, 1)
             assert hash(inst) == hash(Instance.build([[3, 1]], [[2], [1]], (1, 1)))
 
@@ -499,6 +526,33 @@ class TestLeximinTuple:
         t = leximin_tuple(ref_instance, Matching([None] * 4))
         assert t.values == (0,) * 6
         assert t.agent_at == (("s", 0), ("s", 1), ("s", 2), ("s", 3), ("c", 0), ("c", 1))
+
+    @pytest.mark.parametrize("scale", [1, 6])
+    def test_agents_are_sorted_on_first_read_students_first_on_ties(self, scale):
+        import random
+
+        rng = random.Random(scale)
+        for n, m in ((1, 1), (5, 2), (9, 4), (30, 6)):
+            for _ in range(20):
+                vals = [rng.randrange(4) for _ in range(n + m)]
+                scaled = ScaledLeximin.build(scale, vals[:n], vals[n:])
+                expected = sorted(range(n + m), key=vals.__getitem__)
+                assert scaled.values == sorted(vals)
+                assert scaled.wire() == [str(Fraction(x, scale)) for x in sorted(vals)]
+                # serializing needs no agents, so it sorts none
+                assert scaled._agents is None
+                assert scaled.agents == expected
+                # on ties students come first, each side by index
+                agents = scaled.agents
+                assert all(
+                    p < q
+                    for t, (p, q) in enumerate(zip(agents, agents[1:]))
+                    if scaled.values[t] == scaled.values[t + 1]
+                )
+                assert scaled.view() == LeximinTuple(
+                    values=tuple(Fraction(x, scale) for x in sorted(vals)),
+                    agent_at=tuple(("s", p) if p < n else ("c", p - n) for p in expected),
+                )
 
     def test_is_sorted_permutation_of_agent_values(self):
         for inst in random_instances("weak", seed=9, count=10, n_max=6, m_max=3, n_min=2):

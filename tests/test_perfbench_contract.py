@@ -6,8 +6,11 @@ The benchmark also checks each output against the result recorded in
 so a solver change that moves them fails in the test suite, not only in a
 run."""
 
+import ast
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import lexmatch
 from lexmatch.cli import solve_dispatch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def _load(name):
@@ -30,6 +34,33 @@ def test_traced_names_resolve_where_the_tracer_looks_them_up():
     for module_name, attr, _ in _load("spans").TARGETS:
         module = sys.modules[f"{lexmatch.__name__}.{module_name}"]
         assert callable(getattr(module, attr, None)), f"lexmatch.{module_name}.{attr}"
+
+
+def test_import_lexmatch_loads_the_modules_the_benchmark_reads():
+    # run.py's import_lexmatch takes LIBRARY_MODULES from sys.modules right
+    # after `import lexmatch`.  In this process pytest has imported them all
+    # already, so only a fresh interpreter shows a package that loads lazily.
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "LIBRARY_MODULES"
+    ]
+    assert names
+    code = "import sys, lexmatch; print(lexmatch.__file__); print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    where, loaded = proc.stdout.split("\n", 1)
+    assert Path(where).resolve().parent == (SRC / "lexmatch").resolve()
+    missing = {f"lexmatch.{name}" for name in names} - set(loaded.split())
+    assert not missing, sorted(missing)
 
 
 def test_cli_exposes_the_benchmark_entry_points():
