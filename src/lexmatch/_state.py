@@ -15,21 +15,26 @@ solvers compare it as it stands and hand it to ``SolverReport``, which
 builds the Fraction tuple only when it is read.
 
 Delta comparison.  A chain demotion p -> q changes only q - p + 1 college
-totals and the values of the q - p students that move down one college;
-``delta`` returns those removed and added values without applying the move.
-Two equal-size value multisets keep their leximin order when the same
-multiset is added to both (in the cumulative-count view of lexicographic
-max-min, the counts #{values <= t} of the added multiset add to both sides).
-So a trial with removed R and added A compares with its base as sorted(A)
-against sorted(R), and two trials from the same base compare as
-sorted(A1 + R2) against sorted(A2 + R1): O(m log m) instead of re-sorting
-all n + m values.  A run of moves compares with the state it started from
-the same way, by all the values it has removed and added so far.  The users:
-fast_gen ranks its demotion trials by their deltas, and three walks compare
-a state with a fixed earlier one by what changed since it: the speculative
-runs of fast (its tie case) and of fast_gen's _look_ahead against their base,
-and const2.fast_const (on its own values, not through this class) against
-the best state it has seen.
+totals and the values of the q - p students that move down one college.
+``table`` lists, in O(m), the 2m - 1 values any trial can remove (R) and
+those it can add, and ``delta`` reads a trial's removed and added values off
+it as slices, without applying the move.  Two equal-size value multisets
+keep their leximin order when the same multiset is added to both (in the
+cumulative-count view of lexicographic max-min, the counts #{values <= t}
+of the added multiset add to both sides).  So a trial with removed R' and
+added A' compares with its base as sorted(A') against sorted(R').  Trials
+from one base compare by keys: R' is a slice of R, and R holds values of
+distinct agents, so R is part of the agents' multiset S and the trial's
+multiset is (S - R) + key with key = sorted(R - R' + A'), 2m - 1 values.
+Every trial shares S - R, so keys order the trials exactly as their tuples
+do, and a trial beats its base iff its key beats sorted(R): one sort of
+2m - 1 values per trial instead of n + m.  A run of moves compares with the
+state it started from the same way, by all the values it has removed and
+added so far.  The users: fast_gen ranks its demotion trials by their keys,
+and three walks compare a state with a fixed earlier one by what changed
+since it: the speculative runs of fast (its tie case) and of fast_gen's
+_look_ahead against their base, and const2.fast_const (on its own values,
+not through this class) against the best state it has seen.
 """
 
 from __future__ import annotations
@@ -97,25 +102,36 @@ class RankedState:
         """The college whose block holds student i."""
         return bisect_right(self._start, i) - 1
 
+    def table(self):
+        """(R, A, head, tail), off which ``delta_of`` reads every trial's
+        delta as slices; O(m).  With b_t the bottom student of college t:
+        R = [total[0], u[0][b_0], total[1], u[1][b_1], ..., total[m-1]] holds
+        the values a trial can remove; A = [_, u[1][b_0], mid[1], u[2][b_1],
+        ..., mid[m-2], u[m-1][b_{m-2}]] those it can add between its ends,
+        where mid[t] = total[t] + v[t][b_{t-1}] - v[t][b_t] is the new total
+        of a college the chain passes through (A[0] is never read); and
+        head[p] = total[p] - v[p][b_p] and tail[q] = total[q] + v[q][b_{q-1}]
+        are the new totals of a giver p and a receiver q (tail[0] is never
+        read)."""
+        u, v, start, total = self._u, self._v, self._start, self._total
+        R, A, head, tail = [], [], [], [0]
+        gained = 0  # college t's value of the bottom student of t - 1
+        for t in range(len(total) - 1):
+            b = start[t + 1] - 1
+            lost = v[t][b]
+            R += (total[t], u[t][b])
+            A += (total[t] + gained - lost, u[t + 1][b])
+            head.append(total[t] - lost)
+            gained = v[t + 1][b]
+            tail.append(total[t + 1] + gained)
+        R.append(total[-1])
+        return R, A, head, tail
+
     def delta(self, p: int, q: int):
         """(removed, added): the scaled values that demote(p, q) would take
-        out of and put into the agents' value multiset, without applying it.
-        Covers colleges p..q and the bottom student of each of p..q-1."""
-        u, v, start, total = self._u, self._v, self._start, self._total
-        removed, added = [], []
-        gained = 0  # college t's value of the student it gains from t - 1
-        for t in range(p, q + 1):
-            removed.append(total[t])
-            if t == q:
-                added.append(total[t] + gained)
-                break
-            # college t passes its bottom student b on to t + 1
-            b = start[t + 1] - 1
-            added.append(total[t] + gained - v[t][b])
-            removed.append(u[t][b])
-            added.append(u[t + 1][b])
-            gained = v[t + 1][b]
-        return removed, added
+        out of and put into the agents' value multiset, without applying it:
+        colleges p..q and the bottom student of each of p..q-1."""
+        return delta_of(self.table(), p, q)
 
     def demote(self, up: int, down: int) -> None:
         """Chain demotion on the block structure: each college up..down-1
@@ -133,9 +149,23 @@ class RankedState:
     def matching(self) -> Matching:
         return assignment_from_sizes(self.k)
 
-    def leximin(self) -> ScaledLeximin:
-        """The leximin tuple on the scaled ints."""
+    def values(self) -> list:
+        """The agents' scaled values by position: students by index, then
+        colleges."""
         students = []
         for row, s, e in zip(self._u, self._start, self._start[1:]):
             students += row[s:e]
-        return ScaledLeximin.build(self.scale, students, list(self._total))
+        return students + self._total
+
+    def leximin(self) -> ScaledLeximin:
+        """The leximin tuple on the scaled ints."""
+        vals = self.values()
+        return ScaledLeximin(self.scale, self.instance.n, sorted(vals), None, by_position=vals)
+
+
+def delta_of(table, p: int, q: int):
+    """(removed, added) of the trial p -> q, read off a state's ``table``:
+    R[2p:2q+1] and A[2p+1:2q] plus the giver's and the receiver's new
+    totals."""
+    R, A, head, tail = table
+    return R[2 * p:2 * q + 1], A[2 * p + 1:2 * q] + [head[p], tail[q]]

@@ -17,13 +17,17 @@ With capacities the same loop runs with full colleges upper-fixed; whenever a
 full college still gives a student away, the boundaries right of it may have
 been fixed prematurely, so the run restarts with those fixes cleared.
 
-Demotion trials are never applied to be compared.  Each trial p -> q is
-ranked by its delta (``RankedState.delta``): the scaled values it removes and
-adds, O(q - p) of them.  A trial beats the base iff its sorted added values
-beat its sorted removed ones, and trial 1 beats trial 2 iff sorted(A1 + R2)
-beats sorted(A2 + R1), since adding the same multiset to two equal-size
-multisets keeps their leximin order.  Only the chosen trial is applied, and
-full tuples (of scaled ints) are built only to find the agent that loses.
+Demotion trials are never applied to be compared.  The state's ``table``
+holds, in O(m), the 2m - 1 values any trial can remove (R) and those it can
+add; a trial p -> q removes a slice of R and adds a slice of the rest plus
+its two end totals (``RankedState.delta``).  Each trial is ranked by one
+key, sorted(R - removed + added) of 2m - 1 values: the values outside R are
+the same in every trial, so keys rank the trials as their tuples do, and the
+best trial is no worse than the state iff its key is at least sorted(R)
+(see _state).  Only the chosen trial is applied.  A loss is blamed without
+sorting the tuple either: the sorted values removed and added since the base
+first differ at the value where the tuple falls, and the agents' values by
+position say which agent holds it there (``_first_loss_agent``).
 
 Progress.  On a ranked instance a chain demotion strictly lowers the value of
 every student it moves and leaves every other student's value unchanged.  So
@@ -56,7 +60,6 @@ from .model import (
     Agent,
     Instance,
     Matching,
-    ScaledLeximin,
     _capacity_binds,
     classify,  # not called here; kept bound for perfbench/spans.py
     leximin_tuple,  # not called here; kept bound for perfbench/spans.py
@@ -105,33 +108,43 @@ class FixSets:
         }
 
 
-def _first_loss_agent(new: ScaledLeximin, old: ScaledLeximin) -> Agent:
-    """Agent blamed for a leximin decrease: the occupant, in the new sorted
-    tuple, of the first index where new < old.  When equal values reshuffle,
-    that occupant may not have lost anything itself; in that case blame the
-    first agent in the tied block whose own value strictly decreased (without
-    this, the fixing rules can fail to make progress)."""
-    new_values, old_values = new.values, old.values
-    for t, (x, y) in enumerate(zip(new_values, old_values)):
-        if x == y:
-            continue
-        if x > y:
-            raise InvalidInputError("tuple does not lose at first divergence")
-        agent = new.agents[t]
-        old_of = dict(zip(old.agents, old_values))
-        if old_of[agent] > x:
-            return new.agent(agent)
-        for a, v in zip(new.agents, new_values):
-            if v == x and old_of[a] > v:
-                return new.agent(a)
-        return new.agent(agent)
-    raise InvalidInputError("tuples are equal; no losing agent")
+def _first_loss_agent(came: list, gone: list, new: list, old: list) -> int:
+    """Position of the agent blamed for a leximin decrease from `old` to
+    `new`, the agents' values by position (students by index, then
+    colleges).  `came` and `gone` are sorted and of equal length, and new
+    is old with `gone` taken out and `came` put in, as multisets: the values
+    added and removed since old, or the two full sorted tuples.
+
+    The blame falls on the occupant, in the new sorted tuple, of the first
+    index where new < old.  Below the value x there both tuples hold the
+    same values, and x is came[i] at the first index i where came and gone
+    differ.  Equal values sort by position, so the occupant is occurrence
+    number old.count(x) of x in new.  When equal values reshuffle, that
+    occupant may not have lost anything itself; in that case blame the
+    first agent holding x whose own value strictly decreased (without this,
+    the fixing rules can fail to make progress)."""
+    for x, y in zip(came, gone):
+        if x != y:
+            break
+    else:
+        raise InvalidInputError("tuples are equal; no losing agent")
+    if x > y:
+        raise InvalidInputError("tuple does not lose at first divergence")
+    holders, at = [], -1  # positions holding x in new, in order
+    for _ in range(new.count(x)):
+        at = new.index(x, at + 1)
+        holders.append(at)
+    at = holders[old.count(x)]
+    if old[at] > x:
+        return at
+    return next((a for a in holders if old[a] > x), at)
 
 
 def source_dec(instance: Instance, mu_new: Matching, mu_old: Matching) -> Agent:
     """The agent to blame for a leximin decrease between two matchings."""
-    return _first_loss_agent(
-        scaled_leximin(instance, mu_new), scaled_leximin(instance, mu_old)
+    new, old = scaled_leximin(instance, mu_new), scaled_leximin(instance, mu_old)
+    return new.agent(
+        _first_loss_agent(new.values, old.values, new._by_position, old._by_position)
     )
 
 
@@ -158,6 +171,30 @@ class _Counters:
         )
 
 
+def _best_trial(state: RankedState, receivers: list, lower_fix: set, counters):
+    """(p, q, improves): the first trial p -> q, over the receivers q and
+    the givers p < q outside lower_fix with more than one student, whose
+    key is largest, and whether it is at least as good as the state.  The
+    key of p -> q is sorted(R - removed + added): R outside delta_of's
+    removed slice, plus its added values (see _state).  So keys rank the
+    trials as their tuples do, and sorted(R) stands for the state."""
+    R, A, head, tail = state.table()
+    k = state.k
+    best_key = None
+    for q in receivers:
+        for p in range(q):
+            if p in lower_fix or k[p] <= 1:
+                continue
+            counters.chain_moves += q - p
+            counters.tuple_comparisons += 1
+            key = R[:2 * p] + A[2 * p + 1:2 * q] + R[2 * q + 1:]
+            key += head[p], tail[q]
+            key.sort()
+            if best_key is None or key > best_key:
+                best_key, giver, receiver = key, p, q
+    return giver, receiver, best_key >= sorted(R)
+
+
 def _look_ahead(
     state: RankedState,
     down: int,
@@ -168,11 +205,11 @@ def _look_ahead(
     """Speculative multi-demote into college `down`.  Returns the committed
     state (or None) and mutates the global fix sets only on the non-commit
     exits that pin something down permanently."""
-    m = state.instance.m
+    n, m = state.instance.n, state.instance.m
     shadow = state.copy()
     lf = set(fixes.lower_fix)
     uf = set(fixes.upper_fix)
-    old = state.leximin()
+    old = state.values()
     gone, came = [], []  # values the shadow has removed and added (see _state)
     while len(lf) < m:
         if caps is not None and shadow.k[down] >= caps[down]:
@@ -195,13 +232,13 @@ def _look_ahead(
             fixes.lower_fix = lf
             fixes.upper_fix = uf
             return shadow
-        kind, idx = _first_loss_agent(shadow.leximin(), old)
-        if kind == "c" and idx == up:
+        blamed = _first_loss_agent(came, gone, shadow.values(), old)
+        if blamed == n + up:
             lf.add(up)
             uf.add(up + 1)
             continue
-        if kind == "s":
-            t = shadow.college_of(idx)
+        if blamed < n:
+            t = shadow.college_of(blamed)
             if t == down:
                 fixes.upper_fix.add(down)
             else:
@@ -223,7 +260,7 @@ def _inner_run(
 ):
     """One full run of the main loop.  Mutates state/fixes/T in place and
     returns the final state."""
-    m = instance.m
+    n, m = instance.n, instance.m
 
     def emit(st):
         if on_state is not None:
@@ -255,29 +292,15 @@ def _inner_run(
         # college, may improve the tuple more.  Try every eligible
         # (giver, receiver) pair and keep the leximin-best trial; the
         # canonical up -> down move (always eligible here) still drives the
-        # loss attribution when nothing improves.  Trials are ranked by their
-        # deltas (see _state): trial 1 beats trial 2 iff sorted(A1 + R2) >
-        # sorted(A2 + R1).
+        # loss attribution when nothing improves.
         receivers = [
             q
             for q in unfixed
             if q > up and (caps is None or state.k[q] < caps[q])
         ]
-        best = None
-        for q in receivers:
-            for p in range(q):
-                if p in fixes.lower_fix or state.k[p] <= 1:
-                    continue
-                removed, added = state.delta(p, q)
-                counters.chain_moves += q - p
-                counters.tuple_comparisons += 1
-                if best is None or sorted(added + best_removed) > sorted(best_added + removed):
-                    best, best_removed, best_added = (p, q), removed, added
-        giver, receiver = best
-        best_removed.sort()
-        best_added.sort()
+        giver, receiver, improves = _best_trial(state, receivers, fixes.lower_fix, counters)
         # an EQUAL trial commits too: sum(j * k[j]) still rises (see Progress)
-        if best_added >= best_removed:
+        if improves:
             if T is not None and state.k[giver] >= caps[giver]:
                 T[giver] = 1
             state.demote(giver, receiver)
@@ -285,17 +308,20 @@ def _inner_run(
             continue
         # attribute the loss from the canonical up -> down trial: its blame
         # decides whether to fix a boundary or speculate ahead
+        removed, added = state.delta(up, down)
         canon = state.copy()
         canon.demote(up, down)
-        kind, idx = _first_loss_agent(canon.leximin(), state.leximin())
-        if kind == "c" and idx == up:
+        blamed = _first_loss_agent(
+            sorted(added), sorted(removed), canon.values(), state.values()
+        )
+        if blamed == n + up:
             fixes.lower_fix.add(up)
             fixes.upper_fix.add(up + 1)
-        elif kind == "s":
+        elif blamed < n:
             # the student moved, so up <= t < down: t + 1 is a college, and
             # either t + 1 == down joins upper_fix or (down, t + 1) is a new
             # soft pair (down is in unfixed, so not soft-blocked yet)
-            t = state.college_of(idx)
+            t = state.college_of(blamed)
             fixes.lower_fix.add(t)
             fixes.upper_fix.add(t + 1)
             fixes.soft_fix |= {(j, t + 1) for j in unfixed if j > t + 1}

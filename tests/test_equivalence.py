@@ -2,8 +2,9 @@
 
 ``tests/data/equivalence.json`` maps each sweep instance's key to the sha256
 of ``report.to_json_dict()`` (canonical JSON) for every solver, or of the
-error the solver raises.  The sweep covers every generator kind, capacities
-none and random, tie-heavy ranked values (``value_max`` n+3, keys ending in
+error the solver raises.  The sweep covers every generator kind at sizes up
+to 60 students and 8 colleges (where fast_gen's trial loop does the most
+work), capacities none and random, tie-heavy ranked values (``value_max`` n+3, keys ending in
 ``/ties``), and for each instance one image scaled to denominators of 5, 7
 and 35.  A change that keeps outputs as they are (a refactor, a speed-up)
 must leave every digest in place; the digests change only in a change that
@@ -36,7 +37,7 @@ from lexmatch import (
 from lexmatch.generate import KINDS
 
 DATA = Path(__file__).resolve().parent / "data" / "equivalence.json"
-SIZES = ((2, 2), (5, 2), (7, 3), (16, 3), (30, 5))
+SIZES = ((2, 2), (5, 2), (7, 3), (16, 3), (30, 5), (60, 8))
 ORACLE_MAX_N = 7
 
 

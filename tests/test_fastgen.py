@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,9 +20,9 @@ from lexmatch import (
     source_dec,
 )
 from lexmatch import fastgen
-from lexmatch._state import initial_boundary
+from lexmatch._state import RankedState, delta_of, initial_boundary
 from lexmatch.fastgen import FixSets, cap_preprocess
-from lexmatch.model import college_value
+from lexmatch.model import ScaledLeximin, college_value
 
 from conftest import random_instances, random_sizes
 
@@ -185,19 +187,168 @@ class TestProgress:
         blamed = []
         first_loss_agent = fastgen._first_loss_agent
 
-        def checked(new, old):
-            kind, idx = agent = first_loss_agent(new, old)
-            if kind == "s":
-                new_of = dict(zip(new.agents, new.values))
-                old_of = dict(zip(old.agents, old.values))
-                assert new_of[idx] < old_of[idx]
-                blamed.append(agent)
-            return agent
+        def checked(came, gone, new, old):
+            at = first_loss_agent(came, gone, new, old)
+            if at < inst.n:  # positions below n are students
+                assert new[at] < old[at]
+                blamed.append(at)
+            return at
 
         monkeypatch.setattr(fastgen, "_first_loss_agent", checked)
         for inst in _tie_heavy_ranked(seed=71, count=40, n_max=14, m_max=6):
             fast_gen(inst)
         assert len(blamed) > 20
+
+
+def _old_delta(state, p, q):
+    """RankedState.delta as the O(q - p) walk over colleges p..q that the
+    table replaced."""
+    u, v, start, total = state._u, state._v, state._start, state._total
+    removed, added = [], []
+    gained = 0  # college t's value of the student it gains from t - 1
+    for t in range(p, q + 1):
+        removed.append(total[t])
+        if t == q:
+            added.append(total[t] + gained)
+            break
+        # college t passes its bottom student b on to t + 1
+        b = start[t + 1] - 1
+        added.append(total[t] + gained - v[t][b])
+        removed.append(u[t][b])
+        added.append(u[t + 1][b])
+        gained = v[t + 1][b]
+    return removed, added
+
+
+def _old_pick(state, trials):
+    """The trial choice as pairwise delta comparisons: trial 1 replaces the
+    best so far iff sorted(A1 + R_best) > sorted(A_best + R1); it commits iff
+    sorted(A_best) >= sorted(R_best)."""
+    best = None
+    for p, q in trials:
+        removed, added = _old_delta(state, p, q)
+        if best is None or sorted(added + best_removed) > sorted(best_added + removed):
+            best, best_removed, best_added = (p, q), removed, added
+    return (*best, sorted(best_added) >= sorted(best_removed))
+
+
+def _old_first_loss_agent(new: ScaledLeximin, old: ScaledLeximin) -> int:
+    """The blame as a scan of the two full sorted tuples and a dict of the
+    old values, returning the blamed agent's position."""
+    new_values, old_values = new.values, old.values
+    for t, (x, y) in enumerate(zip(new_values, old_values)):
+        if x == y:
+            continue
+        if x > y:
+            raise InvalidInputError("tuple does not lose at first divergence")
+        agent = new.agents[t]
+        old_of = dict(zip(old.agents, old_values))
+        if old_of[agent] > x:
+            return agent
+        for a, v in zip(new.agents, new_values):
+            if v == x and old_of[a] > v:
+                return a
+        return agent
+    raise InvalidInputError("tuples are equal; no losing agent")
+
+
+def _high_m_ties():
+    """Ranked instances with up to 8 colleges and values in [1, n], [1, n+1]
+    or [1, n+3] (every college row then holds n distinct values, so [1, n]
+    gives every college the same row), under capacities none and random."""
+    for n, m, s in random_sizes(73, 60, 16, 8, n_min=3):
+        for value_max in (n, n + 1, n + 3):
+            for mode in ("none", "random"):
+                yield generate(
+                    GenSpec("ranked", n, m, seed=s, capacity_mode=mode, value_max=value_max)
+                )
+
+
+class TestAgainstTheOldDefinitions:
+    """The table, the keys and the blame give what the definitions they
+    replaced give, on tie-heavy instances with up to 8 colleges."""
+
+    def test_table_slices_are_the_old_walk(self, monkeypatch):
+        tables = []
+        table = RankedState.table
+
+        def checked(state):
+            got = table(state)
+            for p, q in itertools.combinations(range(len(state.k)), 2):
+                removed, added = delta_of(got, p, q)
+                old_removed, old_added = _old_delta(state, p, q)
+                assert sorted(removed) == sorted(old_removed)
+                assert sorted(added) == sorted(old_added)
+            tables.append(len(state.k))
+            return got
+
+        monkeypatch.setattr(RankedState, "table", checked)
+        for inst in _high_m_ties():
+            fast_gen(inst)
+        assert len(tables) > 1000 and max(tables) == 8
+
+    def test_keys_pick_the_pairwise_trial(self, monkeypatch):
+        picks, tied = [], [0]
+        best_trial = fastgen._best_trial
+
+        def checked(state, receivers, lower_fix, counters):
+            got = best_trial(state, receivers, lower_fix, counters)
+            trials = [
+                (p, q)
+                for q in receivers
+                for p in range(q)
+                if p not in lower_fix and state.k[p] > 1
+            ]
+            assert got == _old_pick(state, trials)
+            # another trial as good as the pick: only the first may win
+            r, a = _old_delta(state, *got[:2])
+            tied[0] += any(
+                (p, q) != got[:2]
+                and sorted(a + _old_delta(state, p, q)[0])
+                == sorted(_old_delta(state, p, q)[1] + r)
+                for p, q in trials
+            )
+            picks.append(got)
+            return got
+
+        monkeypatch.setattr(fastgen, "_best_trial", checked)
+        for inst in _high_m_ties():
+            fast_gen(inst)
+        assert len(picks) > 1000 and tied[0] > 5
+        assert {True, False} == {improves for _, _, improves in picks}
+
+    def test_blame_is_the_old_sort_and_dict(self, monkeypatch):
+        blames, runs, inside = [], [0], [0]
+        first_loss_agent = fastgen._first_loss_agent
+        look_ahead = fastgen._look_ahead
+
+        def checked(came, gone, new, old):
+            got = first_loss_agent(came, gone, new, old)
+            want = _old_first_loss_agent(
+                ScaledLeximin.build(1, new, []), ScaledLeximin.build(1, old, [])
+            )
+            assert got == want
+            blames.append(inside[0])
+            return got
+
+        def counted(*args):
+            runs[0] += 1
+            inside[0] = runs[0]  # the blames of this run carry its number
+            try:
+                return look_ahead(*args)
+            finally:
+                inside[0] = 0
+
+        monkeypatch.setattr(fastgen, "_first_loss_agent", checked)
+        monkeypatch.setattr(fastgen, "_look_ahead", counted)
+        for inst in _high_m_ties():
+            fast_gen(inst)
+        # a look-ahead run blames after each losing step; from the second
+        # step on, came and gone hold the values of several moves
+        multi_step = sum(
+            count - 1 for run, count in Counter(blames).items() if run and count > 1
+        )
+        assert len(blames) > 500 and multi_step > 20
 
 
 class TestCapFastGen:

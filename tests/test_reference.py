@@ -1,0 +1,94 @@
+"""ranked_dp, the exact leximin reference for ranked instances, against the
+oracle, and the ranked heuristics against it."""
+
+import pytest
+
+from lexmatch import (
+    GenSpec,
+    InfeasibleError,
+    Instance,
+    NotAdmissibleError,
+    classify,
+    fast,
+    fast_gen,
+    generate,
+    oracle_leximin,
+)
+from lexmatch.reference import ranked_dp
+
+from conftest import random_sizes
+
+
+def _sizes(k_of, m):
+    return tuple(k_of.count(j) for j in range(m))
+
+
+def _ranked_sweep(seed, count, n_max, m_max):
+    """Ranked and ranked-isometric instances under capacities none and
+    random; the ranked ones also with tie-heavy values in [1, n+3]."""
+    for n, m, s in random_sizes(seed, count, n_max, m_max):
+        for mode in ("none", "random"):
+            yield generate(GenSpec("ranked_isometric", n, m, seed=s, capacity_mode=mode))
+            for value_max in (None, n + 3):
+                yield generate(
+                    GenSpec("ranked", n, m, seed=s, capacity_mode=mode, value_max=value_max)
+                )
+
+
+def test_matches_the_oracle_tuple_and_matching():
+    checked = 0
+    for inst in _ranked_sweep(seed=5, count=150, n_max=9, m_max=5):
+        want = oracle_leximin(inst, require_complete=True, respect_capacities=True)
+        got = ranked_dp(inst)
+        assert (got.matching, got.leximin) == (want.matching, want.leximin), inst
+        checked += 1
+    assert checked == 900
+
+
+def test_refuses_what_the_oracle_refuses():
+    with pytest.raises(NotAdmissibleError):
+        ranked_dp(generate(GenSpec("strict", 6, 2, seed=4)))
+    inst = generate(GenSpec("ranked", 4, 3, seed=1))
+    short = Instance(inst.student_values, inst.college_values, (1, 1, 1))
+    with pytest.raises(InfeasibleError):
+        oracle_leximin(short, require_complete=True, respect_capacities=True)
+    with pytest.raises(InfeasibleError):
+        ranked_dp(short)
+
+
+def test_the_ranked_heuristics_never_beat_it():
+    below = 0
+    for inst in _ranked_sweep(seed=9, count=300, n_max=16, m_max=6):
+        exact = ranked_dp(inst).leximin.values
+        solver = fast if classify(inst).isometric else fast_gen
+        got = solver(inst).leximin.values
+        assert got <= exact, inst
+        below += got < exact
+    assert below > 0
+
+
+# The named counterexamples to fast_gen (ranked) and fast (ranked-isometric):
+# GenSpec fields, the block sizes the heuristic returns, and the optimal block
+# sizes (also listed in the README).
+NOT_EXACT = [
+    ("ranked", 4, 2, 54, 7, (3, 1), (1, 3)),
+    ("ranked", 5, 3, 274, 8, (2, 2, 1), (1, 1, 3)),
+    ("ranked", 6, 4, 170, 9, (2, 2, 1, 1), (1, 1, 2, 2)),
+    ("ranked", 6, 3, 1, 9, (2, 3, 1), (1, 2, 3)),
+    ("ranked", 7, 4, 547368, 14, (3, 2, 1, 1), (1, 2, 3, 1)),
+    ("ranked", 9, 3, 486137, 15, (5, 3, 1), (5, 1, 3)),
+    ("ranked", 13, 4, 466377, None, (4, 3, 2, 4), (5, 2, 2, 4)),
+    ("ranked", 11, 3, 9, None, (7, 3, 1), (7, 1, 3)),
+    ("ranked_isometric", 5, 2, 211977, None, (3, 2), (1, 4)),
+    ("ranked_isometric", 11, 2, 20, None, (9, 2), (7, 4)),
+]
+
+
+@pytest.mark.parametrize("kind, n, m, seed, value_max, _returned_k, optimal_k", NOT_EXACT)
+def test_named_counterexample_optimum(kind, n, m, seed, value_max, _returned_k, optimal_k):
+    inst = generate(GenSpec(kind, n, m, seed=seed, value_max=value_max))
+    exact = ranked_dp(inst)
+    assert _sizes(exact.matching.assignment, m) == optimal_k
+    solver = fast if kind == "ranked_isometric" else fast_gen
+    got = solver(inst)
+    assert got.leximin.values <= exact.leximin.values
