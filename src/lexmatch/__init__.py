@@ -11,14 +11,6 @@ from .errors import (
     NotAdmissibleError,
     NpHardRegimeError,
 )
-from .fairness import (
-    FairnessReport,
-    ef1_check,
-    efx_check,
-    envy_totals,
-    fairness_report,
-    welfare,
-)
 from .fast import cap_fast, fast, fast_admissible
 from .fastgen import cap_fast_gen, fast_gen, source_dec
 from .generate import GenSpec, generate
@@ -51,13 +43,6 @@ from .ranked import (
     enumerate_stable,
     matching_from_boundary,
 )
-from .reductions import (
-    ReductionSpec,
-    bin_packing_to_smo,
-    partition_to_smo,
-    subset_sum_to_smo,
-    three_partition_to_smo,
-)
 from .report import SolverReport
 from .serialize import (
     dump_instance,
@@ -71,6 +56,34 @@ from .serialize import (
 )
 
 __version__ = "0.1.0"
+
+# Loaded on first use (PEP 562), so that a `lexmatch solve` process does not
+# compile modules it never runs.  generate stays eager: the submodule
+# lexmatch.generate would otherwise replace the function of that name.
+_LAZY = {
+    "FairnessReport": "fairness",
+    "ef1_check": "fairness",
+    "efx_check": "fairness",
+    "envy_totals": "fairness",
+    "fairness_report": "fairness",
+    "welfare": "fairness",
+    "ReductionSpec": "reductions",
+    "bin_packing_to_smo": "reductions",
+    "partition_to_smo": "reductions",
+    "subset_sum_to_smo": "reductions",
+    "three_partition_to_smo": "reductions",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BlockingPair",

@@ -17,14 +17,12 @@ from .errors import (
     InvalidInputError,
     NpHardRegimeError,
 )
-from .fairness import fairness_report
 from .fast import fast
 from .fastgen import fast_gen
 from .generate import CAPACITY_MODES, KINDS, GenSpec, generate
 # leximin_tuple is not called here; it is kept bound for perfbench/spans.py
 from .model import Instance, _capacity_binds, classify, is_stable, leximin_tuple, scaled_leximin
 from .oracle import candidate_count, candidates, oracle_leximin
-from .reductions import ReductionSpec
 from .report import SolverReport
 from .serialize import (
     dump_instance,
@@ -137,6 +135,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_fairness(args) -> int:
+    from .fairness import fairness_report  # off the solve path's imports
+
     instance = load_instance(_read(args.instance))
     matching = load_matching(_read(args.matching))
     _emit(fairness_report(instance, matching).to_json_dict())
@@ -166,6 +166,8 @@ _REDUCTION_KINDS = {
 
 
 def _cmd_reduce(args) -> int:
+    from .reductions import ReductionSpec  # off the solve path's imports
+
     try:
         data = json.loads(_read(args.input))
     except json.JSONDecodeError as exc:

@@ -24,7 +24,9 @@ its two end totals (``RankedState.delta``).  Each trial is ranked by one
 key, sorted(R - removed + added) of 2m - 1 values: the values outside R are
 the same in every trial, so keys rank the trials as their tuples do, and the
 best trial is no worse than the state iff its key is at least sorted(R)
-(see _state).  Only the chosen trial is applied.  A loss is blamed without
+(see _state).  Only the chosen trial is applied.  Each iteration builds the
+table once: it serves every trial and, when none improves, gives the
+canonical up -> down trial's delta for the blame.  A loss is blamed without
 sorting the tuple either: the sorted values removed and added since the base
 first differ at the value where the tuple falls, and the agents' values by
 position say which agent holds it there (``_first_loss_agent``).
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ._state import RankedState, initial_boundary
+from ._state import RankedState, delta_of, initial_boundary
 from .errors import InvalidInputError
 from .model import (
     Agent,
@@ -94,15 +96,9 @@ class FixSets:
             f"soft_fix={self.soft_fix!r})"
         )
 
-    def soft_blocked(self, j: int) -> bool:
-        return any(pair[0] == j for pair in self.soft_fix)
-
-    def unfixed(self, m: int) -> list:
-        return [
-            j for j in range(m) if j not in self.upper_fix and not self.soft_blocked(j)
-        ]
-
     def purge(self, up: int) -> None:
+        if not self.soft_fix:
+            return
         self.soft_fix = {
             (j, blocker) for (j, blocker) in self.soft_fix if not blocker <= up < j
         }
@@ -171,27 +167,34 @@ class _Counters:
         )
 
 
-def _best_trial(state: RankedState, receivers: list, lower_fix: set, counters):
+def _best_trial(state: RankedState, table, receivers: list, lower_fix: set, counters):
     """(p, q, improves): the first trial p -> q, over the receivers q and
     the givers p < q outside lower_fix with more than one student, whose
     key is largest, and whether it is at least as good as the state.  The
     key of p -> q is sorted(R - removed + added): R outside delta_of's
-    removed slice, plus its added values (see _state).  So keys rank the
-    trials as their tuples do, and sorted(R) stands for the state."""
-    R, A, head, tail = state.table()
+    removed slice, plus its added values, read off the state's `table`
+    (see _state).  So keys rank the trials as their tuples do, and
+    sorted(R) stands for the state."""
+    R, A, head, tail = table
     k = state.k
+    givers = [p for p in range(len(k)) if p not in lower_fix and k[p] > 1]
     best_key = None
+    moves = trials = 0
     for q in receivers:
-        for p in range(q):
-            if p in lower_fix or k[p] <= 1:
-                continue
-            counters.chain_moves += q - p
-            counters.tuple_comparisons += 1
-            key = R[:2 * p] + A[2 * p + 1:2 * q] + R[2 * q + 1:]
-            key += head[p], tail[q]
+        suffix = R[2 * q + 1:]  # what every trial into q keeps right of q
+        suffix.append(tail[q])
+        for p in givers:
+            if p >= q:
+                break
+            moves += q - p
+            trials += 1
+            key = R[:2 * p] + A[2 * p + 1:2 * q] + suffix
+            key.append(head[p])
             key.sort()
             if best_key is None or key > best_key:
                 best_key, giver, receiver = key, p, q
+    counters.chain_moves += moves
+    counters.tuple_comparisons += trials
     return giver, receiver, best_key >= sorted(R)
 
 
@@ -270,12 +273,14 @@ def _inner_run(
     # terminates by the progress measure in the module docstring
     while len(fixes.lower_fix) < m:
         counters.iterations += 1
-        up = min(j for j in range(m) if j not in fixes.lower_fix)
+        up = next(j for j in range(m) if j not in fixes.lower_fix)
         fixes.purge(up)
-        unfixed = fixes.unfixed(m)
+        blocked = fixes.upper_fix | {j for j, _ in fixes.soft_fix}
+        unfixed = [j for j in range(m) if j not in blocked]
         if not unfixed:
             break
-        down = min(unfixed, key=lambda j: (state.college_value(j), j))
+        # unfixed ascends, so min keeps the leftmost of equal totals
+        down = min(unfixed, key=state.college_value)
         if down < up:
             fixes.upper_fix.add(down)
             continue
@@ -298,7 +303,11 @@ def _inner_run(
             for q in unfixed
             if q > up and (caps is None or state.k[q] < caps[q])
         ]
-        giver, receiver, improves = _best_trial(state, receivers, fixes.lower_fix, counters)
+        # one table serves every trial and, if none improves, the blame
+        table = state.table()
+        giver, receiver, improves = _best_trial(
+            state, table, receivers, fixes.lower_fix, counters
+        )
         # an EQUAL trial commits too: sum(j * k[j]) still rises (see Progress)
         if improves:
             if T is not None and state.k[giver] >= caps[giver]:
@@ -306,9 +315,10 @@ def _inner_run(
             state.demote(giver, receiver)
             emit(state)
             continue
-        # attribute the loss from the canonical up -> down trial: its blame
-        # decides whether to fix a boundary or speculate ahead
-        removed, added = state.delta(up, down)
+        # attribute the loss from the canonical up -> down trial, read off
+        # the same table: its blame decides whether to fix a boundary or
+        # speculate ahead
+        removed, added = delta_of(table, up, down)
         canon = state.copy()
         canon.demote(up, down)
         blamed = _first_loss_agent(

@@ -291,8 +291,8 @@ class TestAgainstTheOldDefinitions:
         picks, tied = [], [0]
         best_trial = fastgen._best_trial
 
-        def checked(state, receivers, lower_fix, counters):
-            got = best_trial(state, receivers, lower_fix, counters)
+        def checked(state, table, receivers, lower_fix, counters):
+            got = best_trial(state, table, receivers, lower_fix, counters)
             trials = [
                 (p, q)
                 for q in receivers
@@ -349,6 +349,45 @@ class TestAgainstTheOldDefinitions:
             count - 1 for run, count in Counter(blames).items() if run and count > 1
         )
         assert len(blames) > 500 and multi_step > 20
+
+
+class TestOneTablePerIteration:
+    def test_the_trials_and_the_blame_share_one_table(self, monkeypatch):
+        # outside _look_ahead, each iteration that tries trials builds one
+        # table, and the trial loop reads the state's current one
+        built, calls, inside = [0], [0], [False]
+        table = RankedState.table
+        best_trial = fastgen._best_trial
+        look_ahead = fastgen._look_ahead
+
+        def counted_table(state):
+            built[0] += not inside[0]
+            return table(state)
+
+        def checked(state, got_table, *rest):
+            assert built[0] == 1
+            assert got_table == table(state)
+            built[0] = 0
+            calls[0] += 1
+            return best_trial(state, got_table, *rest)
+
+        def flagged(*args):
+            inside[0] = True
+            try:
+                return look_ahead(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(RankedState, "table", counted_table)
+        monkeypatch.setattr(fastgen, "_best_trial", checked)
+        monkeypatch.setattr(fastgen, "_look_ahead", flagged)
+        sweeps = itertools.chain(
+            _tie_heavy_ranked(seed=67, count=40, n_max=14, m_max=6), _high_m_ties()
+        )
+        for inst in sweeps:
+            fast_gen(inst)
+            assert built[0] == 0  # no table after the last trial loop
+        assert calls[0] > 1000
 
 
 class TestCapFastGen:

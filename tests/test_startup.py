@@ -57,3 +57,41 @@ def test_library_import_loads_no_argparse():
     proc = _run(["-S", "-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_cli_import_loads_no_fairness_or_reductions():
+    # `lexmatch solve` never runs them; fairness and reduce import on use
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); from lexmatch.cli import main; "
+        "print(*[m for m in ('lexmatch.fairness', 'lexmatch.reductions') if m in sys.modules])"
+    )
+    proc = _run(["-S", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_every_public_name_resolves():
+    # the lazy names resolve by attribute and by from-import alike
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import lexmatch\n"
+        "for name in lexmatch.__all__:\n"
+        "    got = getattr(lexmatch, name)\n"
+        "    exec(f'from lexmatch import {name} as again')\n"
+        "    assert again is got, name\n"
+        "print(len(lexmatch.__all__))"
+    )
+    proc = _run(["-S", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 60
+
+
+def test_generate_stays_the_function_after_its_module_loads():
+    # the module and the function share the name lexmatch.generate; a lazy
+    # attribute would become the module once the submodule is imported
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import lexmatch.generate; "
+        "from lexmatch import generate; print(callable(generate), type(generate).__name__)"
+    )
+    proc = _run(["-S", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "function"]
