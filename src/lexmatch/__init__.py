@@ -12,7 +12,7 @@ from .errors import (
     NpHardRegimeError,
 )
 from .fast import cap_fast, fast, fast_admissible
-from .fastgen import cap_fast_gen, fast_gen, source_dec
+from .fastgen import cap_fast_gen, fast_gen
 from .generate import GenSpec, generate
 from .model import (
     EQUAL,
@@ -39,7 +39,6 @@ from .ranked import (
     BoundaryVector,
     boundary_from_matching,
     compositions,
-    demote,
     enumerate_stable,
     matching_from_boundary,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "classify",
     "college_value",
     "compositions",
-    "demote",
     "dump_instance",
     "dump_matching",
     "ef1_check",
@@ -145,7 +143,6 @@ __all__ = [
     "oracle_leximin",
     "partition_to_smo",
     "solve_dispatch",
-    "source_dec",
     "student_value",
     "subset_sum_to_smo",
     "three_partition_to_smo",

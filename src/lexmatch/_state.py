@@ -30,11 +30,12 @@ Every trial shares S - R, so keys order the trials exactly as their tuples
 do, and a trial beats its base iff its key beats sorted(R): one sort of
 2m - 1 values per trial instead of n + m.  A run of moves compares with the
 state it started from the same way, by all the values it has removed and
-added so far.  The users: fast_gen ranks its demotion trials by their keys,
-and three walks compare a state with a fixed earlier one by what changed
-since it: the speculative runs of fast (its tie case) and of fast_gen's
-_look_ahead against their base, and const2.fast_const (on its own values,
-not through this class) against the best state it has seen.
+added so far.  The users: fast_gen ranks its demotion trials by their keys;
+fast's tie rule is one trial, its sorted added values against its sorted
+removed ones; and two walks keep since-base lists, comparing a state with
+a fixed earlier one by what changed since it: fast_gen's _look_ahead
+against its base, and const2.fast_const (on its own values, not through
+this class) against the best state it has seen.
 """
 
 from __future__ import annotations
@@ -47,15 +48,16 @@ from .model import Instance, Matching, ScaledLeximin
 from .ranked import assignment_from_sizes
 
 
-def initial_boundary(instance: Instance, capacities=None) -> list:
+def initial_boundary(instance: Instance) -> list:
     """Greedy left-heavy fill: college j takes as many of the next students as
     its capacity allows while reserving one seat for every college after it.
-    With no capacities this is (n-m+1, 1, ..., 1).  Raises InfeasibleError when
-    no complete matching exists (n < m, or the capacities cannot hold n)."""
+    With capacities of n-1 or more this is (n-m+1, 1, ..., 1).  Raises
+    InfeasibleError when no complete matching exists (n < m, or the
+    capacities cannot hold n)."""
     n, m = instance.n, instance.m
     if n < m:
         raise InfeasibleError(f"{n} students cannot cover {m} colleges")
-    caps = list(instance.capacities) if capacities is None else list(capacities)
+    caps = instance.capacities
     k, assigned = [], 0
     for j in range(m):
         size = min(caps[j], n - assigned - (m - 1 - j))

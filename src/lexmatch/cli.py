@@ -174,9 +174,13 @@ def _cmd_reduce(args) -> int:
         raise InvalidInputError(f"bad JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInputError("reduction input must be a JSON object")
+    kind = _REDUCTION_KINDS[getattr(args, "from")]
     if args.replicate != 1:
+        # only the bin-packing encoding has copies to replicate
+        if kind != "bin_packing":
+            raise InvalidInputError("--replicate applies only to --from bin-packing")
         data = dict(data, replicate=args.replicate)
-    spec = ReductionSpec(kind=_REDUCTION_KINDS[getattr(args, "from")], data=data)
+    spec = ReductionSpec(kind=kind, data=data)
     print(dump_instance(spec.build()))
     return EXIT_OK
 

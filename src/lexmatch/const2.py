@@ -11,8 +11,16 @@ d0, d1 >= 1 that pass form a staircase.  is_stable_m2 reads a matching's
 
 fast_const starts at d = (0, 0), everyone at their favorite, and moves the
 richer college's next fan to the poorer college, keeping the best (d0, d1)
-seen.  It stops when the richer college has no fan left, when the next pair
-is not stable, or by rule A (an irreversible value drop for the mover).
+seen among those that leave both colleges nonempty (with some values 0, a
+state can beat every complete one and still leave a college empty).  An
+empty college is always the poorer one, as n >= 2.  The walk stops when
+the richer college has no fan left, when the next pair is not stable, or
+by rule A (an irreversible value drop for the mover).
+
+With some values 0 the walk can stop short of the optimum: on
+``Instance.build([[0, 3], [3, 1], [3, 2]], [[3, 1, 0], [1, 4, 2]])`` it
+returns the tuple (1, 1, 3, 3, 3), while the leximin optimum
+(``oracle_leximin``) is (1, 2, 3, 3, 3).
 
 The walk runs on the integer kernel (``Instance._kernel``).  A move
 changes three agent values: the mover's and both totals.  The walk does
@@ -33,7 +41,7 @@ from bisect import insort
 from itertools import accumulate
 from typing import Callable, Optional
 
-from .errors import InvalidInputError, NotAdmissibleError
+from .errors import InfeasibleError, InvalidInputError, NotAdmissibleError
 from .model import (
     Instance,
     Matching,
@@ -106,11 +114,16 @@ def is_stable_m2(instance: Instance, matching: Matching) -> bool:
 
 
 def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
-    """Leximin-optimal stable matching for m=2 with strict preferences."""
+    """Complete stable matching for m=2 with strict preferences, leximin
+    optimal on every input tested with positive values (see the module
+    docstring for one with zeros where it is not).  Raises InfeasibleError
+    for a single student."""
     _require_m2_strict(instance)
     if _capacity_binds(instance):
         raise NotAdmissibleError("solver assumes capacities of at least n-1")
     n = instance.n
+    if n < 2:
+        raise InfeasibleError(f"{n} student cannot cover 2 colleges")
     _, u, v = instance._kernel
     fans, stable = _staircase(instance)
     assignment = favorites(instance)
@@ -118,7 +131,8 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     gone, came = [], []  # values removed and added since the best state
     toggles = 0
     d = [0, 0]
-    best_d = (0, 0)
+    # only a complete state can be the best, and the walk's first one is
+    best_d = (0, 0) if fans[0] and fans[1] else None
     # Rule A forbids a student from leaving their favorite for a college
     # they value below the poorer college's total at some step, so a_max is
     # the largest such total seen.
@@ -127,6 +141,8 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     if on_state is not None:
         on_state(Matching(assignment))
     while True:
+        # an empty college is the poorer one: the other holds all n >= 2
+        # students, and strict preferences value at most one of them at 0
         low, high = (0, 1) if totals[0] <= totals[1] else (1, 0)
         a_max = max(a_max, totals[low])
         if d[high] == len(fans[high]):
@@ -148,7 +164,9 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
         totals[low] += v[low][mover]
         for new in (u[low][mover], totals[high], totals[low]):
             insort(came, new)
-        if came > gone:
+        # low has just gained the mover, so the state is complete iff high
+        # still holds someone: its unmoved fans or the d[low] low handed it
+        if (came > gone or best_d is None) and len(fans[high]) - d[high] + d[low]:
             best_d = tuple(d)
             gone.clear()
             came.clear()

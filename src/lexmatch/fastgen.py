@@ -59,13 +59,10 @@ from typing import Callable, Optional
 from ._state import RankedState, delta_of, initial_boundary
 from .errors import InvalidInputError
 from .model import (
-    Agent,
     Instance,
-    Matching,
     _capacity_binds,
     classify,  # not called here; kept bound for perfbench/spans.py
     leximin_tuple,  # not called here; kept bound for perfbench/spans.py
-    scaled_leximin,
 )
 from .ranked import _require_ranked
 from .report import SolverReport
@@ -107,9 +104,8 @@ class FixSets:
 def _first_loss_agent(came: list, gone: list, new: list, old: list) -> int:
     """Position of the agent blamed for a leximin decrease from `old` to
     `new`, the agents' values by position (students by index, then
-    colleges).  `came` and `gone` are sorted and of equal length, and new
-    is old with `gone` taken out and `came` put in, as multisets: the values
-    added and removed since old, or the two full sorted tuples.
+    colleges).  `came` and `gone` are the values added and removed since
+    old, sorted and of equal length.
 
     The blame falls on the occupant, in the new sorted tuple, of the first
     index where new < old.  Below the value x there both tuples hold the
@@ -134,14 +130,6 @@ def _first_loss_agent(came: list, gone: list, new: list, old: list) -> int:
     if old[at] > x:
         return at
     return next((a for a in holders if old[a] > x), at)
-
-
-def source_dec(instance: Instance, mu_new: Matching, mu_old: Matching) -> Agent:
-    """The agent to blame for a leximin decrease between two matchings."""
-    new, old = scaled_leximin(instance, mu_new), scaled_leximin(instance, mu_old)
-    return new.agent(
-        _first_loss_agent(new.values, old.values, new._by_position, old._by_position)
-    )
 
 
 class _Counters:
@@ -346,12 +334,12 @@ def _inner_run(
 def fast_gen(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
     """Complete stable matching for general ranked valuations, aiming at the
     leximin optimum but not always reaching it (see the module docstring).
-    Dispatches to cap_fast_gen when a capacity is below n-1."""
+    Dispatches to cap_fast_gen when a capacity could bind."""
     _require_ranked(instance)
     if _capacity_binds(instance):
         return cap_fast_gen(instance, on_state=on_state)
-    n, m = instance.n, instance.m
-    state = RankedState(instance, initial_boundary(instance, [n] * m))
+    m = instance.m
+    state = RankedState(instance, initial_boundary(instance))
     fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
     counters = _Counters()
     state = _inner_run(instance, state, fixes, None, None, counters, on_state)

@@ -241,9 +241,11 @@ def _fraction_rows(scale: int, rows) -> tuple:
 
 
 def _capacity_binds(instance: Instance) -> bool:
-    """Some capacity is below n-1 and so can bind (the uncapacitated solvers
-    assume each college can take n-1 students)."""
-    return any(b < instance.n - 1 for b in instance.capacities)
+    """Some capacity can bind: one below n-1, or below n when there is a
+    single college (the uncapacitated solvers assume that one of several
+    colleges can take n-1 students, and a lone college all n)."""
+    floor = instance.n - 1 if instance.m > 1 else instance.n
+    return any(b < floor for b in instance.capacities)
 
 
 class ClassificationFlags(NamedTuple):

@@ -111,42 +111,3 @@ def enumerate_stable(
     for k in compositions(instance.n, instance.m, min_part=min_part, caps=caps):
         yield assignment_from_sizes(k)
 
-
-def demote(matching: Matching, student: int, down: int, up: int) -> Matching:
-    """Chain demotion: move `student` (the weakest member of college down-1)
-    into college `down`, then refill each college on the chain from its left
-    neighbour, ending with college `up` giving up one student.
-
-    Preconditions (violations raise InvalidInputError): up < down; the chain
-    colleges up..down-1 each end exactly one student lower than the next, so
-    the weakest member of college p is student - (down-1-p); college up is
-    nonempty.  Between colleges, block sizes other than up/down are preserved.
-    """
-    if up < 0 or up >= down:
-        raise InvalidInputError(f"demote needs up < down, got up={up} down={down}")
-    assignment = list(matching.assignment)
-    n = len(assignment)
-    if not 0 <= student < n:
-        raise InvalidInputError(f"no such student {student}")
-    if assignment[student] != down - 1:
-        raise InvalidInputError(
-            f"student {student} is matched to {assignment[student]}, not college {down - 1}"
-        )
-    # the chain: student - (down-1-p) must be the weakest (highest-index)
-    # member of college p, for p = up .. down-1
-    for p in range(up, down):
-        mover = student - (down - 1 - p)
-        if mover < 0 or assignment[mover] != p:
-            raise InvalidInputError(
-                f"chain misaligned: expected student {mover} in college {p}"
-            )
-        if any(
-            a == p and i > mover for i, a in enumerate(assignment)
-        ):
-            raise InvalidInputError(
-                f"student {mover} is not the weakest member of college {p}"
-            )
-    for p in range(down, up, -1):
-        mover = student - (down - p)
-        assignment[mover] = p
-    return Matching(assignment)

@@ -52,6 +52,8 @@ def matching_from_dict(data: dict) -> Matching:
         assignment = data["assignment"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError("matching JSON needs an assignment list") from exc
+    if not isinstance(assignment, (list, tuple)):
+        raise InvalidInputError("matching JSON needs an assignment list")
     out = []
     for j in assignment:
         if j is None:

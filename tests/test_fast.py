@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,30 +10,47 @@ from lexmatch import (
     NotAdmissibleError,
     boundary_from_matching,
     cap_fast,
+    classify,
     fast,
     fast_admissible,
     generate,
     is_stable,
     oracle_leximin,
+    solve_dispatch,
 )
+from lexmatch._state import RankedState
+from lexmatch.report import SolverReport
 
 from conftest import random_instances, random_sizes
+from test_equivalence import SWEEP
+
+# Ranked but not isometric: u <= v pointwise with non-increasing u columns,
+# the "dominated" class fast once accepted.  From the first state (2, 1, 1)
+# the tie step 0 -> 2 leaves the tuple equal, so the old multi-step tie
+# loop below takes a second speculative step on it.
+DOMINATED = Instance.build(
+    [[4, 3, 2], [3, 2, 1], [3, 2, 1], [3, 2, 1]],
+    [[6, 5, 4, 3], [12, 11, 6, 3], [4, 3, 2, 1]],
+)
 
 
 class TestAdmissibility:
     def test_isometric_ranked_admissible(self, ref_instance):
         assert fast_admissible(ref_instance)
 
-    def test_relaxed_condition_admissible(self):
-        # u dominated by v pointwise, u-columns non-increasing, both ranked
-        inst = Instance.build(
-            [[10, 5], [9, 4], [8, 3]],
-            [[20, 12, 11], [6, 5, 4]],
-        )
-        assert fast_admissible(inst)
-        report = fast(inst)
-        oracle = oracle_leximin(inst, require_complete=True)
-        assert report.leximin.values == oracle.leximin.values
+    def test_dominated_ranked_refused(self):
+        # ranked and college-dominant but not isometric: fast_gen's class
+        flags = classify(DOMINATED)
+        assert flags.ranked and not flags.isometric
+        assert not fast_admissible(DOMINATED)
+        for solver in (fast, cap_fast):
+            with pytest.raises(NotAdmissibleError, match="ranked isometric"):
+                solver(DOMINATED)
+        assert solve_dispatch(DOMINATED).algorithm == "fast_gen"
+        # the input that made fast's tie speculation take a second step
+        stats = Counter()
+        _multi_step_fast(DOMINATED, False, stats=stats)
+        assert stats["equal_steps"] == 1
 
     def test_non_ranked_rejected(self):
         inst = Instance.build([[1, 2], [4, 3]], [[2, 1], [2, 1]])
@@ -134,3 +152,142 @@ class TestCapFast:
             capped, require_complete=True, respect_capacities=True
         ).leximin.values
         assert got == want
+
+
+def _multi_step_fast(instance, capped, on_state=None, stats=None):
+    """cap_fast (capped) or fast as they were while fast's tie rule
+    speculated: on a tie, demote into j again and again in a copy of the
+    state, commit the run once its sorted added values beat its sorted
+    removed values, and go on while the two are equal.  fast ran cap_fast
+    when a capacity was below n-1, and otherwise the walk with capacities
+    n (the same for m >= 2).  `stats` counts the ties, those whose chain
+    crosses a single-student college (multi-link), and the speculative
+    steps that left the tuple equal."""
+    n, m = instance.n, instance.m
+    caps, label = list(instance.capacities), "cap_fast"
+    if not capped and all(b >= n - 1 for b in caps):
+        caps, label = [n] * m, "fast"
+    k, assigned = [], 0  # the left-heavy fill
+    for j in range(m):
+        k.append(min(caps[j], n - assigned - (m - 1 - j)))
+        assigned += k[-1]
+    state = RankedState(instance, k)
+    k = state.k
+    u = instance._kernel[1]
+    iterations = chain_moves = tuple_comparisons = 0
+    stats = Counter() if stats is None else stats
+
+    def emit():
+        if on_state is not None:
+            on_state(tuple(k))
+
+    emit()
+    j = m - 1
+    while j >= 1:
+        iterations += 1
+        ib = sum(k[:j]) - 1
+        if ib < j:
+            j -= 1
+            continue
+        vj = state.college_value(j)
+        if vj >= u[j - 1][ib] or k[j] >= caps[j]:
+            j -= 1
+            continue
+        if u[j][ib] > vj:
+            up = max(p for p in range(j) if k[p] > 1)
+            state.demote(up, j)
+            chain_moves += j - up
+            emit()
+            continue
+        if u[j][ib] < vj:
+            j -= 1
+            continue
+        stats["ties"] += 1
+        stats["multi_link"] += k[j - 1] == 1
+        trial = state.copy()
+        gone, came = [], []
+        committed = False
+        while sum(trial.k[:j]) - 1 >= j and trial.k[j] < caps[j]:
+            t_up = max(p for p in range(j) if trial.k[p] > 1)
+            removed, added = trial.delta(t_up, j)
+            gone = sorted(gone + removed)
+            came = sorted(came + added)
+            trial.demote(t_up, j)
+            chain_moves += j - t_up
+            tuple_comparisons += 1
+            if came > gone:
+                state, k, committed = trial, trial.k, True
+                emit()
+                break
+            if came != gone:
+                break
+            stats["equal_steps"] += 1
+        if not committed:
+            j -= 1
+    return SolverReport(
+        algorithm=label,
+        matching=state.matching(),
+        leximin=state.leximin(),
+        steps=iterations + chain_moves + tuple_comparisons * (n + m),
+        counters={
+            "iterations": iterations,
+            "chain_moves": chain_moves,
+            "tuple_comparisons": tuple_comparisons,
+        },
+    )
+
+
+def _tie_rich_pool(seed, count):
+    """Isometric from_matrix instances, m >= 2, whose matrix grows from the
+    bottom-right corner by steps of 1 to 3, so sums of a college's values
+    often equal one student's value: many walks meet exact ties.  A third
+    get random feasible capacities."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(2, 6)
+        n = rng.randint(m, 14)
+        step = rng.randint(1, 3)
+        V = [[0] * m for _ in range(n + 1)]
+        for i in range(n - 1, -1, -1):
+            for j in range(m - 1, -1, -1):
+                right = V[i][j + 1] if j + 1 < m else 0
+                V[i][j] = max(V[i + 1][j], right) + rng.randint(1, step)
+        caps = None
+        if rng.random() < 1 / 3:
+            caps = [0] * m
+            while sum(caps) < n:
+                caps = [rng.randint(1, n) for _ in range(m)]
+        yield Instance.from_matrix(V[:n], caps)
+
+
+class TestOneTrialTieRule:
+    """fast's tie rule is one delta trial; on isometric instances it must
+    agree with the multi-step loop it replaced, report, counters and
+    on_state trace alike (see the proof in fast._run)."""
+
+    @staticmethod
+    def _agree(instance, stats):
+        for capped, solver in ((False, fast), (True, cap_fast)):
+            want_trace, got_trace = [], []
+            want = _multi_step_fast(instance, capped, want_trace.append, stats)
+            got = solver(instance, on_state=got_trace.append)
+            assert got == want and got_trace == want_trace, instance
+
+    def test_isometric_sweep_inputs(self):
+        isometric = [
+            inst for inst in SWEEP.values()
+            if classify(inst).ranked and classify(inst).isometric
+        ]
+        assert len(isometric) == 24
+        stats = Counter()
+        for inst in isometric:
+            self._agree(inst, stats)
+        assert stats["equal_steps"] == 0
+
+    def test_tie_rich_pools(self):
+        stats = Counter()
+        for inst in _tie_rich_pool(seed=19, count=3000):
+            self._agree(inst, stats)
+        # counted over the runs of both solvers
+        assert stats["ties"] >= 2 * 1000 and stats["multi_link"] >= 2 * 500
+        assert stats["equal_steps"] == 0

@@ -10,6 +10,7 @@ from lexmatch import (
     Instance,
     InvalidInputError,
     Matching,
+    InfeasibleError,
     NpHardRegimeError,
     classify,
     generate,
@@ -166,7 +167,15 @@ class TestSerialize:
             load_instance(payload)
 
     @pytest.mark.parametrize(
-        "payload", ["[]", '{"assignment": [0, 1.5]}', '{"assignment": [true]}']
+        "payload",
+        [
+            "[]",
+            '{"assignment": [0, 1.5]}',
+            '{"assignment": [true]}',
+            '{"assignment": 5}',
+            # a string is iterable: unchecked, it would read character by character
+            '{"assignment": "01"}',
+        ],
     )
     def test_bad_matching_payloads(self, payload):
         with pytest.raises(InvalidInputError):
@@ -180,6 +189,18 @@ class TestDispatch:
         assert solve_dispatch(ranked).algorithm == "fast_gen"
         strict = generate(GenSpec(kind="strict", n=5, m=2, seed=2))
         assert solve_dispatch(strict).algorithm == "fast_const"
+
+    @pytest.mark.parametrize(
+        "college_row, solver", [([3, 2, 1], "fast"), ([5, 4, 3], "fast_gen")]
+    )
+    def test_one_college_with_capacity_n_minus_1_is_infeasible(self, college_row, solver):
+        # a capacity of n - 1 binds when there is only one college; it was
+        # once ignored, and all three students were put in a college of 2
+        inst = Instance.build([[3], [2], [1]], [college_row], [2])
+        assert classify(inst).isometric == (solver == "fast")
+        for algo in ("auto", solver, "oracle"):
+            with pytest.raises(InfeasibleError):
+                solve_dispatch(inst, algo)
 
     def test_weak_instances_are_refused(self):
         inst = generate(GenSpec(kind="weak", n=4, m=3, seed=0))
@@ -344,6 +365,30 @@ class TestCli:
         inst = load_instance(capsys.readouterr().out)
         assert (inst.n, inst.m) == (4, 3)
 
+    @pytest.mark.parametrize(
+        "kind, data",
+        [
+            ("subset-sum", {"integers": [1, 2], "target": 3}),
+            ("partition", {"integers": [1, 1]}),
+            ("3partition", {"integers": [1, 1, 1]}),
+        ],
+    )
+    def test_reduce_refuses_replicate_where_it_means_nothing(
+        self, tmp_path, capsys, kind, data
+    ):
+        path = _write(tmp_path, "in.json", json.dumps(data))
+        args = ["reduce", "--from", kind, "--input", path]
+        assert main([*args, "--replicate", "2"]) == 2
+        assert "--replicate applies only to --from bin-packing" in capsys.readouterr().err
+        assert main([*args, "--replicate", "1"]) == 0
+
+    def test_reduce_replicates_bin_packing(self, tmp_path, capsys):
+        path = _write(tmp_path, "in.json", json.dumps({"weights": ["1/2", "1/2"], "bins": 2}))
+        assert main(["reduce", "--from", "bin-packing", "--input", path, "--replicate", "3"]) == 0
+        inst = load_instance(capsys.readouterr().out)
+        # t copies of the 2 items and 2 bins, plus the dummy and the collector
+        assert (inst.n, inst.m) == (7, 7)
+
     def test_reduce_refuses_non_int_input(self, tmp_path, capsys):
         path = _write(tmp_path, "in.json", json.dumps({"integers": [2.7, 2.2, 3, 1]}))
         assert main(["reduce", "--from", "partition", "--input", path]) == 2
@@ -363,6 +408,20 @@ class TestCli:
         inst = Instance.build([[5, 4]], [[7], [6]], capacities=[1, 1])
         path = _write(tmp_path, "inst.json", dump_instance(inst))
         assert main(["solve", "--instance", path, "--algo", "oracle"]) == 4
+        # one college that cannot take every student
+        inst = Instance.build([[3], [2], [1]], [[3, 2, 1]], capacities=[2])
+        path = _write(tmp_path, "inst.json", dump_instance(inst))
+        assert main(["solve", "--instance", path]) == 4
+
+    @pytest.mark.parametrize("command", ["verify", "fairness"])
+    @pytest.mark.parametrize("assignment", [5, "0111", {"0": 1}])
+    def test_non_list_assignment_is_invalid_input(
+        self, tmp_path, capsys, ref_instance, command, assignment
+    ):
+        inst = _write(tmp_path, "inst.json", dump_instance(ref_instance))
+        mu = _write(tmp_path, "mu.json", json.dumps({"assignment": assignment}))
+        assert main([command, "--instance", inst, "--matching", mu]) == 2
+        assert "invalid input: matching JSON needs an assignment list" in capsys.readouterr().err
 
     def test_exit_code_budget(self, tmp_path):
         inst = generate(GenSpec(kind="weak", n=8, m=3, seed=0))

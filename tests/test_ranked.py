@@ -9,13 +9,10 @@ from lexmatch import (
     InvalidInputError,
     Matching,
     boundary_from_matching,
-    college_value,
     compositions,
-    demote,
     enumerate_stable,
     is_stable,
     matching_from_boundary,
-    student_value,
 )
 
 from conftest import random_instances
@@ -88,45 +85,3 @@ class TestEnumeration:
                 contiguous = boundary_from_matching(inst, mu) is not None
                 assert stable == contiguous
 
-
-class TestDemote:
-    def test_single_move(self, ref_instance):
-        mu = Matching([0, 0, 0, 1])
-        out = demote(mu, 2, 1, 0)
-        assert out.assignment == (0, 0, 1, 1)
-
-    def test_chain_of_two(self):
-        inst = Instance.from_matrix(
-            [[12, 8, 4], [11, 7, 3], [10, 6, 2], [9, 5, 1]]
-        )
-        mu = Matching([0, 0, 1, 2])  # sizes (2, 1, 1)
-        out = demote(mu, 2, 2, 0)
-        assert out.assignment == (0, 1, 2, 2)  # sizes (1, 1, 2)
-        del inst
-
-    def test_equivalent_to_boundary_arithmetic(self, ref_instance):
-        mu = matching_from_boundary(ref_instance, BoundaryVector((3, 1)))
-        out = demote(mu, 2, 1, 0)
-        assert out == matching_from_boundary(ref_instance, BoundaryVector((2, 2)))
-
-    def test_rejects_empty_giver(self):
-        with pytest.raises(InvalidInputError):
-            demote(Matching([1, 1]), 0, 1, 0)
-
-    def test_rejects_misaligned_chain(self):
-        with pytest.raises(InvalidInputError):
-            demote(Matching([0, 1, 0, 1]), 3, 1, 0)
-
-    def test_monotone_effect_on_values(self):
-        for inst in random_instances("ranked", seed=8, count=10, n_max=7, m_max=3):
-            n, m = inst.n, inst.m
-            if m < 2 or n <= m:
-                continue
-            mu = matching_from_boundary(
-                inst, BoundaryVector((n - m + 1,) + (1,) * (m - 1))
-            )
-            out = demote(mu, n - 2, m - 1, 0)
-            for i in range(n):
-                assert student_value(inst, out, i) <= student_value(inst, mu, i)
-            for j in range(1, m):
-                assert college_value(inst, out, j) >= college_value(inst, mu, j)
