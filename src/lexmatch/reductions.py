@@ -172,6 +172,15 @@ def bin_packing_to_smo(weights, k: int, t: int = 1, epsilon=None) -> Instance:
     return Instance(u, v, _caps(n, m))
 
 
+# the keys each reduction kind reads from its input
+_KEYS = {
+    "subset_sum": ("integers", "target"),
+    "balanced_partition": ("integers",),
+    "three_partition": ("integers",),
+    "bin_packing": ("weights", "bins", "replicate", "epsilon"),
+}
+
+
 class ReductionSpec(NamedTuple):
     """Declarative form of a reduction request, mirroring the CLI."""
 
@@ -179,18 +188,26 @@ class ReductionSpec(NamedTuple):
     data: dict
 
     def build(self) -> Instance:
+        """The image instance.  Raises InvalidInputError for an unknown kind
+        or a key the kind does not read, rather than ignore it."""
         kind = self.kind
+        if kind not in _KEYS:
+            raise InvalidInputError(f"unknown reduction kind {kind!r}")
+        unknown = sorted(set(self.data).difference(_KEYS[kind]))
+        if unknown:
+            raise InvalidInputError(
+                f"{kind} input has unknown keys {', '.join(map(repr, unknown))}; "
+                f"it reads {', '.join(map(repr, _KEYS[kind]))}"
+            )
         if kind == "subset_sum":
             return subset_sum_to_smo(self.data["integers"], self.data["target"])
         if kind == "balanced_partition":
             return partition_to_smo(self.data["integers"])
         if kind == "three_partition":
             return three_partition_to_smo(self.data["integers"])
-        if kind == "bin_packing":
-            return bin_packing_to_smo(
-                self.data["weights"],
-                self.data["bins"],
-                t=self.data.get("replicate", 1),
-                epsilon=self.data.get("epsilon"),
-            )
-        raise InvalidInputError(f"unknown reduction kind {kind!r}")
+        return bin_packing_to_smo(
+            self.data["weights"],
+            self.data["bins"],
+            t=self.data.get("replicate", 1),
+            epsilon=self.data.get("epsilon"),
+        )

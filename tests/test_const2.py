@@ -2,7 +2,9 @@ import hashlib
 import itertools
 import json
 import random
+from bisect import insort
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -22,8 +24,9 @@ from lexmatch import (
     load_instance,
     oracle_leximin,
 )
-from lexmatch.const2 import favorites, is_stable_m2
-from lexmatch.model import GREATER, scaled_leximin
+from lexmatch.const2 import _require_m2_strict, favorites, is_stable_m2
+from lexmatch.model import GREATER, _capacity_binds, scaled_leximin
+from lexmatch.report import SolverReport
 
 
 def _strict_m2_instances(seed, count, n_max, n_min=2):
@@ -146,6 +149,145 @@ def _grid_best(instance):
                 if best is None or t.values > best.values:
                     best = t
     return best.view().values
+
+
+def _reference_staircase(instance):
+    """const2._staircase as it was before fast_const read its result off
+    the walk: (fans, stable), favorites not handed back."""
+    _, _, v = instance._kernel
+    alpha = favorites(instance)
+    fans = tuple(
+        sorted((i for i, a in enumerate(alpha) if a == j), key=v[j].__getitem__)
+        for j in (0, 1)
+    )
+    floor = tuple(
+        list(accumulate((v[1 - j][i] for i in fans[j]), min)) for j in (0, 1)
+    )
+
+    def stable(d0, d1):
+        return not (d0 and d1) or (
+            v[0][fans[0][d0 - 1]] < floor[1][d1 - 1]
+            and v[1][fans[1][d1 - 1]] < floor[0][d0 - 1]
+        )
+
+    return fans, stable
+
+
+def _reference_fast_const(instance, on_state=None):
+    """fast_const as it was before it read its result off the walk: every
+    move goes through the since-best lists, and the report's tuple comes
+    from scaled_leximin on the rebuilt best assignment."""
+    _require_m2_strict(instance)
+    if _capacity_binds(instance):
+        raise NotAdmissibleError("solver assumes capacities of at least n-1")
+    n = instance.n
+    if n < 2:
+        raise InfeasibleError(f"{n} student cannot cover 2 colleges")
+    _, u, v = instance._kernel
+    fans, stable = _reference_staircase(instance)
+    assignment = favorites(instance)
+    totals = [sum(map(v[j].__getitem__, fans[j])) for j in (0, 1)]
+    gone, came = [], []
+    toggles = 0
+    d = [0, 0]
+    best_d = (0, 0) if fans[0] and fans[1] else None
+    a_max = -1
+
+    if on_state is not None:
+        on_state(Matching(assignment))
+    while True:
+        low, high = (0, 1) if totals[0] <= totals[1] else (1, 0)
+        a_max = max(a_max, totals[low])
+        if d[high] == len(fans[high]):
+            break
+        mover = fans[high][d[high]]
+        if u[low][mover] < a_max:
+            break
+        d[high] += 1
+        if not stable(*d):
+            break
+        assignment[mover] = low
+        toggles += 1
+        if on_state is not None:
+            on_state(Matching(assignment))
+        for old in (u[high][mover], totals[high], totals[low]):
+            insort(gone, old)
+        totals[high] -= v[high][mover]
+        totals[low] += v[low][mover]
+        for new in (u[low][mover], totals[high], totals[low]):
+            insort(came, new)
+        if (came > gone or best_d is None) and len(fans[high]) - d[high] + d[low]:
+            best_d = tuple(d)
+            gone.clear()
+            came.clear()
+
+    tuple_comparisons = toggles
+    steps = toggles + tuple_comparisons * (n + 2)
+    best = favorites(instance)
+    for j, d_j in enumerate(best_d):
+        for i in fans[j][:d_j]:
+            best[i] = 1 - j
+    matching = Matching(best)
+    return SolverReport(
+        algorithm="fast_const",
+        matching=matching,
+        leximin=scaled_leximin(instance, matching),
+        steps=steps,
+        counters={"toggles": toggles, "tuple_comparisons": tuple_comparisons},
+    )
+
+
+def _reference_walk_cases():
+    for n in range(10, 161, 10):
+        for seed in range(2):
+            yield _toggle_family(n, seed)
+            yield _crossed(n, seed)
+    for n in range(2, 41):
+        for value_max in (None, n + 1, 2 * n + 3):
+            yield generate(GenSpec("strict", n, 2, seed=n, value_max=value_max))
+    yield from _zero_valued_strict_m2(seed=23, count=3000)
+
+
+class TestReferenceWalk:
+    """fast_const decides a move at its best state from the move alone and
+    reads its tuple off the walk; report, counters and on_state trace must
+    equal those of the walk it replaced."""
+
+    def test_agrees_with_the_reference_walk(self):
+        scaled = moved = zeros = past_best = 0
+        for inst in _reference_walk_cases():
+            for case in (inst, _scaled_by_35(inst)):
+                got_trace, want_trace = [], []
+                try:
+                    want = _reference_fast_const(case, on_state=want_trace.append)
+                except (InfeasibleError, NotAdmissibleError) as exc:
+                    with pytest.raises(type(exc)):
+                        fast_const(case)
+                    continue
+                got = fast_const(case, on_state=got_trace.append)
+                assert got.to_json_dict() == want.to_json_dict(), case
+                assert got.counters == want.counters and got == want, case
+                assert got_trace == want_trace, case
+                scaled += case._kernel[0] > 1
+                moved += got.counters["toggles"] > 0
+                zeros += 0 in got.leximin.values
+                # a walk that goes on two moves past its best adds to
+                # nonempty since-best lists
+                past_best += len(got_trace) - got_trace.index(got.matching) > 2
+        assert scaled > 3000 and moved > 2500 and zeros > 1000 and past_best > 50
+
+    def test_builds_its_tuple_without_walking_the_matching(self, monkeypatch):
+        cases = [_toggle_family(40, 0), _crossed(20, 0), _scaled_by_35(_crossed(20, 1))]
+        want = [_reference_fast_const(inst).to_json_dict() for inst in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fast_const walked its own matching")
+
+        monkeypatch.setattr(Matching, "validate", refuse)
+        monkeypatch.setattr(Matching, "college_view", refuse)
+        got = [fast_const(inst).to_json_dict() for inst in cases]
+        monkeypatch.undo()
+        assert got == want
 
 
 class TestFavorites:

@@ -4,17 +4,21 @@
 of ``report.to_json_dict()`` (canonical JSON) for every solver, or of the
 error the solver raises.  The sweep covers every generator kind at sizes up
 to 60 students and 8 colleges (where fast_gen's trial loop does the most
-work), capacities none and random, tie-heavy ranked values (``value_max`` n+3, keys ending in
-``/ties``), and for each instance one image scaled to denominators of 5, 7
-and 35.  A change that keeps outputs as they are (a refactor, a speed-up)
-must leave every digest in place; the digests change only in a change that
-states an output change, which records them again with
+work), two colleges at 40 students (longer m=2 walks), capacities none
+and random, tie-heavy ranked values (``value_max`` n+3, keys ending in
+``/ties``), a few isometric ``Instance.from_matrix`` inputs on which fast's
+walk meets exact ties (keys ``tie_rich/...``), and for each instance one
+image scaled to denominators of 5, 7 and 35.  A change that keeps outputs
+as they are (a refactor, a speed-up) must leave every digest in place; the
+digests change only in a change that states an output change, which
+records them again with
 
     PYTHONPATH=src python tests/test_equivalence.py --record
 """
 
 import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,10 +38,12 @@ from lexmatch import (
     generate,
     oracle_leximin,
 )
+from lexmatch.fast import fast_admissible
 from lexmatch.generate import KINDS
 
 DATA = Path(__file__).resolve().parent / "data" / "equivalence.json"
-SIZES = ((2, 2), (5, 2), (7, 3), (16, 3), (30, 5), (60, 8))
+SIZES = ((2, 2), (5, 2), (7, 3), (16, 3), (30, 5), (40, 2), (60, 8))
+TIE_RICH_SEEDS = range(6)
 ORACLE_MAX_N = 7
 
 
@@ -68,6 +74,21 @@ def _image(instance):
     )
 
 
+def _tie_rich(seed):
+    """An isometric from_matrix instance whose matrix grows from the
+    bottom-right corner by steps of 1 or 2, so that a college's total often
+    equals one student's value: fast's walk meets exact ties."""
+    rng = random.Random(seed)
+    m = rng.randint(2, 5)
+    n = rng.randint(m + 2, 12)
+    V = [[0] * m for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            right = V[i][j + 1] if j + 1 < m else 0
+            V[i][j] = max(V[i + 1][j], right) + rng.randint(1, 2)
+    return Instance.from_matrix(V[:n])
+
+
 def _sweep():
     """(key, instance) for every instance of the sweep, in a fixed order."""
     for kind in KINDS:
@@ -83,6 +104,11 @@ def _sweep():
                     key += "" if value_max is None else "/ties"
                     yield key, inst
                     yield key + "/scaled", _image(inst)
+    for seed in TIE_RICH_SEEDS:
+        inst = _tie_rich(seed)
+        key = f"tie_rich/n{inst.n}/m{inst.m}/s{seed}"
+        yield key, inst
+        yield key + "/scaled", _image(inst)
 
 
 SWEEP = dict(_sweep())
@@ -116,6 +142,13 @@ def test_the_recording_covers_the_sweep():
     assert sorted(_recorded()) == sorted(SWEEP)
     scales = {inst._kernel[0] for inst in SWEEP.values()}
     assert 1 in scales and max(scales) > 1
+
+
+def test_the_sweep_reaches_fast_tie_trials():
+    # the recorded digests pin fast's exact-tie rule only if some walk
+    # meets a tie
+    reports = [fast(inst) for inst in SWEEP.values() if fast_admissible(inst)]
+    assert sum(r.counters["tuple_comparisons"] > 0 for r in reports) >= 3
 
 
 def test_int_and_digit_string_rows_give_the_same_kernel_and_flags():

@@ -278,11 +278,12 @@ class TestOneTrialTieRule:
             inst for inst in SWEEP.values()
             if classify(inst).ranked and classify(inst).isometric
         ]
-        assert len(isometric) == 24
+        assert len(isometric) == 40
         stats = Counter()
         for inst in isometric:
             self._agree(inst, stats)
-        assert stats["equal_steps"] == 0
+        # the sweep's tie_rich inputs meet exact ties
+        assert stats["ties"] > 0 and stats["equal_steps"] == 0
 
     def test_tie_rich_pools(self):
         stats = Counter()

@@ -4,6 +4,7 @@ The recurring helper `_collector_value` reads off the deciding quantity: the
 last college's value under the leximin-optimal complete stable matching.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from lexmatch import (
     subset_sum_to_smo,
     three_partition_to_smo,
 )
+from lexmatch.cli import main
 
 
 def _optimum(inst):
@@ -240,3 +242,37 @@ class TestReductionSpec:
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):
             ReductionSpec("vertex_cover", {}).build()
+
+    @pytest.mark.parametrize(
+        "kind, data, unknown",
+        [
+            ("balanced_partition", {"integers": [1, 1], "replicate": 2}, "'replicate'"),
+            ("subset_sum", {"integers": [1, 2], "target": 2, "bogus": 3}, "'bogus'"),
+            ("three_partition", {"integers": [5, 4, 3], "target": 4, "bins": 1}, "'bins', 'target'"),
+            ("bin_packing", {"weights": ["1/2", "1/2"], "bins": 2, "bin": 3}, "'bin'"),
+        ],
+    )
+    def test_refuses_keys_its_kind_does_not_read(self, kind, data, unknown):
+        with pytest.raises(InvalidInputError, match=f"unknown keys {unknown};"):
+            ReductionSpec(kind, data).build()
+
+    def test_reads_every_key_it_names(self):
+        # epsilon and replicate are optional, but a bin-packing input may give them
+        data = {"weights": ["1/2", "1/2"], "bins": 2, "replicate": 1, "epsilon": "1/100"}
+        assert ReductionSpec("bin_packing", data).build() == bin_packing_to_smo(
+            [Fraction(1, 2)] * 2, 2, epsilon=Fraction(1, 100)
+        )
+
+    @pytest.mark.parametrize(
+        "source, data",
+        [
+            ("partition", {"integers": [1, 1], "replicate": 2}),
+            ("subset-sum", {"integers": [1, 2], "target": 2, "bogus": 3}),
+        ],
+    )
+    def test_cli_exits_2_on_an_unknown_key(self, tmp_path, capsys, source, data):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        assert main(["reduce", "--from", source, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown keys" in captured.err
