@@ -44,24 +44,26 @@ EXIT_BUDGET = 5
 def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
     """Route an instance to the right solver.  This is the one name-to-solver
     table: `lexmatch solve` and library callers both go through it.
-    `auto` picks by structure: ranked+isometric -> fast, ranked -> fast_gen,
-    strict with two colleges -> fast_const; anything else has no known
-    polynomial solver and raises NpHardRegimeError (the oracle remains
-    available explicitly).
+    `auto` picks by structure: strict with two colleges and no binding
+    capacity -> fast_const, ranked instances included (const2 proves it
+    exact there); otherwise ranked+isometric -> fast, ranked -> fast_gen;
+    anything else has no known polynomial solver and raises
+    NpHardRegimeError (the oracle remains available explicitly).
 
-    Known gap: strict two-college instances with a capacity below n-1 also
-    raise NpHardRegimeError (exit 3), although the class is polynomial:
-    stability there does not involve capacities, so the (d0, d1) staircase
-    of const2 with a size filter would solve them.  ROADMAP item 4 tracks
-    it."""
+    Known gap: strict non-ranked two-college instances with a capacity below
+    n-1 also raise NpHardRegimeError (exit 3), although the class is
+    polynomial: stability there does not involve capacities, so the
+    (d0, d1) staircase of const2 with a size filter would solve them.
+    Capacitated ranked m=2 goes to fast or fast_gen, which are not exact
+    there."""
     if algo == "auto":
         flags = classify(instance)
-        if flags.ranked and flags.isometric:
+        if flags.strict and instance.m == 2 and not _capacity_binds(instance):
+            algo = "fast-const"
+        elif flags.ranked and flags.isometric:
             algo = "fast"
         elif flags.ranked:
             algo = "fast-gen"
-        elif flags.strict and instance.m == 2 and not _capacity_binds(instance):
-            algo = "fast-const"
         else:
             raise NpHardRegimeError(
                 "no exact polynomial solver covers this instance class; "

@@ -17,12 +17,32 @@ empty college is always the poorer one, as n >= 2.  The walk stops when
 the richer college has no fan left, when the next pair is not stable, or
 by rule A (an irreversible value drop for the mover).
 
-The walk's exactness rests on a claim that is not proved: with positive
-values, the path that moves the richer college's fans passes through a
-leximin-optimal stable pair.  The tests check it against the oracle up to
-n = 10 and against every stable (d0, d1) pair up to n = 60.  Rule A is only
-a speed cut, not part of the claim: without it the walk returned the same
-tuple on 2,955 strict m=2 inputs, with 15,286 moves in all against 1,349.
+On a ranked instance with positive college values the walk is exact.
+Every student's favorite is college 0, so college 1 has no fans: the walk
+moves college 0's fans one by one, every (d0, 0) is stable, and it stops in
+one of two ways.  Let C be the state it stops at, with totals t0 and t1.
+Each later state L moves more students, and the domination lemma applies
+with B = t1: pair L's values one-to-one with C's so that each is at most its
+partner, except partners that are at least B; if some L value below B is
+strictly below its partner, L is leximin-worse than C (for every y < B, L
+has at least as many values <= y as C, and at that value one more).  A
+mover leaves their favorite and strictly falls, college 0's total falls,
+and only college 1's total rises, to at least t1.
+  * It stops when t0 <= t1.  Every later state has a college-0 total
+    strictly below t0, hence below B, so it is worse than C.
+  * Rule A stops it when the next mover values college 1 below a_max.
+    College 1 has been the poorer one all along and its total only rises,
+    so a_max is t1, and every later state holds that mover below B and
+    below their value in C, so it is worse than C.
+The walk has compared every earlier state, so its best is optimal.
+
+For students with two different favorites the walk's exactness rests on a
+claim that is not proved: with positive values, the path that moves the
+richer college's fans passes through a leximin-optimal stable pair.  The
+tests check it against the oracle up to n = 10 and against every stable
+(d0, d1) pair up to n = 60.  Rule A is only a speed cut, not part of the
+claim: without it the walk returned the same tuple on 2,955 strict m=2
+inputs, with 15,286 moves in all against 1,349.
 
 With some values 0 the walk can stop short of the optimum: on
 ``Instance.build([[0, 3], [3, 1], [3, 2]], [[3, 1, 0], [1, 4, 2]])`` it

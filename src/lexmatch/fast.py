@@ -9,13 +9,15 @@ improves, which it reads off the demotion's delta (see _state).
 
 The walk reads the capacities from the instance: the initial fill respects
 them and a full college is skipped.  A capacity that cannot bind
-(model._capacity_binds) never stops it, so fast and cap_fast run one walk
-and differ only in the name they report.
+(model._capacity_binds) never stops it.  cap_fast is another name for fast;
+the report says cap_fast when some capacity can bind.
 
 The walk is a heuristic, not an exact solver: its stopping rule can end
 before the optimum even at m=2.  On
 ``generate(GenSpec("ranked_isometric", 5, 2, seed=211977))`` it returns block
 sizes (3, 2), while the leximin optimum (``oracle_leximin``) is (1, 4).
+solve_dispatch sends uncapacitated m=2 inputs to const2.fast_const, which
+is exact on them.
 """
 
 from __future__ import annotations
@@ -106,16 +108,10 @@ def _run(
 def fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
     """Complete stable matching of a ranked isometric instance, aiming at
     the leximin optimum but not always reaching it (see the module
-    docstring).  Dispatches to cap_fast when a capacity could bind."""
+    docstring).  The report is named cap_fast when a capacity can bind."""
     if not fast_admissible(instance):
         raise NotAdmissibleError("solver requires a ranked isometric instance")
-    if _capacity_binds(instance):
-        return cap_fast(instance, on_state=on_state)
-    return _run(instance, "fast", on_state)
+    return _run(instance, "cap_fast" if _capacity_binds(instance) else "fast", on_state)
 
 
-def cap_fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
-    """Capacity-respecting variant of fast."""
-    if not fast_admissible(instance):
-        raise NotAdmissibleError("solver requires a ranked isometric instance")
-    return _run(instance, "cap_fast", on_state)
+cap_fast = fast  # the one walk under its capacitated name

@@ -1,4 +1,4 @@
-"""Leximin solver for general ranked valuations, with capacitated variants.
+"""Leximin solver for general ranked valuations, capacities included.
 
 The solver maintains a contiguous block matching and two cursors: `up`, the
 best-ranked college whose lower boundary is still open, and `down`, the
@@ -13,9 +13,14 @@ based on *which agent* would be the first to lose:
   * some other college loses -> speculate several demotions ahead and commit
     the whole run only if the tuple recovers.
 
-With capacities the same loop runs with full colleges upper-fixed; whenever a
-full college still gives a student away, the boundaries right of it may have
-been fixed prematurely, so the run restarts with those fixes cleared.
+Capacities are part of the instance: the initial fill respects them, and a
+full college never receives.  When a capacity can bind
+(model._capacity_binds) and a full college still gives a student away, the
+boundaries right of it may have been fixed prematurely, so the run restarts
+from its end state, with only the colleges left of the smallest such giver
+upper-fixed.  Capacities that cannot bind (n - 1 or more) fill a college
+only when every other college holds one student; their runs never restart,
+and the report is named fast_gen rather than cap_fast_gen.
 
 Demotion trials are never applied to be compared.  The state's ``table``
 holds, in O(m), the 2m - 1 values any trial can remove (R) and those it can
@@ -49,7 +54,8 @@ The rules are heuristic, not exact: on
 ``generate(GenSpec("ranked", 4, 2, seed=54, value_max=7))`` fast_gen returns
 block sizes (3, 1), while the leximin optimum (``oracle_leximin``) is (1, 3).
 Along (3, 1) -> (2, 2) -> (1, 3) the tuple first gets worse and then better,
-so a walk that stops at the first loss misses it.
+so a walk that stops at the first loss misses it.  solve_dispatch sends
+uncapacitated m=2 inputs to const2.fast_const, which is exact on them.
 """
 
 from __future__ import annotations
@@ -186,24 +192,19 @@ def _best_trial(state: RankedState, table, receivers: list, lower_fix: set, coun
     return giver, receiver, best_key >= sorted(R)
 
 
-def _look_ahead(
-    state: RankedState,
-    down: int,
-    fixes: FixSets,
-    caps,
-    counters: _Counters,
-):
+def _look_ahead(state: RankedState, down: int, fixes: FixSets, counters: _Counters):
     """Speculative multi-demote into college `down`.  Returns the committed
     state (or None) and mutates the global fix sets only on the non-commit
     exits that pin something down permanently."""
     n, m = state.instance.n, state.instance.m
+    caps = state.instance.capacities
     shadow = state.copy()
     lf = set(fixes.lower_fix)
     uf = set(fixes.upper_fix)
     old = state.values()
     gone, came = [], []  # values the shadow has removed and added (see _state)
     while len(lf) < m:
-        if caps is not None and shadow.k[down] >= caps[down]:
+        if shadow.k[down] >= caps[down]:
             break
         up = min(j for j in range(m) if j not in lf)
         if up >= down:
@@ -241,17 +242,19 @@ def _look_ahead(
 
 
 def _inner_run(
-    instance: Instance,
     state: RankedState,
     fixes: FixSets,
-    caps,
-    T,
+    watch_full: bool,
     counters: _Counters,
     on_state,
 ):
-    """One full run of the main loop.  Mutates state/fixes/T in place and
-    returns the final state."""
+    """One full run of the main loop.  Mutates state and fixes in place and
+    returns (final state, restart): restart is the smallest college that
+    gave a student while full, or m if none did or watch_full is false."""
+    instance = state.instance
     n, m = instance.n, instance.m
+    caps = instance.capacities
+    restart = m
 
     def emit(st):
         if on_state is not None:
@@ -275,7 +278,7 @@ def _inner_run(
         if state.k[up] == 1 or state.college_value(up) <= state.college_value(down):
             fixes.lower_fix.add(up)
             continue
-        if caps is not None and state.k[down] >= caps[down]:
+        if state.k[down] >= caps[down]:
             fixes.upper_fix.add(down)
             continue
         # A demotion is irreversible (blocks only shrink on the left), so
@@ -286,11 +289,7 @@ def _inner_run(
         # (giver, receiver) pair and keep the leximin-best trial; the
         # canonical up -> down move (always eligible here) still drives the
         # loss attribution when nothing improves.
-        receivers = [
-            q
-            for q in unfixed
-            if q > up and (caps is None or state.k[q] < caps[q])
-        ]
+        receivers = [q for q in unfixed if q > up and state.k[q] < caps[q]]
         # one table serves every trial and, if none improves, the blame
         table = state.table()
         giver, receiver, improves = _best_trial(
@@ -298,8 +297,8 @@ def _inner_run(
         )
         # an EQUAL trial commits too: sum(j * k[j]) still rises (see Progress)
         if improves:
-            if T is not None and state.k[giver] >= caps[giver]:
-                T[giver] = 1
+            if watch_full and giver < restart and state.k[giver] >= caps[giver]:
+                restart = giver
             state.demote(giver, receiver)
             emit(state)
             continue
@@ -324,70 +323,32 @@ def _inner_run(
             fixes.upper_fix.add(t + 1)
             fixes.soft_fix |= {(j, t + 1) for j in unfixed if j > t + 1}
         else:
-            committed = _look_ahead(state, down, fixes, caps, counters)
+            committed = _look_ahead(state, down, fixes, counters)
             if committed is not None:
                 state = committed
                 emit(state)
-    return state
+    return state, restart
 
 
 def fast_gen(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
     """Complete stable matching for general ranked valuations, aiming at the
     leximin optimum but not always reaching it (see the module docstring).
-    Dispatches to cap_fast_gen when a capacity could bind."""
+    When a capacity can bind, the report is named cap_fast_gen and a run in
+    which a full college gave a student restarts (see the module
+    docstring)."""
     _require_ranked(instance)
-    if _capacity_binds(instance):
-        return cap_fast_gen(instance, on_state=on_state)
     m = instance.m
+    binds = _capacity_binds(instance)
     state = RankedState(instance, initial_boundary(instance))
     fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
     counters = _Counters()
-    state = _inner_run(instance, state, fixes, None, None, counters, on_state)
-    return counters.report("fast_gen", state)
-
-
-def cap_preprocess(instance: Instance):
-    """Capacity-aware starting point: the state of the left-heavy feasible
-    fill, plus fix sets.  When some student i in 1..n-2 is alone at its
-    college, as is every college right of it, and already sits at or below
-    every college's value, that college and everything to its right can
-    never profitably shed students, so their lower boundaries are fixed up
-    front.  (Only the lower ones: such a college may still *gain* members
-    when that raises its value without hurting the minimum.)  O(n + m)."""
-    _require_ranked(instance)
-    n, m = instance.n, instance.m
-    state = RankedState(instance, initial_boundary(instance))
-    fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
-    u, k = instance._kernel[1], state.k
-    floor = min(state.college_value(j) for j in range(m))
-    tail = m  # colleges tail..m-1 hold one student each
-    while tail and k[tail - 1] == 1:
-        tail -= 1
-    # college j of the tail holds student n - m + j alone; i = n - 1 is out
-    for j in range(tail, m - 1):
-        i = n - m + j
-        if i >= 1 and u[j][i] <= floor:
-            fixes.lower_fix.update(range(j, m))
-            break
-    return state, fixes
-
-
-def cap_fast_gen(
-    instance: Instance, on_state: Optional[Callable] = None
-) -> SolverReport:
-    """Capacity-respecting variant of fast_gen with the restart rule for
-    prematurely fixed boundaries."""
-    state, fixes = cap_preprocess(instance)
-    m = instance.m
-    caps = list(instance.capacities)
-    counters = _Counters()
-    T = [0] * m
     while True:
-        state = _inner_run(instance, state, fixes, caps, T, counters, on_state)
-        if not any(T):
+        state, restart = _inner_run(state, fixes, binds, counters, on_state)
+        if restart == m:
             break
         counters.reruns += 1
-        j_star = min(j for j in range(m) if T[j])
-        fixes = FixSets(upper_fix=set(range(j_star)) or {0}, lower_fix={m - 1})
-        T = [0] * m
-    return counters.report("cap_fast_gen", state)
+        fixes = FixSets(upper_fix=set(range(restart)) or {0}, lower_fix={m - 1})
+    return counters.report("cap_fast_gen" if binds else "fast_gen", state)
+
+
+cap_fast_gen = fast_gen  # the one solver under its capacitated name

@@ -172,7 +172,9 @@ def bin_packing_to_smo(weights, k: int, t: int = 1, epsilon=None) -> Instance:
     return Instance(u, v, _caps(n, m))
 
 
-# the keys each reduction kind reads from its input
+# the keys each reduction kind reads from its input; all but _OPTIONAL are
+# required
+_OPTIONAL = ("replicate", "epsilon")
 _KEYS = {
     "subset_sum": ("integers", "target"),
     "balanced_partition": ("integers",),
@@ -188,8 +190,9 @@ class ReductionSpec(NamedTuple):
     data: dict
 
     def build(self) -> Instance:
-        """The image instance.  Raises InvalidInputError for an unknown kind
-        or a key the kind does not read, rather than ignore it."""
+        """The image instance.  Raises InvalidInputError for an unknown kind,
+        a key the kind does not read (rather than ignore it) or a missing
+        required key."""
         kind = self.kind
         if kind not in _KEYS:
             raise InvalidInputError(f"unknown reduction kind {kind!r}")
@@ -198,6 +201,11 @@ class ReductionSpec(NamedTuple):
             raise InvalidInputError(
                 f"{kind} input has unknown keys {', '.join(map(repr, unknown))}; "
                 f"it reads {', '.join(map(repr, _KEYS[kind]))}"
+            )
+        missing = [k for k in _KEYS[kind] if k not in self.data and k not in _OPTIONAL]
+        if missing:
+            raise InvalidInputError(
+                f"{kind} input lacks required keys {', '.join(map(repr, missing))}"
             )
         if kind == "subset_sum":
             return subset_sum_to_smo(self.data["integers"], self.data["target"])

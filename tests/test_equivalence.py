@@ -1,11 +1,13 @@
 """Every solver's output on a fixed generated sweep, pinned by digest.
 
 ``tests/data/equivalence.json`` maps each sweep instance's key to the sha256
-of ``report.to_json_dict()`` (canonical JSON) for every solver, or of the
-error the solver raises.  The sweep covers every generator kind at sizes up
-to 60 students and 8 colleges (where fast_gen's trial loop does the most
-work), two colleges at 40 students (longer m=2 walks), capacities none
-and random, tie-heavy ranked values (``value_max`` n+3, keys ending in
+of ``report.to_json_dict()`` (canonical JSON) for every solver, and for
+``solve_dispatch``'s auto route (column ``dispatch``, which pins the
+routing), or of the error raised.  cap_fast and cap_fast_gen are other
+names for fast and fast_gen, so they have no column.  The sweep covers
+every generator kind at sizes up to 60 students and 8 colleges (where
+fast_gen's trial loop does the most work), two colleges at 40 students
+(longer m=2 walks), capacities none and random, tie-heavy ranked values (``value_max`` n+3, keys ending in
 ``/ties``), a few isometric ``Instance.from_matrix`` inputs on which fast's
 walk meets exact ties (keys ``tie_rich/...``), and for each instance one
 image scaled to denominators of 5, 7 and 35.  A change that keeps outputs
@@ -29,14 +31,13 @@ from lexmatch import (
     GenSpec,
     Instance,
     LexmatchError,
-    cap_fast,
-    cap_fast_gen,
     classify,
     fast,
     fast_const,
     fast_gen,
     generate,
     oracle_leximin,
+    solve_dispatch,
 )
 from lexmatch.fast import fast_admissible
 from lexmatch.generate import KINDS
@@ -53,11 +54,10 @@ def _oracle(instance):
 
 SOLVERS = {
     "fast": fast,
-    "cap_fast": cap_fast,
     "fast_gen": fast_gen,
-    "cap_fast_gen": cap_fast_gen,
     "fast_const": fast_const,
     "oracle": _oracle,
+    "dispatch": solve_dispatch,
 }
 
 

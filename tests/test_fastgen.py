@@ -20,8 +20,9 @@ from lexmatch import (
 )
 from lexmatch import fastgen
 from lexmatch._state import RankedState, delta_of, initial_boundary
-from lexmatch.fastgen import FixSets, cap_preprocess
-from lexmatch.model import ScaledLeximin, college_value, scaled_leximin
+from lexmatch.fastgen import FixSets
+from lexmatch.model import ScaledLeximin, _capacity_binds, scaled_leximin
+from lexmatch.reference import ranked_dp
 
 from conftest import random_instances, random_sizes
 
@@ -121,47 +122,91 @@ def _tie_heavy_ranked(seed, count, n_max, m_max):
                 )
 
 
-def _tail_lower_fix_by_scan(instance, k):
-    """cap_preprocess's lower_fix by its first O(n * m) form: the first
-    student i in 1..n-2 whose college and every college right of it hold one
-    student each, and whose value is at or below every college's value,
-    fixes its college and every college right of it."""
+def _tail_capped(seed, count):
+    """Ranked instances on which the deleted capacity start fires often:
+    2..m-1 tail colleges of capacity 1, student values in [1, m+2] and
+    college values in a window of n+3 that starts in [1, m+2], so a tail
+    student's value is often at or below every college's."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(3, 6)
+        n = rng.randint(m + 1, 14)
+        tail = rng.randint(2, m - 1)
+        sv = [sorted(rng.sample(range(1, m + 3), m), reverse=True) for _ in range(n)]
+        lo = rng.randint(1, m + 2)
+        cv = [sorted(rng.sample(range(lo, lo + n + 3), n), reverse=True) for _ in range(m)]
+        caps = [rng.randint(1, n - 1) for _ in range(m - tail)] + [1] * tail
+        caps[0] = max(caps[0], n - sum(caps[1:]))
+        yield Instance.build(sv, cv, caps)
+
+
+def _cap_preprocess(instance):
+    """The start cap_fast_gen once had: the left-heavy fill, with the lower
+    boundaries of a single-student tail fixed up front from the first
+    college j whose student i in 1..n-2 sits at or below every college's
+    value."""
     n, m = instance.n, instance.m
-    mu = Matching([j for j, size in enumerate(k) for _ in range(size)])
-    college_values = [college_value(instance, mu, j) for j in range(m)]
-    lower_fix = {m - 1}
-    for i in range(1, n - 1):
-        j = mu.assignment[i]
-        if all(k[p] == 1 for p in range(j, m)) and all(
-            instance.u(i, j) <= cv for cv in college_values
-        ):
-            lower_fix.update(range(j, m))
+    state = RankedState(instance, initial_boundary(instance))
+    fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
+    u, k = instance._kernel[1], state.k
+    floor = min(state.college_value(j) for j in range(m))
+    tail = m  # colleges tail..m-1 hold one student each
+    while tail and k[tail - 1] == 1:
+        tail -= 1
+    # college j of the tail holds student n - m + j alone; i = n - 1 is out
+    for j in range(tail, m - 1):
+        i = n - m + j
+        if i >= 1 and u[j][i] <= floor:
+            fixes.lower_fix.update(range(j, m))
             break
-    return lower_fix
+    return state, fixes
 
 
-class TestCapPreprocess:
-    def test_cascade_fill(self):
-        inst = generate(GenSpec(kind="ranked", n=5, m=3, seed=5))
-        capped = Instance(inst.student_values, inst.college_values, (2, 2, 2))
-        state, fixes = cap_preprocess(capped)
-        assert state.k == [2, 2, 1]
-        assert 0 in fixes.upper_fix and 2 in fixes.lower_fix
+def _fast_gen_from_the_old_start(instance):
+    """fast_gen's run loop, restarts included, seeded by _cap_preprocess;
+    also whether that start fixed anything beyond fast_gen's own."""
+    state, fixes = _cap_preprocess(instance)
+    fired = fixes.lower_fix != {instance.m - 1}
+    counters = fastgen._Counters()
+    while True:
+        state, restart = fastgen._inner_run(state, fixes, True, counters, None)
+        if restart == instance.m:
+            return counters.report("cap_fast_gen", state), fired
+        counters.reruns += 1
+        fixes = FixSets(upper_fix=set(range(restart)) or {0}, lower_fix={instance.m - 1})
 
-    def test_unconstrained_matches_plain_start(self):
-        inst = generate(GenSpec(kind="ranked", n=6, m=3, seed=6))
-        state, _ = cap_preprocess(inst)
-        assert state.k == [4, 1, 1]
 
-    def test_matches_the_quadratic_scan(self):
+class TestWithoutTheCapacityStart:
+    def test_same_matching_and_tuple_as_the_old_start(self):
+        pool = [
+            inst for inst in _tie_heavy_ranked(seed=61, count=200, n_max=12, m_max=6)
+            if _capacity_binds(inst)
+        ]
+        pool += _tail_capped(seed=3, count=600)
         fired = 0
-        for inst in _tie_heavy_ranked(seed=61, count=200, n_max=12, m_max=6):
-            state, fixes = cap_preprocess(inst)
-            assert state.k == initial_boundary(inst)
-            lower_fix = _tail_lower_fix_by_scan(inst, state.k)
-            assert fixes == FixSets(upper_fix={0}, lower_fix=lower_fix)
-            fired += len(lower_fix) > 1
-        assert fired >= 10
+        for inst in pool:
+            want, start_fired = _fast_gen_from_the_old_start(inst)
+            got = fast_gen(inst)
+            assert got.algorithm == "cap_fast_gen"
+            assert (got.matching, got.leximin) == (want.matching, want.leximin), inst
+            fired += start_fired
+        assert len(pool) >= 1000 and fired >= 200
+
+    def test_the_restart_mends_a_full_giver(self):
+        # the first run ends at (39, 4, 6); college 0 gave a student while
+        # full, and the rerun with its fixes cleared reaches the optimum
+        inst = generate(
+            GenSpec("ranked", 49, 3, seed=1, capacity_mode="random", value_max=52)
+        )
+        state = RankedState(inst, initial_boundary(inst))
+        first, restart = fastgen._inner_run(
+            state, FixSets(upper_fix={0}, lower_fix={2}), True, fastgen._Counters(), None
+        )
+        assert (first.k, restart) == ([39, 4, 6], 0)
+        report = fast_gen(inst)
+        assert boundary_from_matching(inst, report.matching).k == (38, 5, 6)
+        assert report.counters["reruns"] == 1
+        assert ranked_dp(inst).matching == report.matching
 
 
 class TestProgress:
@@ -403,11 +448,12 @@ class TestOneTablePerIteration:
 
 class TestCapFastGen:
     def test_nonbinding_capacities_match_fast_gen(self):
+        assert cap_fast_gen is fast_gen
         for n, m, s in random_sizes(51, count=50, n_max=9, m_max=4, n_min=2):
             inst = generate(GenSpec(kind="ranked", n=n, m=m, seed=s))
-            caps = (n,) if m == 1 else (max(1, n - 1),) * m
-            loose = Instance(inst.student_values, inst.college_values, caps)
-            assert cap_fast_gen(loose).leximin.values == fast_gen(inst).leximin.values
+            loose = Instance(inst.student_values, inst.college_values, (n,) * m)
+            assert fast_gen(loose) == fast_gen(inst)
+            assert fast_gen(loose).algorithm == "fast_gen"
 
     def test_small_binding_case(self):
         inst = generate(GenSpec(kind="ranked", n=5, m=2, seed=8))

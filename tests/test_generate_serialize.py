@@ -184,7 +184,14 @@ class TestSerialize:
 
 class TestDispatch:
     def test_routes_by_structure(self, ref_instance):
-        assert solve_dispatch(ref_instance).algorithm == "fast"
+        # the paper's 4x2 example is ranked isometric, but uncapacitated
+        # strict m=2 goes to fast_const, which const2 proves exact there
+        report = solve_dispatch(ref_instance)
+        assert report.algorithm == "fast_const"
+        assert report.matching.assignment == (0, 1, 1, 1)
+        assert report.leximin.values == (3, 4, 9, 16, 100, 100)
+        iso = generate(GenSpec(kind="ranked_isometric", n=5, m=3, seed=2))
+        assert solve_dispatch(iso).algorithm == "fast"
         ranked = generate(GenSpec(kind="ranked", n=5, m=3, seed=2))
         assert solve_dispatch(ranked).algorithm == "fast_gen"
         strict = generate(GenSpec(kind="strict", n=5, m=2, seed=2))
@@ -251,7 +258,7 @@ class TestCli:
         path = _write(tmp_path, "inst.json", dump_instance(ref_instance))
         assert main(["solve", "--instance", path]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["algorithm"] == "fast"
+        assert out["algorithm"] == "fast_const"
         assert out["matching"]["assignment"] == [0, 1, 1, 1]
         assert out["leximin"] == ["3", "4", "9", "16", "100", "100"]
 

@@ -22,6 +22,7 @@ from lexmatch import (
     SolverReport,
     classify,
     fairness_report,
+    fast,
     is_stable,
     solve_dispatch,
 )
@@ -130,7 +131,7 @@ def test_boundary_vector_refusal(k, message):
 
 
 def test_solver_report_fields_repr_equality_and_json(ref_instance):
-    solved = solve_dispatch(ref_instance)
+    solved = fast(ref_instance)
     report = SolverReport(
         algorithm="fast",
         matching=Matching([0, 1, 1, 1]),

@@ -256,6 +256,22 @@ class TestReductionSpec:
         with pytest.raises(InvalidInputError, match=f"unknown keys {unknown};"):
             ReductionSpec(kind, data).build()
 
+    @pytest.mark.parametrize(
+        "kind, data, missing",
+        [
+            ("balanced_partition", {}, "'integers'"),
+            ("subset_sum", {}, "'integers', 'target'"),
+            ("subset_sum", {"integers": [1, 2]}, "'target'"),
+            ("three_partition", {}, "'integers'"),
+            ("bin_packing", {"weights": ["1/2"]}, "'bins'"),
+            ("bin_packing", {"epsilon": "1/100"}, "'weights', 'bins'"),
+        ],
+    )
+    def test_names_every_missing_required_key(self, kind, data, missing):
+        with pytest.raises(InvalidInputError) as info:
+            ReductionSpec(kind, data).build()
+        assert str(info.value) == f"{kind} input lacks required keys {missing}"
+
     def test_reads_every_key_it_names(self):
         # epsilon and replicate are optional, but a bin-packing input may give them
         data = {"weights": ["1/2", "1/2"], "bins": 2, "replicate": 1, "epsilon": "1/100"}
@@ -276,3 +292,18 @@ class TestReductionSpec:
         assert main(["reduce", "--from", source, "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "unknown keys" in captured.err
+
+    @pytest.mark.parametrize(
+        "source, data, message",
+        [
+            ("partition", {}, "balanced_partition input lacks required keys 'integers'"),
+            ("subset-sum", {"integers": [1, 2]}, "subset_sum input lacks required keys 'target'"),
+            ("bin-packing", {"bins": 2}, "bin_packing input lacks required keys 'weights'"),
+        ],
+    )
+    def test_cli_exits_2_on_a_missing_key(self, tmp_path, capsys, source, data, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        assert main(["reduce", "--from", source, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err

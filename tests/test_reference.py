@@ -13,6 +13,7 @@ from lexmatch import (
     fast_gen,
     generate,
     oracle_leximin,
+    solve_dispatch,
 )
 from lexmatch.reference import ranked_dp
 
@@ -92,3 +93,32 @@ def test_named_counterexample_optimum(kind, n, m, seed, value_max, _returned_k, 
     solver = fast if kind == "ranked_isometric" else fast_gen
     got = solver(inst)
     assert got.leximin.values <= exact.leximin.values
+
+
+@pytest.mark.parametrize(
+    "kind, n, m, seed, value_max, returned_k, optimal_k",
+    [case for case in NOT_EXACT if case[2] == 2],
+)
+def test_dispatch_is_exact_on_the_m2_counterexamples(
+    kind, n, m, seed, value_max, returned_k, optimal_k
+):
+    # uncapacitated ranked m=2 goes to fast_const, which const2 proves exact
+    inst = generate(GenSpec(kind, n, m, seed=seed, value_max=value_max))
+    got, exact = solve_dispatch(inst), ranked_dp(inst)
+    assert got.algorithm == "fast_const"
+    assert (got.matching, got.leximin) == (exact.matching, exact.leximin)
+    assert _sizes(got.matching.assignment, m) == optimal_k != returned_k
+
+
+def test_dispatch_is_exact_on_uncapacitated_ranked_m2():
+    checked = 0
+    for n, _, s in random_sizes(seed=13, count=150, n_max=24, m_max=1, n_min=2):
+        for kind, value_max in (
+            ("ranked_isometric", None), ("ranked", None), ("ranked", n + 3)
+        ):
+            inst = generate(GenSpec(kind, n, 2, seed=s, value_max=value_max))
+            got, exact = solve_dispatch(inst), ranked_dp(inst)
+            assert got.algorithm == "fast_const"
+            assert (got.matching, got.leximin) == (exact.matching, exact.leximin), inst
+            checked += 1
+    assert checked == 450
