@@ -32,10 +32,10 @@ do, and a trial beats its base iff its key beats sorted(R): one sort of
 state it started from the same way, by all the values it has removed and
 added so far.  The users: fast_gen ranks its demotion trials by their keys;
 fast's tie rule is one trial, its sorted added values against its sorted
-removed ones; and two walks keep since-base lists, comparing a state with
-a fixed earlier one by what changed since it: fast_gen's _look_ahead
-against its base, and const2.fast_const (on its own values, not through
-this class) against the best state it has seen.
+removed ones; fast_gen's _look_ahead keeps since-base lists, comparing a
+state with its base by what changed since it; and const2.fast_const (on its
+own values, not through this class) compares each candidate with the best
+state it has seen by the students whose college differs and the totals.
 """
 
 from __future__ import annotations

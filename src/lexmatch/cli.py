@@ -21,7 +21,7 @@ from .fast import fast
 from .fastgen import fast_gen
 from .generate import CAPACITY_MODES, KINDS, GenSpec, generate
 # leximin_tuple is not called here; it is kept bound for perfbench/spans.py
-from .model import Instance, _capacity_binds, classify, is_stable, leximin_tuple, scaled_leximin
+from .model import Instance, classify, is_stable, leximin_tuple, scaled_leximin
 from .oracle import candidate_count, candidates, oracle_leximin
 from .report import SolverReport
 from .serialize import (
@@ -44,21 +44,14 @@ EXIT_BUDGET = 5
 def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
     """Route an instance to the right solver.  This is the one name-to-solver
     table: `lexmatch solve` and library callers both go through it.
-    `auto` picks by structure: strict with two colleges and no binding
-    capacity -> fast_const, ranked instances included (const2 proves it
-    exact there); otherwise ranked+isometric -> fast, ranked -> fast_gen;
-    anything else has no known polynomial solver and raises
-    NpHardRegimeError (the oracle remains available explicitly).
-
-    Known gap: strict non-ranked two-college instances with a capacity below
-    n-1 also raise NpHardRegimeError (exit 3), although the class is
-    polynomial: stability there does not involve capacities, so the
-    (d0, d1) staircase of const2 with a size filter would solve them.
-    Capacitated ranked m=2 goes to fast or fast_gen, which are not exact
-    there."""
+    `auto` picks by structure: strict with two colleges -> fast_const,
+    ranked and capacitated instances included (const2 proves it exact on
+    every strict m=2 input); otherwise ranked+isometric -> fast, ranked ->
+    fast_gen; anything else has no known polynomial solver and raises
+    NpHardRegimeError (the oracle remains available explicitly)."""
     if algo == "auto":
         flags = classify(instance)
-        if flags.strict and instance.m == 2 and not _capacity_binds(instance):
+        if flags.strict and instance.m == 2:
             algo = "fast-const"
         elif flags.ranked and flags.isometric:
             algo = "fast"

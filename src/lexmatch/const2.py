@@ -2,77 +2,62 @@
 preferences.
 
 With m=2 a student's preference is just their favorite college, and the
-stable complete matchings have a closed form, stated once in
-``_staircase``: each college j hands the d_j fans it values least to the
-other college and, when d0 and d1 are both positive, must value every
-reluctant member above every fan it handed away.  The pairs (d0, d1) with
-d0, d1 >= 1 that pass form a staircase.  is_stable_m2 reads a matching's
-(d0, d1) off it; fast_const walks it.
+stable complete matchings have a closed form (``_staircase``): each college
+j hands the d_j fans it values least to the other and, when d0 and d1 are
+both positive, must value every reluctant member above every fan it handed
+away.  The stable pairs form a staircase: for a fixed d0 the stable d1 are a
+prefix, and for a fixed d1 the stable d0 are.  is_stable_m2 reads a
+matching's (d0, d1) off it; fast_const scans it.
 
-fast_const starts at d = (0, 0), everyone at their favorite, and moves the
-richer college's next fan to the poorer college, keeping the best (d0, d1)
-seen among those that leave both colleges nonempty (with some values 0, a
-state can beat every complete one and still leave a college empty).  An
-empty college is always the poorer one, as n >= 2.  The walk stops when
-the richer college has no fan left, when the next pair is not stable, or
-by rule A (an irreversible value drop for the mover).
+The scan.  With f_j college j's fans, state (d0, d1) puts |f0| - d0 + d1
+students in college 0 and |f1| - d1 + d0 in college 1.  Rows go d0 = 0, 1,
+..., |f0|, skipping those whose every state overfills college 0; in each
+row d1 rises from the row's start past the states that overfill college 1,
+up to the first that overfills college 0 or is not stable.  Later rows
+start no lower, so a row whose first state is not stable ends the scan.
+A candidate is a state with both colleges nonempty; the first best one is
+kept, which is the optimum with the fewest college-0 fans handed away, then
+the fewest college-1 fans.
 
-On a ranked instance with positive college values the walk is exact.
-Every student's favorite is college 0, so college 1 has no fans: the walk
-moves college 0's fans one by one, every (d0, 0) is stable, and it stops in
-one of two ways.  Let C be the state it stops at, with totals t0 and t1.
-Each later state L moves more students, and the domination lemma applies
-with B = t1: pair L's values one-to-one with C's so that each is at most its
-partner, except partners that are at least B; if some L value below B is
-strictly below its partner, L is leximin-worse than C (for every y < B, L
-has at least as many values <= y as C, and at that value one more).  A
-mover leaves their favorite and strictly falls, college 0's total falls,
-and only college 1's total rises, to at least t1.
-  * It stops when t0 <= t1.  Every later state has a college-0 total
-    strictly below t0, hence below B, so it is worse than C.
-  * Rule A stops it when the next mover values college 1 below a_max.
-    College 1 has been the poorer one all along and its total only rises,
-    so a_max is t1, and every later state holds that mover below B and
-    below their value in C, so it is worse than C.
-The walk has compared every earlier state, so its best is optimal.
+The cuts rest on one lemma.  Let C be a state and L another.  Pair L's
+values one-to-one with C's so that each L value is at most its partner,
+except partners that are at least some bound B.  If some L value below B is
+strictly below its partner, L is leximin-worse than C: for every y < B, L
+has at least as many values <= y as C, and at that value one more.  From C
+to a state that moves more students away from their favorites, every mover
+strictly falls and only the total of a college that receives students may
+rise, so B may be any bound at most C's totals of the receiving colleges.
+Each cut fires only at a candidate C = (d0, d1) with totals t0, t1:
+  * Row cut (B = t0).  End the row when the next college-1 fan b has
+    u0[b] < t0, or t1 < t0 and v1[b] > 0.  Every later state of the row
+    moves b and gives college 1 no students back, so b falls to u0[b] and
+    college 1 strictly below t1.
+  * Row stop (B = min(t0, t1)).  At (d0, 0), make d0 the last row when the
+    next college-0 fan a has u1[a] < min(t0, t1).  Every later row moves a,
+    and both of C's totals are at least B.
+  * Diagonal start (B = max(t0, t1)).  If t0 <= t1 and the next college-0
+    fan a has v0[a] > 0, C beats every (d0', d1) with d0' > d0: they move a,
+    and college 0 falls strictly below t0 <= B.  So each row starts at the
+    first state of the row before it that is not such a candidate (the
+    start never moves back), and the scan ends when the start passes |f1|.
+The row cut's second clause and the diagonal start both turn at the first
+state with t0 > t1, so where nothing else fires the scan visits the states
+of a walk in which the richer college hands the other its next fan.
+Every state the scan skips is unstable, overfills a college or is worse
+than a candidate it visited, so its best candidate is optimal.  Strict
+preferences make every mover fall, so zero values need no other case.
 
-For students with two different favorites the walk's exactness rests on a
-claim that is not proved: with positive values, the path that moves the
-richer college's fans passes through a leximin-optimal stable pair.  The
-tests check it against the oracle up to n = 10 and against every stable
-(d0, d1) pair up to n = 60.  Rule A is only a speed cut, not part of the
-claim: without it the walk returned the same tuple on 2,955 strict m=2
-inputs, with 15,286 moves in all against 1,349.
-
-With some values 0 the walk can stop short of the optimum: on
-``Instance.build([[0, 3], [3, 1], [3, 2]], [[3, 1, 0], [1, 4, 2]])`` it
-returns the tuple (1, 1, 3, 3, 3), while the leximin optimum
-(``oracle_leximin``) is (1, 2, 3, 3, 3).
-
-The walk runs on the integer kernel (``Instance._kernel``).  A move
-changes three agent values: the mover's and both totals.  The walk does
-not keep the n + 2 values; it keeps two small sorted int lists, ``gone``
-(the values removed since the best state) and ``came`` (the values added
-since then).  The current state is the best state minus ``gone`` plus
-``came``, and adding the same multiset to two equal-size multisets keeps
-their leximin order (see ``_state``), so the current state beats the best
-iff ``came > gone`` as plain lists.  At the best state both lists are
-empty, so a move is decided by its own three removed and three added
-values, sorted; the lists are filled only by a move that does not improve,
-and emptied when the best changes.  So a move costs O(moves since the best
-state), not O(n).  Scaling by a positive constant keeps the leximin order,
-so this compare ranks states exactly as leximin_compare on the Fraction
-tuples.
-
-The result is read off the walk: it records the two college totals
-whenever the best state changes, undoes the moves made since, and builds
-the report's tuple from those totals and the students' kernel values,
-without validating or regrouping the matching it built itself.
+The compare.  A candidate beats the best iff the sorted values that differ
+(the students in different colleges, and both totals) beat the best's as
+plain lists: adding the same multiset to two equal-size multisets keeps
+their leximin order (see ``_state``).  Next to the best this costs O(1).
+It runs on the integer kernel (``Instance._kernel``), a positive scaling
+that keeps the leximin order.  The report is built from the best state's
+(d0, d1) and totals, without validating or regrouping the matching.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from math import inf
 from typing import Callable, Optional
 
@@ -81,7 +66,6 @@ from .model import (
     Instance,
     Matching,
     ScaledLeximin,
-    _capacity_binds,
     classify,
     is_stable,  # not called here; kept bound for perfbench/spans.py
     leximin_tuple,  # not called here; kept bound for perfbench/spans.py
@@ -103,9 +87,8 @@ def favorites(instance: Instance) -> list:
 
 
 def _prefix_minima(values) -> list:
-    """The running minimum of values at each position.  A plain loop:
-    accumulate(values, min) calls the min builtin once per value, which
-    costs several times the compare."""
+    """The running minimum of values at each position; this plain loop is
+    several times faster than accumulate(values, min)."""
     out = []
     least = inf
     for x in values:
@@ -116,10 +99,10 @@ def _prefix_minima(values) -> list:
 
 
 def _staircase(instance: Instance) -> tuple:
-    """(alpha, fans, stable) on the kernel ints: alpha is favorites(instance),
-    fans[j] lists college j's fans in ascending order of its value, and
-    stable(d0, d1) tells whether the complete matching in which each college
-    j hands its first d_j fans to the other is stable."""
+    """(fans, stable) on the kernel ints: fans[j] lists college j's fans in
+    ascending order of its value, and stable(d0, d1) tells whether the
+    complete matching in which each college j hands its first d_j fans to
+    the other is stable."""
     _, _, v = instance._kernel
     alpha = favorites(instance)
     fans = tuple(
@@ -127,17 +110,32 @@ def _staircase(instance: Instance) -> tuple:
         for j in (0, 1)
     )
     # floor[j][k]: the other college's least value over fans[j][: k + 1],
-    # which are its reluctant members once college j has handed k + 1 away
-    floor = tuple(_prefix_minima(map(v[1 - j].__getitem__, fans[j])) for j in (0, 1))
+    # its reluctant members once j has handed k + 1 away; built lazily
+    floor = []
 
     def stable(d0: int, d1: int) -> bool:
+        if not (d0 and d1):
+            return True
+        if not floor:
+            floor.extend(_prefix_minima(map(v[1 - j].__getitem__, fans[j])) for j in (0, 1))
         # fans are sorted, so fans[j][d_j - 1] is the best fan j handed away
-        return not (d0 and d1) or (
+        return (
             v[0][fans[0][d0 - 1]] < floor[1][d1 - 1]
             and v[1][fans[1][d1 - 1]] < floor[0][d0 - 1]
         )
 
-    return alpha, fans, stable
+    return fans, stable
+
+
+def _assignment(n: int, fans, d0: int, d1: int) -> list:
+    """The matching of state (d0, d1): college 1 holds fans[0][:d0] and
+    fans[1][d1:]."""
+    out = [0] * n
+    for i in fans[0][:d0]:
+        out[i] = 1
+    for i in fans[1][d1:]:
+        out[i] = 1
+    return out
 
 
 def is_stable_m2(instance: Instance, matching: Matching) -> bool:
@@ -149,7 +147,7 @@ def is_stable_m2(instance: Instance, matching: Matching) -> bool:
     assignment = matching.assignment
     if any(j is None for j in assignment):
         raise InvalidInputError("characterization needs every student matched")
-    _, fans, stable = _staircase(instance)
+    fans, stable = _staircase(instance)
     d = []
     for j, fans_j in enumerate(fans):
         d_j = sum(assignment[i] != j for i in fans_j)
@@ -160,85 +158,91 @@ def is_stable_m2(instance: Instance, matching: Matching) -> bool:
 
 
 def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
-    """Complete stable matching for m=2 with strict preferences, leximin
-    optimal on every input tested with positive values (see the module
-    docstring for one with zeros where it is not).  Raises InfeasibleError
-    for a single student."""
+    """Leximin-optimal complete stable matching for m=2 with strict
+    preferences, within the instance's capacities (see the module
+    docstring).  Raises InfeasibleError when no stable matching fills both
+    colleges within them.  on_state gets the matching of every state the
+    scan visits."""
     _require_m2_strict(instance)
-    if _capacity_binds(instance):
-        raise NotAdmissibleError("solver assumes capacities of at least n-1")
     n = instance.n
-    if n < 2:
-        raise InfeasibleError(f"{n} student cannot cover 2 colleges")
-    scale, u, v = instance._kernel
-    assignment, fans, stable = _staircase(instance)
-    totals = [sum(map(v[j].__getitem__, fans[j])) for j in (0, 1)]
-    gone, came = [], []  # values removed and added since the best state
-    toggles = 0
-    d = [0, 0]
-    # only a complete state can be the best, and the walk's first one is
-    best_d = (0, 0) if fans[0] and fans[1] else None
-    best_totals = tuple(totals)  # the best state's college totals
-    # Rule A forbids a student from leaving their favorite for a college
-    # they value below the poorer college's total at some step, so a_max is
-    # the largest such total seen.
-    a_max = -1
-
-    if on_state is not None:
-        on_state(Matching(assignment))
-    while True:
-        # an empty college is the poorer one: the other holds all n >= 2
-        # students, and strict preferences value at most one of them at 0
-        low, high = (0, 1) if totals[0] <= totals[1] else (1, 0)
-        if totals[low] > a_max:
-            a_max = totals[low]
-        if d[high] == len(fans[high]):
-            break
-        mover = fans[high][d[high]]
-        if u[low][mover] < a_max:
-            break
-        d[high] += 1
-        if not stable(*d):
-            break
-        assignment[mover] = low
-        toggles += 1
-        if on_state is not None:
-            on_state(Matching(assignment))
-        # a move changes three agents' values: the mover's and both totals
-        old = sorted((u[high][mover], totals[high], totals[low]))
-        totals[high] -= v[high][mover]
-        totals[low] += v[low][mover]
-        new = sorted((u[low][mover], totals[high], totals[low]))
-        # at the best state the since-best lists are empty and the move's
-        # own values decide; elsewhere they join the lists
-        if gone:
-            for x in old:
-                insort(gone, x)
-            for x in new:
-                insort(came, x)
-            old, new = gone, came
-        # low has just gained the mover, so the state is complete iff high
-        # still holds someone: its unmoved fans or the d[low] low handed it
-        if (new > old or best_d is None) and len(fans[high]) - d[high] + d[low]:
-            best_d = tuple(d)
-            best_totals = tuple(totals)
-            gone, came = [], []
+    scale, (u0, u1), (v0, v1) = instance._kernel
+    fans, stable = _staircase(instance)
+    f0, f1 = fans
+    n0, n1 = len(f0), len(f1)
+    cap0, cap1 = instance.capacities
+    # each fan's value at their favorite (h) and away from it (w), in fan order
+    h0, w0 = [*map(u0.__getitem__, f0)], [*map(u1.__getitem__, f0)]
+    h1, w1 = [*map(u1.__getitem__, f1)], [*map(u0.__getitem__, f1)]
+    d0 = max(0, n0 - cap0)  # the rows before it overfill college 0
+    r0 = sum(map(v0.__getitem__, f0[d0:]))
+    r1 = sum(map(v1.__getitem__, f1)) + sum(map(v1.__getitem__, f0[:d0]))
+    rs = start = toggles = 0  # r0, r1 are the totals at (d0, rs)
+    best = None  # (d0, d1, t0, t1) of the first best candidate
+    last = min(n0, cap1)  # college 1 holds at least d0 students
+    while d0 <= last and start <= n1:
+        if start < d0 + n1 - cap1:
+            start = d0 + n1 - cap1  # the states before it overfill college 1
+        for b in f1[rs:start]:
+            r0 += v0[b]
+            r1 -= v1[b]
+        rs = d1 = start
+        t0, t1 = r0, r1
+        hi = min(n1, cap0 - n0 + d0)  # beyond it college 0 is overfilled
+        # a pair with a 0 is stable; testing that inline saves a call per state
+        while d1 <= hi and (not (d0 and d1) or stable(d0, d1)):
+            if d0 or d1:
+                toggles += 1
+            if on_state is not None:
+                on_state(Matching(_assignment(n, fans, d0, d1)))
+            if n0 - d0 + d1 and n1 - d1 + d0:  # a candidate
+                if best is None:
+                    best = d0, d1, t0, t1
+                else:
+                    # the students in different colleges, then the totals
+                    b0, b1, s0, s1 = best
+                    new, old = (w0[b0:d0], h0[b0:d0]) if d0 >= b0 else (h0[d0:b0], w0[d0:b0])
+                    if d1 != b1:
+                        new += w1[b1:d1] if d1 > b1 else h1[d1:b1]
+                        old += h1[b1:d1] if d1 > b1 else w1[d1:b1]
+                    new += t0, t1
+                    old += s0, s1
+                    new.sort()
+                    old.sort()
+                    if new > old:
+                        best = d0, d1, t0, t1
+                if d0 < n0:
+                    if d1 == start and t0 <= t1 and v0[f0[d0]]:
+                        start += 1  # diagonal start
+                    if not d1 and w0[d0] < t0 and w0[d0] < t1:
+                        last = d0  # row stop
+                if d1 < n1 and (w1[d1] < t0 or (t1 < t0 and v1[f1[d1]])):
+                    break  # row cut
+            if d1 == n1:
+                break
+            b = f1[d1]
+            t0 += v0[b]
+            t1 -= v1[b]
+            d1 += 1
         else:
-            gone, came = old, new
+            if rs == d1 <= hi:
+                break  # the row's first state is unstable, and so are the rest
+        if d0 < n0:
+            a = f0[d0]
+            r0 -= v0[a]
+            r1 += v1[a]
+        d0 += 1
 
-    tuple_comparisons = toggles  # one list compare per toggle
+    if best is None:
+        raise InfeasibleError("no stable matching fills both colleges within their capacities")
+    b0, b1, s0, s1 = best
+    tuple_comparisons = toggles  # one compare per toggle
     steps = toggles + tuple_comparisons * (n + 2)
-    # the best state: undo the moves made since it (the walk's last d[high]
-    # may count a fan it did not move, who is at their favorite anyway)
-    for j in (0, 1):
-        for i in fans[j][best_d[j] : d[j]]:
-            assignment[i] = j
-    u0, u1 = u
+    assignment = _assignment(n, fans, b0, b1)
     students = [u1[i] if j else u0[i] for i, j in enumerate(assignment)]
     return SolverReport(
         algorithm="fast_const",
         matching=Matching(assignment),
-        leximin=ScaledLeximin.build(scale, students, best_totals),
+        leximin=ScaledLeximin.build(scale, students, (s0, s1)),
         steps=steps,
         counters={"toggles": toggles, "tuple_comparisons": tuple_comparisons},
     )

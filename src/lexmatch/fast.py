@@ -16,8 +16,8 @@ The walk is a heuristic, not an exact solver: its stopping rule can end
 before the optimum even at m=2.  On
 ``generate(GenSpec("ranked_isometric", 5, 2, seed=211977))`` it returns block
 sizes (3, 2), while the leximin optimum (``oracle_leximin``) is (1, 4).
-solve_dispatch sends uncapacitated m=2 inputs to const2.fast_const, which
-is exact on them.
+solve_dispatch sends every strict m=2 input to const2.fast_const, which is
+exact on them.
 """
 
 from __future__ import annotations

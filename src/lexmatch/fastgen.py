@@ -55,7 +55,7 @@ The rules are heuristic, not exact: on
 block sizes (3, 1), while the leximin optimum (``oracle_leximin``) is (1, 3).
 Along (3, 1) -> (2, 2) -> (1, 3) the tuple first gets worse and then better,
 so a walk that stops at the first loss misses it.  solve_dispatch sends
-uncapacitated m=2 inputs to const2.fast_const, which is exact on them.
+every strict m=2 input to const2.fast_const, which is exact on them.
 """
 
 from __future__ import annotations

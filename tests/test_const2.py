@@ -127,8 +127,9 @@ def _walk_digest(instance):
 def _grid_best(instance):
     """Exact strict m=2 optimum without brute force: try the
     (|A0|+1)(|A1|+1) matchings in which each college j hands the d_j fans
-    it values least to the other, keep the complete ones that the general
-    is_stable accepts, and return the best leximin values."""
+    it values least to the other, keep the complete ones within the
+    capacities that the general is_stable accepts, and return the best
+    leximin values."""
     alpha = favorites(instance)
     cv = instance.college_values
     fans = [
@@ -144,7 +145,12 @@ def _grid_best(instance):
             for i in fans[1][:d1]:
                 assignment[i] = 0
             mu = Matching(assignment)
-            if mu.is_complete(instance) and is_stable(instance, mu) is None:
+            sizes = (assignment.count(0), assignment.count(1))
+            if (
+                mu.is_complete(instance)
+                and all(k <= b for k, b in zip(sizes, instance.capacities))
+                and is_stable(instance, mu) is None
+            ):
                 t = scaled_leximin(instance, mu)
                 if best is None or t.values > best.values:
                     best = t
@@ -237,48 +243,64 @@ def _reference_fast_const(instance, on_state=None):
     )
 
 
-def _reference_walk_cases():
-    for n in range(10, 161, 10):
-        for seed in range(2):
-            yield _toggle_family(n, seed)
-            yield _crossed(n, seed)
-    for n in range(2, 41):
-        for value_max in (None, n + 1, 2 * n + 3):
-            yield generate(GenSpec("strict", n, 2, seed=n, value_max=value_max))
-    yield from _zero_valued_strict_m2(seed=23, count=3000)
+def _fits(instance, mu):
+    return all(mu.assignment.count(j) <= b for j, b in enumerate(instance.capacities))
+
+
+def _walk_within_capacities(instance):
+    """The reference walk's report and trace with the states that overfill
+    a college dropped: the scan never visits them, so each one the walk
+    visits after its start is one toggle fewer."""
+    trace = []
+    report = _reference_fast_const(instance, on_state=trace.append)
+    over = sum(not _fits(instance, mu) for mu in trace[1:])
+    toggles = report.counters["toggles"] - over
+    want = dict(
+        report.to_json_dict(),
+        steps=toggles + toggles * (instance.n + 2),
+        counters={"toggles": toggles, "tuple_comparisons": toggles},
+    )
+    return want, [mu for mu in trace if _fits(instance, mu)], over
 
 
 class TestReferenceWalk:
-    """fast_const decides a move at its best state from the move alone and
-    reads its tuple off the walk; report, counters and on_state trace must
-    equal those of the walk it replaced."""
+    """fast_const scans the (d0, d1) staircase with proved cuts; the walk it
+    replaced moved the richer college's next fan, which is the path the
+    scan's row cut and diagonal start take where nothing else fires.  On
+    such inputs the scan's report and trace must be the walk's, less the
+    states that overfill a college.  (Where the walk stopped because a mover
+    fell below its best state's poorer total, its unproved rule A, the scan
+    may go on; none of these inputs does.)"""
 
-    def test_agrees_with_the_reference_walk(self):
-        scaled = moved = zeros = past_best = 0
-        for inst in _reference_walk_cases():
+    def test_equal_reports_on_the_toggle_crossed_ranked_and_strict_inputs(self):
+        cases = []
+        for n in range(10, 161, 10):
+            for seed in range(2):
+                cases += [_toggle_family(n, seed), _crossed(n, seed)]
+        for n in range(3, 41):
+            for seed in range(3):
+                for kind, value_max in (
+                    ("ranked_isometric", None), ("ranked", None), ("ranked", n + 3)
+                ):
+                    cases.append(generate(GenSpec(kind, n, 2, seed=seed, value_max=value_max)))
+        for n in range(2, 41):
+            for value_max in (None, n + 1, 2 * n + 3):
+                cases.append(generate(GenSpec("strict", n, 2, seed=n, value_max=value_max)))
+        overfilled = set()
+        for inst in cases:
             for case in (inst, _scaled_by_35(inst)):
-                got_trace, want_trace = [], []
-                try:
-                    want = _reference_fast_const(case, on_state=want_trace.append)
-                except (InfeasibleError, NotAdmissibleError) as exc:
-                    with pytest.raises(type(exc)):
-                        fast_const(case)
-                    continue
-                got = fast_const(case, on_state=got_trace.append)
-                assert got.to_json_dict() == want.to_json_dict(), case
-                assert got.counters == want.counters and got == want, case
-                assert got_trace == want_trace, case
-                scaled += case._kernel[0] > 1
-                moved += got.counters["toggles"] > 0
-                zeros += 0 in got.leximin.values
-                # a walk that goes on two moves past its best adds to
-                # nonempty since-best lists
-                past_best += len(got_trace) - got_trace.index(got.matching) > 2
-        assert scaled > 3000 and moved > 2500 and zeros > 1000 and past_best > 50
+                trace = []
+                got = fast_const(case, on_state=trace.append)
+                want, want_trace, over = _walk_within_capacities(case)
+                assert got.to_json_dict() == want and trace == want_trace, case
+                if over:
+                    overfilled.add(case.n)
+        # only walks at n <= 3 go on to overfill a college
+        assert overfilled == {2, 3}
 
     def test_builds_its_tuple_without_walking_the_matching(self, monkeypatch):
         cases = [_toggle_family(40, 0), _crossed(20, 0), _scaled_by_35(_crossed(20, 1))]
-        want = [_reference_fast_const(inst).to_json_dict() for inst in cases]
+        want = [_walk_within_capacities(inst)[0] for inst in cases]
 
         def refuse(*args, **kwargs):
             raise AssertionError("fast_const walked its own matching")
@@ -352,11 +374,39 @@ class TestFastConst:
         with pytest.raises(NotAdmissibleError):
             fast_const(inst)
 
-    def test_rejects_small_capacities(self):
+    def test_solves_binding_capacities(self):
         inst = generate(GenSpec(kind="strict", n=5, m=2, seed=1))
-        capped = Instance(inst.student_values, inst.college_values, (2, 2))
-        with pytest.raises(NotAdmissibleError):
-            fast_const(capped)
+        for capacities in ((3, 2), (2, 3), (4, 1), (1, 4)):
+            capped = Instance(inst.student_values, inst.college_values, capacities)
+            report = fast_const(capped)
+            report.matching.validate(capped, enforce_capacities=True)
+            want = oracle_leximin(capped, require_complete=True, respect_capacities=True)
+            assert report.leximin.values == want.leximin.values, capacities
+        with pytest.raises(InfeasibleError):
+            fast_const(Instance(inst.student_values, inst.college_values, (2, 2)))
+
+    def test_oracle_equality_with_zeros_and_capacities(self):
+        # small random strict inputs: 30% may hold zero values, half have
+        # random capacities
+        rng = random.Random(71)
+        checked = infeasible = 0
+        while checked < 5000:
+            n = rng.randint(2, 7)
+            low = 0 if rng.random() < 0.3 else 1
+            sv = [rng.sample(range(low, 6), 2) for _ in range(n)]
+            cv = [rng.sample(range(low, n + 4), n) for _ in range(2)]
+            caps = [rng.randint(1, n) for _ in range(2)] if rng.random() < 0.5 else None
+            inst = Instance.build(sv, cv, caps)
+            try:
+                want = oracle_leximin(inst, require_complete=True, respect_capacities=True)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    fast_const(inst)
+                infeasible += 1
+                continue
+            assert fast_const(inst).leximin.values == want.leximin.values, inst
+            checked += 1
+        assert infeasible > 0
 
     def test_oracle_equality_random(self):
         for inst in _strict_m2_instances(seed=63, count=100, n_max=7):
@@ -375,20 +425,25 @@ class TestFastConst:
                     assert leximin_compare(t, best) != GREATER
 
     def test_states_start_at_favorites_and_toggle_bound(self):
+        started = 0
         for inst in _strict_m2_instances(seed=69, count=25, n_max=8):
             seen = []
             report = fast_const(inst, on_state=seen.append)
-            assert seen[0].assignment == tuple(favorites(inst))
-            # every student toggles at most once
+            # the scan starts at the favorites when they fit the capacities
+            at_favorites = _fits(inst, Matching(favorites(inst)))
+            assert (seen[0].assignment == tuple(favorites(inst))) == at_favorites
+            started += at_favorites
             assert report.counters["toggles"] <= inst.n
-            assert len(seen) == report.counters["toggles"] + 1
+            assert len(seen) == report.counters["toggles"] + at_favorites
             for mu in seen:
-                # every student stays matched throughout the walk (a college
-                # may be empty, e.g. when everyone shares a favorite)
+                # every student is matched in every state (a college may be
+                # empty, e.g. when everyone shares a favorite)
                 assert all(j is not None for j in mu.assignment)
-                # and every state the walk visits is stable
+                # and every state the scan visits fits and is stable
+                assert _fits(inst, mu), (inst, mu)
                 assert is_stable(inst, mu) is None, (inst, mu)
                 assert is_stable_m2(inst, mu), (inst, mu)
+        assert 0 < started < 25
 
     def test_oracle_sweep_default_and_tie_heavy_values(self):
         assert len(ORACLE_SWEEP) == 560
@@ -408,8 +463,13 @@ class TestFastConst:
         for n in range(15, 61, 5):
             for value_max in (None, 2 * n + 3, n + 1):
                 for seed in range(3):
-                    inst = generate(GenSpec("strict", n, 2, seed=seed, value_max=value_max))
-                    assert fast_const(inst).leximin.values == _grid_best(inst), inst
+                    for capacity_mode in ("none", "random", "uniform"):
+                        spec = GenSpec(
+                            "strict", n, 2, seed=seed, capacity_mode=capacity_mode,
+                            capacity=(n + seed + 1) // 2 + 1, value_max=value_max,
+                        )
+                        inst = generate(spec)
+                        assert fast_const(inst).leximin.values == _grid_best(inst), spec
 
     def test_crossed_family(self):
         for n in (8, 10):
@@ -425,13 +485,13 @@ class TestFastConst:
                 assert fast_const(inst).leximin.values == _grid_best(inst), (n, seed)
 
     def test_reports_the_first_best_state_of_its_walk(self):
-        # whatever the walk compares internally, its answer is the state it
+        # whatever the scan compares internally, its answer is the state it
         # visited with the largest tuple, the earliest one on ties
         def cases():
             for n in range(2, 41):
                 for value_max in (None, 2 * n + 3, n + 1):
-                    # small n with many seeds reaches walks that go on for
-                    # two moves past their best state
+                    # small n with many seeds reaches scans that go on for
+                    # two states past their best one
                     for seed in range(25 if n <= 6 else 3):
                         yield generate(GenSpec("strict", n, 2, seed=seed, value_max=value_max))
             for n in (8, 9, 20, 41):
@@ -450,31 +510,33 @@ class TestFastConst:
             assert report.matching == seen[first_best], inst
             assert report.leximin.values == scaled_leximin(inst, seen[first_best]).view().values
             past_best.add(len(seen) - 1 - first_best)
-        # the walk must go on past its best state, by one move and by two
+        # the scan must go on past its best state, by one state and by two
         assert {1, 2} <= past_best
 
     @pytest.mark.parametrize(
         "family, n, digest",
         [
-            ("toggle", 1000, "8064cb0fd00d585281b3ccfd81110562e477a53a5e1eacafbd10eeb882e1dd49"),
-            ("toggle", 3000, "24620b461e9d08ef26dc771388c57369a714c7ec30bfa24fd2856689c099d15a"),
+            ("toggle", 1000, "7be7bcbebd7d8c46807cd67c0c3ee53ec6832287e0ab253970e7d3e0ca5b7abd"),
+            ("toggle", 3000, "33a20a64550e9ff8a35628db01f9b3bf1785e40ea36feac610a59af9254e7fdc"),
             ("crossed", 400, "a32926ec8dd889712a165995fc1ce19fc8c8031905c263394b0e870d79ae1a6b"),
             ("crossed", 1000, "a6ce3fdcb303c6a622944cea05f77f9cdbd3086e49252408a35d8fc60b4ec5d6"),
         ],
     )
     def test_long_walks_keep_their_recorded_outputs(self, family, n, digest):
-        # reports and traces far beyond the reference checks' sizes, pinned
-        # before the walk's comparison was rewritten
+        # reports and traces far beyond the reference checks' sizes.  Each
+        # report equals the walk's that the row scan replaced; the toggle
+        # traces were pinned again then, as they no longer start at the
+        # favorites, which overfill college 0
         make = {"toggle": _toggle_family, "crossed": _crossed}[family]
         assert _walk_digest(make(n, 0)) == digest
 
-    # One hand-made walk per stopping rule.  All three students prefer
-    # college 0 and college 0 ranks them 0, 1, 2 from the bottom, so the
-    # walk moves them to college 1 in that order while college 0 is richer.
+    # Hand-made scans.  All three students prefer college 0 and college 0
+    # ranks them 0, 1, 2 from the bottom, so row d0 hands students 0..d0-1
+    # to college 1; (0, 0) overfills college 0, so the scan starts at (1, 0).
 
     def test_stops_when_leaving_a_favorite_drops_below_the_poorer_college(self):
-        # after student 0 moves, college 1 is worth 4 and student 1 would
-        # fall to u(1, 1) = 3 < 4: the (A) cutoff
+        # at (1, 0) college 1 is worth 4 and student 1 would fall to
+        # u(1, 1) = 3 < min(50, 4): the row stop
         inst = Instance.build(
             [[9, 7], [8, 3], [6, 5]], [[10, 20, 30], [4, 5, 6]]
         )
@@ -483,19 +545,19 @@ class TestFastConst:
         assert report.matching.assignment == (1, 0, 0)
 
     def test_stops_before_a_student_returns_to_a_college_that_gave_it_away(self):
-        # all three move (college 0 ends empty, college 1 is worth 15); then
-        # student 0 would rejoin college 0, which has already given away a
-        # student it values at least as much: the (B) cutoff
+        # the scan visits (1, 0) and (2, 0); (3, 0), which the walk it
+        # replaced visited before stopping, puts all three students in
+        # college 1, over its capacity of 2
         inst = Instance.build(
             [[90, 70], [80, 60], [60, 50]], [[10, 20, 30], [4, 5, 6]]
         )
         report = fast_const(inst)
-        assert report.counters["toggles"] == 3
-        assert report.counters["tuple_comparisons"] == 3
+        assert report.counters["toggles"] == 2
+        assert report.counters["tuple_comparisons"] == 2
 
     def test_refuses_a_single_student(self):
-        # one student cannot fill two colleges; this walk once stopped at
-        # once and returned college 1 empty
+        # one student cannot fill two colleges; the walk this scan replaced
+        # once stopped at once and returned college 1 empty
         inst = Instance.build([[5, 3]], [[0], [2]])
         with pytest.raises(InfeasibleError):
             fast_const(inst)
@@ -510,8 +572,8 @@ class TestFastConst:
         assert report.leximin.values == (0, 1, 2, 3)
 
     def test_zero_values_give_complete_stable_matchings(self):
-        # 159 of these walks came back incomplete while an incomplete state
-        # could be the best; with positive values none ever did
+        # 159 of these came back incomplete while an incomplete state could
+        # be the best; with positive values none ever did
         worse = 0
         for inst in _zero_valued_strict_m2(seed=5, count=1500):
             seen = []
@@ -522,21 +584,22 @@ class TestFastConst:
             want = oracle_leximin(inst, require_complete=True).leximin.values
             assert report.leximin.values <= want, inst
             worse += report.leximin.values < want
-            # an empty college is the poorer one in every state of the walk
+            # an empty college is the poorer one in every state visited
             for state in seen:
                 totals = [college_value(inst, state, j) for j in (0, 1)]
                 for j in (0, 1):
                     if not state.members(inst, j):
                         assert totals[j] < totals[1 - j], (inst, state)
-        # one walk here stops short of the optimum, like the known failure
-        # below; a fix to the walk lowers this count
-        assert worse == 1
+        # the walk the scan replaced stopped short of the optimum on one of
+        # these, like the input below
+        assert worse == 0
 
-    def test_known_failure_with_zero_values(self):
-        # fast_const is not exact when some values are 0: it stops at
-        # (1, 1, 3, 3, 3), short of the optimum (1, 2, 3, 3, 3)
+    def test_exact_with_zero_values(self):
+        # the walk this scan replaced returned (1, 1, 3, 3, 3) here: its
+        # rule A stopped it at the favorites, before college 0 handed away
+        # student 2, whom it values at 0
         inst = Instance.build([[0, 3], [3, 1], [3, 2]], [[3, 1, 0], [1, 4, 2]])
         report = fast_const(inst)
-        assert report.leximin.values == (1, 1, 3, 3, 3)
+        assert report.leximin.values == (1, 2, 3, 3, 3)
         oracle = oracle_leximin(inst, require_complete=True)
         assert oracle.leximin.values == (1, 2, 3, 3, 3)

@@ -10,7 +10,10 @@ fast_gen's trial loop does the most work), two colleges at 40 students
 (longer m=2 walks), capacities none and random, tie-heavy ranked values (``value_max`` n+3, keys ending in
 ``/ties``), a few isometric ``Instance.from_matrix`` inputs on which fast's
 walk meets exact ties (keys ``tie_rich/...``), and for each instance one
-image scaled to denominators of 5, 7 and 35.  A change that keeps outputs
+image scaled to denominators of 5, 7 and 35.  Strict two-college inputs
+whose fans sit on both sides and whose walks run 10 or more moves (keys
+``two_sided/...``, one of them with binding capacities) pin the m=2 solver
+beyond the generated sweep, where such walks are rare.  A change that keeps outputs
 as they are (a refactor, a speed-up) must leave every digest in place; the
 digests change only in a change that states an output change, which
 records them again with
@@ -89,6 +92,25 @@ def _tie_rich(seed):
     return Instance.from_matrix(V[:n])
 
 
+def _two_sided(n, seed, capacities=None):
+    """Strict m=2: about 70% of the students prefer college 0, the rest
+    college 1, each college ranks the students in random order, and every
+    student value exceeds any college total, so the solver moves many
+    students before the totals balance."""
+    rng = random.Random(seed)
+    fan = [0 if rng.random() < 0.7 else 1 for _ in range(n)]
+    cv = [rng.sample(range(1, 2 * n + 1), n) for _ in range(2)]
+    base = 2 * n * n + 1  # above any college total
+    sv = []
+    for i, b in enumerate(rng.sample(range(4 * n), n)):
+        hi, lo = base + 2 * b + 1, base + 2 * b
+        sv.append([hi, lo] if fan[i] == 0 else [lo, hi])
+    return Instance.build(sv, cv, capacities)
+
+
+TWO_SIDED = ((16, 3, None), (30, 7, None), (40, 9, None), (30, 7, (20, 13)))
+
+
 def _sweep():
     """(key, instance) for every instance of the sweep, in a fixed order."""
     for kind in KINDS:
@@ -107,6 +129,11 @@ def _sweep():
     for seed in TIE_RICH_SEEDS:
         inst = _tie_rich(seed)
         key = f"tie_rich/n{inst.n}/m{inst.m}/s{seed}"
+        yield key, inst
+        yield key + "/scaled", _image(inst)
+    for n, seed, capacities in TWO_SIDED:
+        inst = _two_sided(n, seed, capacities)
+        key = f"two_sided/n{n}/s{seed}" + ("" if capacities is None else "/capped")
         yield key, inst
         yield key + "/scaled", _image(inst)
 

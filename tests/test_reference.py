@@ -1,6 +1,8 @@
 """ranked_dp, the exact leximin reference for ranked instances, against the
 oracle, and the ranked heuristics against it."""
 
+import json
+
 import pytest
 
 from lexmatch import (
@@ -9,12 +11,14 @@ from lexmatch import (
     Instance,
     NotAdmissibleError,
     classify,
+    dump_instance,
     fast,
     fast_gen,
     generate,
     oracle_leximin,
     solve_dispatch,
 )
+from lexmatch.cli import main
 from lexmatch.reference import ranked_dp
 
 from conftest import random_sizes
@@ -102,7 +106,7 @@ def test_named_counterexample_optimum(kind, n, m, seed, value_max, _returned_k, 
 def test_dispatch_is_exact_on_the_m2_counterexamples(
     kind, n, m, seed, value_max, returned_k, optimal_k
 ):
-    # uncapacitated ranked m=2 goes to fast_const, which const2 proves exact
+    # strict m=2 goes to fast_const, which const2 proves exact
     inst = generate(GenSpec(kind, n, m, seed=seed, value_max=value_max))
     got, exact = solve_dispatch(inst), ranked_dp(inst)
     assert got.algorithm == "fast_const"
@@ -110,15 +114,46 @@ def test_dispatch_is_exact_on_the_m2_counterexamples(
     assert _sizes(got.matching.assignment, m) == optimal_k != returned_k
 
 
-def test_dispatch_is_exact_on_uncapacitated_ranked_m2():
+def test_dispatch_is_exact_on_ranked_m2():
+    # every strict m=2 input goes to fast_const, capacitated ones included
     checked = 0
     for n, _, s in random_sizes(seed=13, count=150, n_max=24, m_max=1, n_min=2):
         for kind, value_max in (
             ("ranked_isometric", None), ("ranked", None), ("ranked", n + 3)
         ):
-            inst = generate(GenSpec(kind, n, 2, seed=s, value_max=value_max))
-            got, exact = solve_dispatch(inst), ranked_dp(inst)
-            assert got.algorithm == "fast_const"
-            assert (got.matching, got.leximin) == (exact.matching, exact.leximin), inst
-            checked += 1
-    assert checked == 450
+            for capacity_mode in ("none", "random", "uniform"):
+                spec = GenSpec(
+                    kind, n, 2, seed=s, capacity_mode=capacity_mode,
+                    capacity=(n + 1) // 2 + s % (n // 2 + 1), value_max=value_max,
+                )
+                inst = generate(spec)
+                got, exact = solve_dispatch(inst), ranked_dp(inst)
+                assert got.algorithm == "fast_const"
+                assert (got.matching, got.leximin) == (exact.matching, exact.leximin), spec
+                checked += 1
+    assert checked == 1350
+
+
+def test_dispatch_is_exact_on_a_capacitated_ranked_m2_counterexample():
+    # capacities (11, 5) bind; fast, where dispatch once sent capacitated
+    # ranked isometric m=2, returns block sizes (9, 2)
+    inst = generate(GenSpec("ranked_isometric", 11, 2, seed=20, capacity_mode="random"))
+    assert inst.capacities == (11, 5)
+    got, exact = solve_dispatch(inst), ranked_dp(inst)
+    assert got.algorithm == "fast_const"
+    assert (got.matching, got.leximin) == (exact.matching, exact.leximin)
+    assert _sizes(got.matching.assignment, 2) == (7, 4) != _sizes(fast(inst).matching.assignment, 2)
+
+
+def test_dispatch_solves_capacitated_strict_m2(tmp_path, capsys):
+    # dispatch once refused this input (exit 3), although the class is
+    # polynomial
+    inst = generate(GenSpec("strict", 6, 2, seed=3, capacity_mode="uniform", capacity=4))
+    got = solve_dispatch(inst)
+    want = oracle_leximin(inst, require_complete=True, respect_capacities=True)
+    assert got.algorithm == "fast_const"
+    assert got.leximin.values == want.leximin.values
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(inst))
+    assert main(["solve", "--instance", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["leximin"] == got.to_json_dict()["leximin"]
