@@ -29,11 +29,14 @@ multiset is (S - R) + key with key = sorted(R - R' + A'), 2m - 1 values.
 Every trial shares S - R, so keys order the trials exactly as their tuples
 do, and a trial beats its base iff its key beats sorted(R): one sort of
 2m - 1 values per trial instead of n + m.  A run of moves compares with the
-state it started from the same way, by all the values it has removed and
-added so far.  The users: fast_gen ranks its demotion trials by their keys;
-fast's tie rule is one trial, its sorted added values against its sorted
-removed ones; fast_gen's _look_ahead keeps since-base lists, comparing a
-state with its base by what changed since it; and const2.fast_const (on its
+state it started from the same way, by the agents whose values it has
+changed so far, each with its value before and after.  The users: fast_gen's
+_best_trial ranks its demotion trials by their keys and, since keys of two
+trials differ only in their slices, compares two givers below one receiver by
+those slices alone, whatever the receiver; fast's tie rule is one trial, its
+sorted added values against its sorted removed ones; fast_gen's _look_ahead
+compares its run with its base by the agents the run changed, and _blame finds
+the value where a loss starts from those agents; and const2.fast_const (on its
 own values, not through this class) compares each candidate with the best
 state it has seen by the students whose college differs and the totals.
 """
@@ -134,6 +137,29 @@ class RankedState:
         out of and put into the agents' value multiset, without applying it:
         colleges p..q and the bottom student of each of p..q-1."""
         return delta_of(self.table(), p, q)
+
+    def changed(self, table, p: int, q: int) -> list:
+        """(position, old, new) of each agent whose value the trial p -> q
+        changes, read off this state's ``table``: college p, the bottom
+        student of p, college p + 1, ..., college q.  Positions count the
+        students by index, then the colleges from n."""
+        R, A, head, tail = table
+        n, start = self.instance.n, self._start
+        at = [n + p]
+        for t in range(p, q):
+            at += (start[t + 1] - 1, n + t + 1)
+        return list(zip(at, R[2 * p:2 * q + 1], [head[p], *A[2 * p + 1:2 * q], tail[q]]))
+
+    def holders(self, x: int) -> list:
+        """Positions of the agents whose value is x, ascending.  A
+        membership test on each block keeps the scan at C speed."""
+        n, start = self.instance.n, self._start
+        out = []
+        for j, col in enumerate(self._u):
+            block = col[start[j]:start[j + 1]]
+            if x in block:
+                out += (start[j] + i for i, y in enumerate(block) if y == x)
+        return out + [n + j for j, y in enumerate(self._total) if y == x]
 
     def demote(self, up: int, down: int) -> None:
         """Chain demotion on the block structure: each college up..down-1

@@ -25,16 +25,21 @@ and the report is named fast_gen rather than cap_fast_gen.
 Demotion trials are never applied to be compared.  The state's ``table``
 holds, in O(m), the 2m - 1 values any trial can remove (R) and those it can
 add; a trial p -> q removes a slice of R and adds a slice of the rest plus
-its two end totals (``RankedState.delta``).  Each trial is ranked by one
-key, sorted(R - removed + added) of 2m - 1 values: the values outside R are
-the same in every trial, so keys rank the trials as their tuples do, and the
+its two end totals (``RankedState.delta``).  A trial's key is
+sorted(R - removed + added), 2m - 1 values: the values outside R are the
+same in every trial, so keys rank the trials as their tuples do, and the
 best trial is no worse than the state iff its key is at least sorted(R)
-(see _state).  Only the chosen trial is applied.  Each iteration builds the
-table once: it serves every trial and, when none improves, gives the
-canonical up -> down trial's delta for the blame.  A loss is blamed without
-sorting the tuple either: the sorted values removed and added since the base
-first differ at the value where the tuple falls, and the agents' values by
-position say which agent holds it there (``_first_loss_agent``).
+(see _state).  The search is separable (``_best_trial``): two givers below
+one receiver compare the same way whatever the receiver is, so the best
+trial is a max-plus argmax over p < q, found with a running maximum over
+the givers and one key per receiver, O(m) keys per iteration rather than
+one per pair.  Only the chosen trial is applied.  Each iteration builds the
+table once: it serves the search and, when no trial improves, gives the
+agents that the canonical up -> down trial changes.  A loss is blamed
+without sorting the tuple or listing the agents' values (``_blame``): from
+the changed agents, each with its old and new value, and the other holders
+of the value where the tuple falls.  _look_ahead blames its run of moves
+the same way, from every agent the run has changed since its base.
 
 Progress.  On a ranked instance a chain demotion strictly lowers the value of
 every student it moves and leaves every other student's value unchanged.  So
@@ -62,7 +67,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ._state import RankedState, delta_of, initial_boundary
+from ._state import RankedState, initial_boundary
 from .errors import InvalidInputError
 from .model import (
     Instance,
@@ -107,20 +112,34 @@ class FixSets:
         }
 
 
-def _first_loss_agent(came: list, gone: list, new: list, old: list) -> int:
-    """Position of the agent blamed for a leximin decrease from `old` to
-    `new`, the agents' values by position (students by index, then
-    colleges).  `came` and `gone` are the values added and removed since
-    old, sorted and of equal length.
+def _record(changes: dict, state: RankedState, table, p: int, q: int) -> None:
+    """Add to `changes` the agents whose values the trial p -> q changes
+    from `state` (``RankedState.changed``): `changes` maps an agent's
+    position to (its value before the first recorded trial, its value
+    after this one)."""
+    for a, old, new in state.changed(table, p, q):
+        changes[a] = (changes.get(a, (old,))[0], new)
+
+
+def _blame(state: RankedState, changes: dict) -> int:
+    """Position of the agent blamed for the leximin loss from `state` to
+    the state in which the agents in `changes` (position -> (old, new), see
+    _record) take their new values and every other agent keeps its own.
 
     The blame falls on the occupant, in the new sorted tuple, of the first
-    index where new < old.  Below the value x there both tuples hold the
-    same values, and x is came[i] at the first index i where came and gone
-    differ.  Equal values sort by position, so the occupant is occurrence
-    number old.count(x) of x in new.  When equal values reshuffle, that
-    occupant may not have lost anything itself; in that case blame the
-    first agent holding x whose own value strictly decreased (without this,
-    the fixing rules can fail to make progress)."""
+    index where new < old.  The value x there is the first at which the
+    sorted new and old values of the changed agents differ (the agents that
+    keep their values add the same multiset to both; see _state).  Equal
+    values sort by position, so the occupant is holder number c of x in the
+    new state, c being the number of agents holding x in the old one.  The
+    holders are the changed agents whose new value is x and the others
+    that hold x in `state` (``RankedState.holders``).  When equal values
+    reshuffle, the occupant may not have lost anything itself; then blame
+    the first holder whose own value strictly decreased (without this, the
+    fixing rules can fail to make progress).  No full tuple is sorted and
+    no values list is built: O(n) compares at C speed, plus
+    O(m + len(changes))."""
+    gone, came = map(sorted, zip(*changes.values()))
     for x, y in zip(came, gone):
         if x != y:
             break
@@ -128,14 +147,11 @@ def _first_loss_agent(came: list, gone: list, new: list, old: list) -> int:
         raise InvalidInputError("tuples are equal; no losing agent")
     if x > y:
         raise InvalidInputError("tuple does not lose at first divergence")
-    holders, at = [], -1  # positions holding x in new, in order
-    for _ in range(new.count(x)):
-        at = new.index(x, at + 1)
-        holders.append(at)
-    at = holders[old.count(x)]
-    if old[at] > x:
-        return at
-    return next((a for a in holders if old[a] > x), at)
+    others = [a for a in state.holders(x) if a not in changes]
+    holders = sorted(others + [a for a, (_, new) in changes.items() if new == x])
+    at = holders[len(others) + gone.count(x)]
+    lost = [a for a, (old, new) in changes.items() if new == x < old]
+    return at if at in lost else min(lost, default=at)
 
 
 class _Counters:
@@ -168,25 +184,54 @@ def _best_trial(state: RankedState, table, receivers: list, lower_fix: set, coun
     key of p -> q is sorted(R - removed + added): R outside delta_of's
     removed slice, plus its added values, read off the state's `table`
     (see _state).  So keys rank the trials as their tuples do, and
-    sorted(R) stands for the state."""
+    sorted(R) stands for the state.
+
+    The rule is separable.  For givers p < g below a receiver q, the keys of
+    p -> q and g -> q share R[:2p], A[2g+1:2q] and everything right of
+    their chains' common end; key(p, q) adds head[p] and A[2p+1:2g+1],
+    key(g, q) adds R[2p:2g] and head[g], 2(g - p) + 1 values a side.  Adding
+    a common multiset keeps leximin order (the _state lemma), so the two
+    keys compare as those two lists, whatever q is: the best trial is a
+    max-plus argmax over p < q.  So the receivers are walked in ascending
+    order, keeping the best giver below each one as a running maximum (a tie
+    keeps the smaller giver, the first of that receiver's largest keys), and
+    one full key is sorted per receiver; the first largest of those, taken
+    in receiver order, is the first largest over all pairs.  Per iteration
+    that is one key of 2m - 1 values per receiver and one comparison per
+    giver, not one key per pair.  chain_moves and tuple_comparisons still
+    count every pair the rule ranks (q - p moves each), from the number and
+    the sum of the givers below q: they count trials, not the keys sorted."""
     R, A, head, tail = table
     k = state.k
     givers = [p for p in range(len(k)) if p not in lower_fix and k[p] > 1]
-    best_key = None
-    moves = trials = 0
+    best_key = p = None
+    moves = trials = below = 0  # below: the sum of the givers below q
+    i = 0
     for q in receivers:
-        suffix = R[2 * q + 1:]  # what every trial into q keeps right of q
-        suffix.append(tail[q])
-        for p in givers:
-            if p >= q:
-                break
-            moves += q - p
-            trials += 1
-            key = R[:2 * p] + A[2 * p + 1:2 * q] + suffix
-            key.append(head[p])
-            key.sort()
-            if best_key is None or key > best_key:
-                best_key, giver, receiver = key, p, q
+        while i < len(givers) and givers[i] < q:
+            g = givers[i]
+            i += 1
+            below += g
+            if p is None:
+                p = g
+                continue
+            kept = A[2 * p + 1:2 * g + 1]
+            kept.append(head[p])
+            kept.sort()
+            moved = R[2 * p:2 * g]
+            moved.append(head[g])
+            moved.sort()
+            if moved > kept:
+                p = g
+        if p is None:
+            continue
+        moves += i * q - below
+        trials += i
+        key = R[:2 * p] + A[2 * p + 1:2 * q] + R[2 * q + 1:]
+        key += (head[p], tail[q])
+        key.sort()
+        if best_key is None or key > best_key:
+            best_key, giver, receiver = key, p, q
     counters.chain_moves += moves
     counters.tuple_comparisons += trials
     return giver, receiver, best_key >= sorted(R)
@@ -201,8 +246,7 @@ def _look_ahead(state: RankedState, down: int, fixes: FixSets, counters: _Counte
     shadow = state.copy()
     lf = set(fixes.lower_fix)
     uf = set(fixes.upper_fix)
-    old = state.values()
-    gone, came = [], []  # values the shadow has removed and added (see _state)
+    changes = {}  # every agent the shadow changed: base and current value
     while len(lf) < m:
         if shadow.k[down] >= caps[down]:
             break
@@ -212,19 +256,17 @@ def _look_ahead(state: RankedState, down: int, fixes: FixSets, counters: _Counte
         if shadow.k[up] == 1 or shadow.college_value(up) <= shadow.college_value(down):
             lf.add(up)
             continue
-        removed, added = shadow.delta(up, down)
-        gone += removed
-        came += added
-        gone.sort()
-        came.sort()
+        _record(changes, shadow, shadow.table(), up, down)
         shadow.demote(up, down)
         counters.chain_moves += down - up
         counters.tuple_comparisons += 1
+        # the shadow against its base, by the agents it changed (see _state)
+        gone, came = map(sorted, zip(*changes.values()))
         if came >= gone:
             fixes.lower_fix = lf
             fixes.upper_fix = uf
             return shadow
-        blamed = _first_loss_agent(came, gone, shadow.values(), old)
+        blamed = _blame(state, changes)
         if blamed == n + up:
             lf.add(up)
             uf.add(up + 1)
@@ -305,12 +347,9 @@ def _inner_run(
         # attribute the loss from the canonical up -> down trial, read off
         # the same table: its blame decides whether to fix a boundary or
         # speculate ahead
-        removed, added = delta_of(table, up, down)
-        canon = state.copy()
-        canon.demote(up, down)
-        blamed = _first_loss_agent(
-            sorted(added), sorted(removed), canon.values(), state.values()
-        )
+        canon = {}
+        _record(canon, state, table, up, down)
+        blamed = _blame(state, canon)
         if blamed == n + up:
             fixes.lower_fix.add(up)
             fixes.upper_fix.add(up + 1)

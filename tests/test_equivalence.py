@@ -5,8 +5,9 @@ of ``report.to_json_dict()`` (canonical JSON) for every solver, and for
 ``solve_dispatch``'s auto route (column ``dispatch``, which pins the
 routing), or of the error raised.  cap_fast and cap_fast_gen are other
 names for fast and fast_gen, so they have no column.  The sweep covers
-every generator kind at sizes up to 60 students and 8 colleges (where
-fast_gen's trial loop does the most work), two colleges at 40 students
+every generator kind at sizes up to 60 students and 8 colleges, ranked
+inputs also at 12 colleges (where fast_gen's trial search does the most
+work), two colleges at 40 students
 (longer m=2 walks), capacities none and random, tie-heavy ranked values (``value_max`` n+3, keys ending in
 ``/ties``), a few isometric ``Instance.from_matrix`` inputs on which fast's
 walk meets exact ties (keys ``tie_rich/...``), and for each instance one
@@ -47,6 +48,8 @@ from lexmatch.generate import KINDS
 
 DATA = Path(__file__).resolve().parent / "data" / "equivalence.json"
 SIZES = ((2, 2), (5, 2), (7, 3), (16, 3), (30, 5), (40, 2), (60, 8))
+# fast_gen's trial search saves the most at many colleges
+RANKED_SIZES = SIZES + ((60, 12),)
 TIE_RICH_SEEDS = range(6)
 ORACLE_MAX_N = 7
 
@@ -114,7 +117,7 @@ TWO_SIDED = ((16, 3, None), (30, 7, None), (40, 9, None), (30, 7, (20, 13)))
 def _sweep():
     """(key, instance) for every instance of the sweep, in a fixed order."""
     for kind in KINDS:
-        for n, m in SIZES:
+        for n, m in RANKED_SIZES if kind == "ranked" else SIZES:
             for capacity_mode in ("none", "random"):
                 for value_max in (None, n + 3) if kind == "ranked" else (None,):
                     spec = GenSpec(

@@ -27,16 +27,57 @@ from lexmatch.reference import ranked_dp
 from conftest import random_instances, random_sizes
 
 
+def _first_loss_agent(came: list, gone: list, new: list, old: list) -> int:
+    """The blame as fastgen once read it off the agents' values by position
+    (students by index, then colleges): `came` and `gone` are the values
+    added and removed since old, sorted.  The occupant of the first index
+    where new < old is occurrence old.count(x) of its value x in new; when
+    that occupant did not lose, the first holder of x that did."""
+    for x, y in zip(came, gone):
+        if x != y:
+            break
+    else:
+        raise InvalidInputError("tuples are equal; no losing agent")
+    if x > y:
+        raise InvalidInputError("tuple does not lose at first divergence")
+    holders, at = [], -1  # positions holding x in new, in order
+    for _ in range(new.count(x)):
+        at = new.index(x, at + 1)
+        holders.append(at)
+    at = holders[old.count(x)]
+    if old[at] > x:
+        return at
+    return next((a for a in holders if old[a] > x), at)
+
+
+def _by_position(state, changes):
+    """(new, old): the agents' values by position once the agents in
+    `changes` take their new values, and in `state`."""
+    old = state.values()
+    new = old[:]
+    for at, (_, value) in changes.items():
+        new[at] = value
+    return new, old
+
+
+def _reference_blame(state, changes):
+    """fastgen._blame by the values-list definition above."""
+    new, old = _by_position(state, changes)
+    gone, came = (sorted(side) for side in zip(*changes.values()))
+    return _first_loss_agent(came, gone, new, old)
+
+
 def _blame(instance, mu_new, mu_old):
-    """The agent _first_loss_agent blames for going from mu_old to mu_new,
-    given the values added and removed between them."""
+    """The agent fastgen._blame blames for going from the block matching
+    mu_old to mu_new, given the agents whose values differ between them."""
     new, old = scaled_leximin(instance, mu_new), scaled_leximin(instance, mu_old)
-    new_count, old_count = Counter(new.values), Counter(old.values)
-    came = sorted((new_count - old_count).elements())
-    gone = sorted((old_count - new_count).elements())
-    return new.agent(
-        fastgen._first_loss_agent(came, gone, new._by_position, old._by_position)
-    )
+    changes = {
+        at: (a, b)
+        for at, (a, b) in enumerate(zip(old._by_position, new._by_position))
+        if a != b
+    }
+    state = RankedState(instance, boundary_from_matching(instance, mu_old).k)
+    return new.agent(fastgen._blame(state, changes))
 
 
 class TestFirstLossAgent:
@@ -241,16 +282,18 @@ class TestProgress:
 
     def test_blame_falls_on_a_student_only_if_it_moved(self, monkeypatch):
         blamed = []
-        first_loss_agent = fastgen._first_loss_agent
+        blame = fastgen._blame
 
-        def checked(came, gone, new, old):
-            at = first_loss_agent(came, gone, new, old)
+        def checked(state, changes):
+            at = blame(state, changes)
+            assert at == _reference_blame(state, changes)
+            new, old = _by_position(state, changes)
             if at < inst.n:  # positions below n are students
                 assert new[at] < old[at]
                 blamed.append(at)
             return at
 
-        monkeypatch.setattr(fastgen, "_first_loss_agent", checked)
+        monkeypatch.setattr(fastgen, "_blame", checked)
         for inst in _tie_heavy_ranked(seed=71, count=40, n_max=14, m_max=6):
             fast_gen(inst)
         assert len(blamed) > 20
@@ -375,15 +418,16 @@ class TestAgainstTheOldDefinitions:
 
     def test_blame_is_the_old_sort_and_dict(self, monkeypatch):
         blames, runs, inside = [], [0], [0]
-        first_loss_agent = fastgen._first_loss_agent
+        blame = fastgen._blame
         look_ahead = fastgen._look_ahead
 
-        def checked(came, gone, new, old):
-            got = first_loss_agent(came, gone, new, old)
+        def checked(state, changes):
+            got = blame(state, changes)
+            new, old = _by_position(state, changes)
             want = _old_first_loss_agent(
                 ScaledLeximin.build(1, new, []), ScaledLeximin.build(1, old, [])
             )
-            assert got == want
+            assert got == want == _reference_blame(state, changes)
             blames.append(inside[0])
             return got
 
@@ -395,16 +439,97 @@ class TestAgainstTheOldDefinitions:
             finally:
                 inside[0] = 0
 
-        monkeypatch.setattr(fastgen, "_first_loss_agent", checked)
+        monkeypatch.setattr(fastgen, "_blame", checked)
         monkeypatch.setattr(fastgen, "_look_ahead", counted)
         for inst in _high_m_ties():
             fast_gen(inst)
         # a look-ahead run blames after each losing step; from the second
-        # step on, came and gone hold the values of several moves
+        # step on, its changes hold the agents of several moves
         multi_step = sum(
             count - 1 for run, count in Counter(blames).items() if run and count > 1
         )
         assert len(blames) > 500 and multi_step > 20
+
+
+def _all_pairs_best_trial(state, table, receivers, lower_fix, counters):
+    """fastgen._best_trial as one sorted key per (giver, receiver) pair, the
+    first largest over q, then p, before the search became separable."""
+    R, A, head, tail = table
+    k = state.k
+    givers = [p for p in range(len(k)) if p not in lower_fix and k[p] > 1]
+    best_key = None
+    moves = trials = 0
+    for q in receivers:
+        suffix = R[2 * q + 1:]  # what every trial into q keeps right of q
+        suffix.append(tail[q])
+        for p in givers:
+            if p >= q:
+                break
+            moves += q - p
+            trials += 1
+            key = R[:2 * p] + A[2 * p + 1:2 * q] + suffix
+            key.append(head[p])
+            key.sort()
+            if best_key is None or key > best_key:
+                best_key, giver, receiver = key, p, q
+    counters.chain_moves += moves
+    counters.tuple_comparisons += trials
+    return giver, receiver, best_key >= sorted(R)
+
+
+def _trial_key(table, p, q):
+    """sorted(R - removed + added) of the trial p -> q."""
+    R = table[0]
+    return sorted(R[:2 * p] + R[2 * q + 1:] + delta_of(table, p, q)[1])
+
+
+class TestSeparableSearch:
+    """_best_trial's separable rule against the all-pairs search it
+    replaced."""
+
+    def test_the_search_is_the_all_pairs_search(self):
+        # random block states, fix sets and receiver sets with up to 16
+        # colleges, default and tie-heavy (n + 3) values
+        rng = random.Random(83)
+        searches, later_giver, outcomes = 0, 0, set()
+        while searches < 3000:
+            m = rng.randint(2, 16)
+            n = rng.randint(m + 1, 5 * m)
+            value_max = rng.choice((None, n + 3))
+            spec = GenSpec("ranked", n, m, seed=rng.randrange(10**6), value_max=value_max)
+            inst = generate(spec)
+            cuts = sorted(rng.sample(range(1, n), m - 1))
+            state = RankedState(inst, [b - a for a, b in zip([0, *cuts], [*cuts, n])])
+            lower_fix = set(rng.sample(range(m), rng.randint(0, m - 1)))
+            receivers = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
+            givers = [p for p in range(m) if p not in lower_fix and state.k[p] > 1]
+            if not givers or givers[0] >= receivers[-1]:
+                continue  # no trial: the main loop always has up -> down
+            table = state.table()
+            got_counts, want_counts = fastgen._Counters(), fastgen._Counters()
+            got = fastgen._best_trial(state, table, receivers, lower_fix, got_counts)
+            want = _all_pairs_best_trial(state, table, receivers, lower_fix, want_counts)
+            assert got == want
+            assert (got_counts.chain_moves, got_counts.tuple_comparisons) == (
+                want_counts.chain_moves, want_counts.tuple_comparisons
+            )
+            searches += 1
+            later_giver += got[0] != givers[0]  # the running maximum moved
+            outcomes.add(got[2])
+        assert later_giver > 500 and outcomes == {True, False}
+
+    def test_a_giver_tie_keeps_the_smaller_giver(self):
+        # blocks (2, 2, 1): 0 -> 2 and 1 -> 2 give the same key, since
+        # head[0] == head[1] == 10, u[1][1] == total[0] == 15 and
+        # u[0][1] == mid[1] == 25
+        sv = [[30, 20, 1], [25, 15, 1], [30, 20, 1], [30, 20, 1], [30, 20, 1]]
+        cv = [[10, 5, 4, 3, 2], [20, 15, 10, 2, 1], [5, 4, 3, 2, 1]]
+        state = RankedState(Instance.build(sv, cv), [2, 2, 1])
+        table = state.table()
+        assert _trial_key(table, 0, 2) == _trial_key(table, 1, 2)
+        got = fastgen._best_trial(state, table, [2], set(), fastgen._Counters())
+        want = _all_pairs_best_trial(state, table, [2], set(), fastgen._Counters())
+        assert got[:2] == want[:2] == (0, 2)
 
 
 class TestOneTablePerIteration:

@@ -92,7 +92,11 @@ def test_state_matches_the_fraction_definitions(index):
         for j in range(inst.m):
             assert state.college_value(j) == college_value(inst, mu, j) * scale
         assert list(map(state.college_of, range(inst.n))) == list(mu.assignment)
+        before = state.values()
+        for x in set(before):
+            assert state.holders(x) == [a for a, y in enumerate(before) if y == x]
 
+        table = state.table()
         trials = {}
         for p, q in itertools.combinations(range(inst.m), 2):
             if state.k[p] <= 1:
@@ -105,6 +109,12 @@ def test_state_matches_the_fraction_definitions(index):
                 trial.matching().assignment
             )
             assert _verdict(sorted(added), sorted(removed)) == leximin_compare(trial_tuple, full)
+            # changed lists every agent whose value differs, old and new
+            after = trial.values()
+            changed = state.changed(table, p, q)
+            assert all(before[a] == old and after[a] == new for a, old, new in changed)
+            moved = {a for a, _, _ in changed}
+            assert all(before[a] == after[a] for a in range(len(before)) if a not in moved)
             trials[p, q] = (removed, added, trial_tuple)
         for (r1, a1, t1), (r2, a2, t2) in itertools.product(trials.values(), repeat=2):
             assert _verdict(sorted(a1 + r2), sorted(a2 + r1)) == leximin_compare(t1, t2)
