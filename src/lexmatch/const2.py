@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import inf
-from operator import not_
+from operator import gt, lt
 from typing import Callable, Optional
 
 from .errors import InfeasibleError, InvalidInputError, NotAdmissibleError
@@ -104,13 +104,14 @@ def _staircase(instance: Instance) -> tuple:
     """(fans, stable) on the kernel ints: fans[j] lists college j's fans in
     ascending order of its value, and stable(d0, d1) tells whether the
     complete matching in which each college j hands its first d_j fans to
-    the other is stable."""
-    _, _, v = instance._kernel
-    alpha = favorites(instance)
+    the other is stable.  The split into fans needs strict preferences
+    (u0[i] != u1[i]): a student with a tie would be nobody's fan.  Both
+    callers check them first."""
+    _, (u0, u1), v = instance._kernel
     # split the students by favorite at C speed: compress keeps the indices
     # whose flag is true
     students = range(instance.n)
-    split = (compress(students, map(not_, alpha)), compress(students, alpha))
+    split = (compress(students, map(gt, u0, u1)), compress(students, map(lt, u0, u1)))
     fans = tuple(sorted(f, key=col.__getitem__) for f, col in zip(split, v))
     # floor[j][k]: the other college's least value over fans[j][: k + 1],
     # its reluctant members once j has handed k + 1 away; built lazily
@@ -165,7 +166,13 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     preferences, within the instance's capacities (see the module
     docstring).  Raises InfeasibleError when no stable matching fills both
     colleges within them.  on_state gets the matching of every state the
-    scan visits."""
+    scan visits.
+
+    The counters are pinned by the equivalence digests: ``toggles`` counts
+    the visited states other than (0, 0); ``tuple_comparisons`` is defined
+    as ``toggles``, not counted (the first candidate is not compared); and
+    ``steps`` charges n + 2 per compare, though a compare sorts only the
+    students between the state and the best one, and four totals."""
     _require_m2_strict(instance)
     n = instance.n
     scale, (u0, u1), (v0, v1) = instance._kernel
@@ -180,17 +187,22 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     r0 = sum(map(v0.__getitem__, f0[d0:]))
     r1 = sum(map(v1.__getitem__, f1)) + sum(map(v1.__getitem__, f0[:d0]))
     rs = start = toggles = 0  # r0, r1 are the totals at (d0, rs)
-    best = None  # (d0, d1, t0, t1) of the first best candidate
+    # the first best candidate's (d0, d1) and totals; b0 is None until one
+    b0 = None
+    b1 = s0 = s1 = 0
     last = min(n0, cap1)  # college 1 holds at least d0 students
     while d0 <= last and start <= n1:
         if start < d0 + n1 - cap1:
             start = d0 + n1 - cap1  # the states before it overfill college 1
-        for b in f1[rs:start]:
-            r0 += v0[b]
-            r1 -= v1[b]
+        if start > rs:
+            for b in f1[rs:start]:
+                r0 += v0[b]
+                r1 -= v1[b]
         rs = d1 = start
         t0, t1 = r0, r1
-        hi = min(n1, cap0 - n0 + d0)  # beyond it college 0 is overfilled
+        hi = cap0 - n0 + d0  # beyond it college 0 is overfilled
+        if hi > n1:
+            hi = n1
         # a pair with a 0 is stable; testing that inline saves a call per state
         while d1 <= hi and (not (d0 and d1) or stable(d0, d1)):
             if d0 or d1:
@@ -198,21 +210,28 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
             if on_state is not None:
                 on_state(Matching(_assignment(n, fans, d0, d1)))
             if n0 - d0 + d1 and n1 - d1 + d0:  # a candidate
-                if best is None:
-                    best = d0, d1, t0, t1
+                if b0 is None:
+                    b0, b1, s0, s1 = d0, d1, t0, t1
                 else:
                     # the students in different colleges, then the totals
-                    b0, b1, s0, s1 = best
-                    new, old = (w0[b0:d0], h0[b0:d0]) if d0 >= b0 else (h0[d0:b0], w0[d0:b0])
-                    if d1 != b1:
-                        new += w1[b1:d1] if d1 > b1 else h1[d1:b1]
-                        old += h1[b1:d1] if d1 > b1 else w1[d1:b1]
-                    new += t0, t1
-                    old += s0, s1
+                    if d0 >= b0:
+                        new, old = w0[b0:d0], h0[b0:d0]
+                    else:
+                        new, old = h0[d0:b0], w0[d0:b0]
+                    if d1 > b1:
+                        new += w1[b1:d1]
+                        old += h1[b1:d1]
+                    elif d1 < b1:
+                        new += h1[d1:b1]
+                        old += w1[d1:b1]
+                    new.append(t0)
+                    new.append(t1)
+                    old.append(s0)
+                    old.append(s1)
                     new.sort()
                     old.sort()
                     if new > old:
-                        best = d0, d1, t0, t1
+                        b0, b1, s0, s1 = d0, d1, t0, t1
                 if d0 < n0:
                     if d1 == start and t0 <= t1 and v0[f0[d0]]:
                         start += 1  # diagonal start
@@ -235,9 +254,8 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
             r1 += v1[a]
         d0 += 1
 
-    if best is None:
+    if b0 is None:
         raise InfeasibleError("no stable matching fills both colleges within their capacities")
-    b0, b1, s0, s1 = best
     tuple_comparisons = toggles  # one compare per toggle
     steps = toggles + tuple_comparisons * (n + 2)
     assignment = _assignment(n, fans, b0, b1)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import lcm
-from operator import ge, gt, itemgetter
+from operator import countOf, ge, gt, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import FrozenInstanceError, InvalidInputError
@@ -218,7 +218,9 @@ def _kernel(student_values, college_values) -> tuple:
     through as_value, so a refusal names the first bad value read."""
     u = tuple(zip(*student_values))
     v = tuple(map(tuple, college_values))
-    if all(set(map(type, col)) == {int} for col in chain(u, v)):
+    # types compare by identity, so a bool, an IntEnum or any other int
+    # subclass is not counted; no column is empty (n, m >= 1)
+    if all(countOf(map(type, col), int) == len(col) for col in chain(u, v)):
         flags = _classify(u, v)
         lows = (u[-1], [col[-1] for col in v]) if flags.weakly_ranked else chain(u, v)
         if min(map(min, lows)) >= 0:

@@ -24,9 +24,12 @@ from lexmatch import (
     load_instance,
     oracle_leximin,
 )
-from lexmatch.const2 import _require_m2_strict, favorites, is_stable_m2
+from lexmatch import const2
+from lexmatch.const2 import _require_m2_strict, _staircase, favorites, is_stable_m2
 from lexmatch.model import GREATER, _capacity_binds, scaled_leximin
 from lexmatch.report import SolverReport
+
+from test_equivalence import _two_sided
 
 
 def _strict_m2_instances(seed, count, n_max, n_min=2):
@@ -310,6 +313,52 @@ class TestReferenceWalk:
         got = [fast_const(inst).to_json_dict() for inst in cases]
         monkeypatch.undo()
         assert got == want
+
+
+class TestStaircase:
+    """_staircase splits the students into fans by comparing their two values
+    at C speed, without favorites; on strict input the fans and the stable
+    test must be the reference's."""
+
+    @staticmethod
+    def _cases():
+        for n in (2, 3, 5, 8, 20, 61):
+            for seed in range(2):
+                yield from (_toggle_family(n, seed), _crossed(n, seed), _two_sided(n, seed))
+        for n in range(2, 31):
+            for seed in range(2):
+                for kind, value_max in (
+                    ("strict", None), ("strict", n + 1), ("ranked", None), ("ranked", n + 3),
+                    ("ranked_isometric", None),
+                ):
+                    yield generate(GenSpec(kind, n, 2, seed=seed, value_max=value_max))
+
+    def test_fans_and_stable_pairs_are_the_reference_ones(self):
+        grids = both_sides = 0
+        for inst in self._cases():
+            for case in (inst, _scaled_by_35(inst)):
+                fans, stable = _staircase(case)
+                want_fans, want_stable = _reference_staircase(case)
+                assert sorted(fans[0] + fans[1]) == list(range(case.n)), case
+                assert fans == want_fans, case
+                both_sides += bool(fans[0] and fans[1])
+                if case.n <= 8:
+                    grids += 1
+                    for d0 in range(len(fans[0]) + 1):
+                        for d1 in range(len(fans[1]) + 1):
+                            assert stable(d0, d1) == want_stable(d0, d1), (case, d0, d1)
+        assert grids >= 100 and both_sides >= 100
+
+    def test_the_solvers_do_not_call_favorites(self, monkeypatch):
+        inst = _two_sided(30, 7)
+        want = fast_const(inst).to_json_dict()
+
+        def refuse(instance):
+            raise AssertionError("favorites called")
+
+        monkeypatch.setattr(const2, "favorites", refuse)
+        assert fast_const(inst).to_json_dict() == want
+        assert is_stable_m2(inst, fast_const(inst).matching)
 
 
 class TestFavorites:

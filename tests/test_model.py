@@ -1,4 +1,5 @@
 import re
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,13 @@ from conftest import random_instances
 # faulty entries are kept as written, so each spelling must give the same
 # message.
 SPELLINGS = {"int": int, "fraction": Fraction, "string": lambda x: f"{x}/1"}
+
+
+class _Grade(IntEnum):
+    # an int subclass: as_value parses it, but it is not a plain int
+    NONE = 0
+    HIGH = 3
+
 
 # marks a refusal row built by Instance.from_matrix(sv, capacities)
 FROM_MATRIX = "from_matrix"
@@ -272,6 +280,35 @@ class TestInstance:
         inst = Instance.build(((1, 2), (3, 4), (5, 6)), [(1, 2, 3), [4, 5, 6]])
         assert inst._kernel == (1, ((1, 3, 5), (2, 4, 6)), ((1, 2, 3), (4, 5, 6)))
         assert inst == Instance.build([[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize("where", ["student first", "student last", "college first", "college last"])
+    @pytest.mark.parametrize(
+        "odd", [True, False, 1.0, 3.0, "3", "7/2", _Grade.HIGH, _Grade.NONE], ids=repr
+    )
+    def test_one_odd_value_among_ints_builds_or_is_refused_as_before(self, odd, where):
+        # only a column of plain ints is the kernel as it stands: a bool, a
+        # float, a string or an int subclass sends the whole input through
+        # as_value, which refuses the first two and parses the others
+        sv, cv = [[9, 8], [7, 5], [6, 4]], [[9, 7, 6], [8, 5, 4]]
+        side, pos = where.split()
+        pos = 0 if pos == "first" else 2
+        if side == "student":
+            sv[pos][1] = odd
+        else:
+            cv[1][pos] = odd
+        if type(odd) in (bool, float):
+            message = f"value must be an exact rational, got {odd!r}"
+            with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+                Instance.build(sv, cv)
+            return
+        inst = Instance.build(sv, cv)
+        exact = Fraction(odd)
+        respelled = [[exact if x is odd else x for x in row] for row in (sv if side == "student" else cv)]
+        want = Instance.build(respelled, cv) if side == "student" else Instance.build(sv, respelled)
+        assert inst._kernel == want._kernel and inst._flags == want._flags
+        assert inst._flags == TestClassify._flags_by_definition(inst)
+        scale, u, v = inst._kernel
+        assert all(type(x) is int for col in (*u, *v) for x in col)
 
     @pytest.mark.parametrize("sv", [[[3, 1]], [[Fraction(3), "1"]]])
     def test_stores_the_kernel_and_tuple_capacities(self, sv):
