@@ -14,7 +14,9 @@ walk meets exact ties (keys ``tie_rich/...``), and for each instance one
 image scaled to denominators of 5, 7 and 35.  Strict two-college inputs
 whose fans sit on both sides and whose walks run 10 or more moves (keys
 ``two_sided/...``, one of them with binding capacities) pin the m=2 solver
-beyond the generated sweep, where such walks are rare.  A change that keeps outputs
+beyond the generated sweep, where such walks are rare.  Ranked inputs on which
+fast_gen's look-ahead commits its run (keys ``look_ahead/...``) pin that
+branch, which the generated sweep reaches without a commit.  A change that keeps outputs
 as they are (a refactor, a speed-up) must leave every digest in place; the
 digests change only in a change that states an output change, which
 records them again with
@@ -43,6 +45,7 @@ from lexmatch import (
     oracle_leximin,
     solve_dispatch,
 )
+from lexmatch import fastgen
 from lexmatch.fast import fast_admissible
 from lexmatch.generate import KINDS
 
@@ -112,6 +115,12 @@ def _two_sided(n, seed, capacities=None):
 
 
 TWO_SIDED = ((16, 3, None), (30, 7, None), (40, 9, None), (30, 7, (20, 13)))
+# ranked inputs on which fast_gen's look-ahead commits once
+LOOK_AHEAD = (
+    GenSpec("ranked", 6, 4, seed=2, capacity_mode="random"),
+    GenSpec("ranked", 13, 4, seed=2, value_max=16),
+    GenSpec("ranked", 16, 3, seed=2, value_max=19),
+)
 
 
 def _sweep():
@@ -137,6 +146,12 @@ def _sweep():
     for n, seed, capacities in TWO_SIDED:
         inst = _two_sided(n, seed, capacities)
         key = f"two_sided/n{n}/s{seed}" + ("" if capacities is None else "/capped")
+        yield key, inst
+        yield key + "/scaled", _image(inst)
+    for spec in LOOK_AHEAD:
+        inst = generate(spec)
+        key = f"look_ahead/n{spec.n}/m{spec.m}/{spec.capacity_mode}/s{spec.seed}"
+        key += "" if spec.value_max is None else "/ties"
         yield key, inst
         yield key + "/scaled", _image(inst)
 
@@ -179,6 +194,24 @@ def test_the_sweep_reaches_fast_tie_trials():
     # meets a tie
     reports = [fast(inst) for inst in SWEEP.values() if fast_admissible(inst)]
     assert sum(r.counters["tuple_comparisons"] > 0 for r in reports) >= 3
+
+
+def test_the_sweep_reaches_look_ahead_commits(monkeypatch):
+    # the recorded digests pin fast_gen's look-ahead commit only if some
+    # run commits one
+    commits = []
+    look_ahead = fastgen._look_ahead
+
+    def counted(*args):
+        committed = look_ahead(*args)
+        commits.append(committed is not None)
+        return committed
+
+    monkeypatch.setattr(fastgen, "_look_ahead", counted)
+    for inst in SWEEP.values():
+        if classify(inst).ranked:
+            fast_gen(inst)
+    assert sum(commits) >= len(LOOK_AHEAD)
 
 
 def test_int_and_digit_string_rows_give_the_same_kernel_and_flags():
