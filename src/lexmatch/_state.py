@@ -17,28 +17,28 @@ builds the Fraction tuple only when it is read.
 Delta comparison.  A chain demotion p -> q changes only q - p + 1 college
 totals and the values of the q - p students that move down one college.
 ``table`` lists, in O(m), the 2m - 1 values any trial can remove (R) and
-those it can add, and ``delta`` reads a trial's removed and added values off
-it as slices, without applying the move.  Two equal-size value multisets
-keep their leximin order when the same multiset is added to both (in the
-cumulative-count view of lexicographic max-min, the counts #{values <= t}
-of the added multiset add to both sides).  So a trial with removed R' and
-added A' compares with its base as sorted(A') against sorted(R').  Trials
-from one base compare by keys: R' is a slice of R, and R holds values of
-distinct agents, so R is part of the agents' multiset S and the trial's
-multiset is (S - R) + key with key = sorted(R - R' + A'), 2m - 1 values.
-Every trial shares S - R, so keys order the trials exactly as their tuples
-do, and a trial beats its base iff its key beats sorted(R): one sort of
-2m - 1 values per trial instead of n + m.  A run of moves compares with the
-state it started from the same way, by the agents whose values it has
-changed so far, each with its value before and after.  The users: fast_gen's
-_best_trial ranks its demotion trials by their keys and, since keys of two
-trials differ only in their slices, compares two givers below one receiver by
-those slices alone, whatever the receiver; fast's tie rule is one trial, its
-sorted added values against its sorted removed ones; fast_gen's _look_ahead
-compares its run with its base by the agents the run changed, and _blame finds
-the value where a loss starts from those agents; and const2.fast_const (on its
-own values, not through this class) compares each candidate with the best
-state it has seen by the students whose college differs and the totals.
+those it can add, and ``record`` reads off it, without applying the move,
+the agents a trial changes with their old and new values.  Two equal-size
+value multisets keep their leximin order when the same multiset is added to
+both (in the cumulative-count view of lexicographic max-min, the counts
+#{values <= t} of the added multiset add to both sides).  So a trial
+compares with its base as its sorted new values against its sorted old
+ones.  Trials from one base compare by keys: a trial's old values R' are a
+slice of R, and R holds values of distinct agents, so R is part of the
+agents' multiset S and the trial's multiset is (S - R) + key with key =
+sorted(R - R' + A'), A' its new values, 2m - 1 values.  Every trial shares
+S - R, so keys order the trials exactly as their tuples do, and a trial
+beats its base iff its key beats sorted(R): one sort of 2m - 1 values per
+trial instead of n + m.  A run of moves compares with its start the same
+way, by one record of every agent it has changed.  The users: fast_gen's
+_best_trial ranks its trials by their keys and, since keys of two trials
+differ only in their slices, compares two givers below one receiver by
+those slices alone, whatever the receiver; fast's tie rule records one
+trial; fast_gen's _blame compares a record (a trial's, or _look_ahead's of
+its run) and, on a loss, finds from it the value where the loss starts; and
+const2.fast_const (on its own values, not through this class) compares each
+candidate with the best state it has seen by the students whose college
+differs and the totals.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ class RankedState:
         return bisect_right(self._start, i) - 1
 
     def table(self):
-        """(R, A, head, tail), off which ``delta_of`` reads every trial's
-        delta as slices; O(m).  With b_t the bottom student of college t:
+        """(R, A, head, tail), off which ``record`` and the trial search
+        read every trial's values as slices; O(m).  With b_t the bottom
+        student of college t:
         R = [total[0], u[0][b_0], total[1], u[1][b_1], ..., total[m-1]] holds
         the values a trial can remove; A = [_, u[1][b_0], mid[1], u[2][b_1],
         ..., mid[m-2], u[m-1][b_{m-2}]] those it can add between its ends,
@@ -132,23 +133,22 @@ class RankedState:
         R.append(total[-1])
         return R, A, head, tail
 
-    def delta(self, p: int, q: int):
-        """(removed, added): the scaled values that demote(p, q) would take
-        out of and put into the agents' value multiset, without applying it:
-        colleges p..q and the bottom student of each of p..q-1."""
-        return delta_of(self.table(), p, q)
-
-    def changed(self, table, p: int, q: int) -> list:
-        """(position, old, new) of each agent whose value the trial p -> q
-        changes, read off this state's ``table``: college p, the bottom
-        student of p, college p + 1, ..., college q.  Positions count the
-        students by index, then the colleges from n."""
+    def record(self, changes: dict, table, p: int, q: int) -> None:
+        """Add to `changes` each agent whose value the trial p -> q changes,
+        read off this state's ``table``: college p, the bottom student of p,
+        college p + 1, ..., college q, with old values R[2p:2q+1] and new
+        values head[p], A[2p+1:2q] and tail[q].  `changes` maps an agent's
+        position (the students by index, then the colleges from n) to (its
+        value before the first trial recorded in `changes`, its value after
+        this one)."""
         R, A, head, tail = table
         n, start = self.instance.n, self._start
         at = [n + p]
         for t in range(p, q):
             at += (start[t + 1] - 1, n + t + 1)
-        return list(zip(at, R[2 * p:2 * q + 1], [head[p], *A[2 * p + 1:2 * q], tail[q]]))
+        news = [head[p], *A[2 * p + 1:2 * q], tail[q]]
+        for a, old, new in zip(at, R[2 * p:2 * q + 1], news):
+            changes[a] = (changes.get(a, (old,))[0], new)
 
     def holders(self, x: int) -> list:
         """Positions of the agents whose value is x, ascending.  A
@@ -190,10 +190,3 @@ class RankedState:
         vals = self.values()
         return ScaledLeximin(self.scale, self.instance.n, sorted(vals), None, by_position=vals)
 
-
-def delta_of(table, p: int, q: int):
-    """(removed, added) of the trial p -> q, read off a state's ``table``:
-    R[2p:2q+1] and A[2p+1:2q] plus the giver's and the receiver's new
-    totals."""
-    R, A, head, tail = table
-    return R[2 * p:2 * q + 1], A[2 * p + 1:2 * q] + [head[p], tail[q]]

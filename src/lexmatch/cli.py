@@ -1,12 +1,15 @@
 """Command-line interface and the regime-based solve dispatcher.
 
-Exit codes: 0 ok; 2 invalid input; 3 NP-hard regime (no exact solver);
-4 infeasible; 5 enumeration budget exceeded.
+Exit codes: 0 ok; 1 stdout closed before the output was written (a reader
+such as `head` stopped early); 2 invalid input, an unreadable input file
+included; 3 NP-hard regime (no exact solver); 4 infeasible; 5 enumeration
+budget exceeded.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -74,10 +77,13 @@ def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(data) -> None:
@@ -240,7 +246,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; as the Python docs advise, send what is
+        # left of stdout to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NpHardRegimeError as exc:
         print(f"error: NP_HARD_REGIME: {exc}", file=sys.stderr)
         return EXIT_NP_HARD
@@ -250,7 +263,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: BUDGET_EXCEEDED: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InvalidInputError, OSError, KeyError) as exc:
+    except (InvalidInputError, KeyError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

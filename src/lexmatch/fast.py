@@ -5,7 +5,7 @@ The solver walks the colleges from last to first.  For the current college
 (a chain demotion sourced at the lowest-indexed college that still has more
 than one student) as long as that raises the running minimum.  On an exact
 tie it commits the demotion only if the whole sorted value tuple strictly
-improves, which it reads off the demotion's delta (see _state).
+improves, which it reads off the demotion's record (see _state).
 
 The walk reads the capacities from the instance: the initial fill respects
 them and a full college is skipped.  A capacity that cannot bind
@@ -38,23 +38,25 @@ def fast_admissible(instance: Instance) -> bool:
     return flags.ranked and flags.isometric
 
 
-def _run(
-    instance: Instance,
-    label: str,
-    on_state: Optional[Callable] = None,
-) -> SolverReport:
-    """The walk.  A tie step up -> j commits iff its sorted added values
-    beat its sorted removed values (see _state).  It never leaves the tuple
-    equal, so no run of tied steps needs speculating.  The parity proof, with
-    w = u = v, T_p college p's total, s0 up's bottom student and x = w(s0,
-    up), above w(i, up) >= 0 for the later students i of college j: the step
-    removes T_up, x, T_j and two equal values (total and student) for each
+def fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
+    """Complete stable matching of a ranked isometric instance, aiming at
+    the leximin optimum but not always reaching it (see the module
+    docstring).  The report is named cap_fast when a capacity can bind.
+
+    A tie step up -> j commits iff its record's sorted new values beat its
+    sorted old values (see _state).  It never leaves the tuple equal, so no
+    run of tied steps needs speculating.  The parity proof, with w = u = v,
+    T_p college p's total, s0 up's bottom student and x = w(s0, up), above
+    w(i, up) >= 0 for the later students i of college j: the step removes
+    T_up, x, T_j and two equal values (total and student) for each
     single-student college it crosses.  It adds T_up - x, two equal values
     per crossed college, u_j(s_L) = T_j for the student s_L landing in j,
     and T_j + y with y = w(s_L, j) = T_j.  Equal multisets would need
     {T_up, x} = {T_up - x, 2T_j} as odd-multiplicity sets.  As x > 0, that
     forces T_up = 2x; but up holds another member, worth more than x on a
     ranked instance, so T_up > 2x."""
+    if not fast_admissible(instance):
+        raise NotAdmissibleError("solver requires a ranked isometric instance")
     n, m = instance.n, instance.m
     caps = instance.capacities
     state = RankedState(instance, initial_boundary(instance))
@@ -83,9 +85,11 @@ def _run(
         chain_moves += j - up
         if u[j][ib] == vj:
             # exact tie: the demotee would land at j's value; the tuple decides
-            removed, added = state.delta(up, j)
+            changes = {}
+            state.record(changes, state.table(), up, j)
+            gone, came = map(sorted, zip(*changes.values()))
             tuple_comparisons += 1
-            if not sorted(added) > sorted(removed):
+            if not came > gone:
                 j -= 1
                 continue
         state.demote(up, j)
@@ -93,7 +97,7 @@ def _run(
 
     steps = iterations + chain_moves + tuple_comparisons * (n + m)
     return SolverReport(
-        algorithm=label,
+        algorithm="cap_fast" if _capacity_binds(instance) else "fast",
         matching=state.matching(),
         leximin=state.leximin(),
         steps=steps,
@@ -103,15 +107,6 @@ def _run(
             "tuple_comparisons": tuple_comparisons,
         },
     )
-
-
-def fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
-    """Complete stable matching of a ranked isometric instance, aiming at
-    the leximin optimum but not always reaching it (see the module
-    docstring).  The report is named cap_fast when a capacity can bind."""
-    if not fast_admissible(instance):
-        raise NotAdmissibleError("solver requires a ranked isometric instance")
-    return _run(instance, "cap_fast" if _capacity_binds(instance) else "fast", on_state)
 
 
 cap_fast = fast  # the one walk under its capacitated name

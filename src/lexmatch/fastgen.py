@@ -25,7 +25,7 @@ and the report is named fast_gen rather than cap_fast_gen.
 Demotion trials are never applied to be compared.  The state's ``table``
 holds, in O(m), the 2m - 1 values any trial can remove (R) and those it can
 add; a trial p -> q removes a slice of R and adds a slice of the rest plus
-its two end totals (``RankedState.delta``).  A trial's key is
+its two end totals (``RankedState.record``).  A trial's key is
 sorted(R - removed + added), 2m - 1 values: the values outside R are the
 same in every trial, so keys rank the trials as their tuples do, and the
 best trial is no worse than the state iff its key is at least sorted(R)
@@ -35,11 +35,12 @@ trial is a max-plus argmax over p < q, found with a running maximum over
 the givers and one key per receiver, O(m) keys per iteration rather than
 one per pair.  Only the chosen trial is applied.  Each iteration builds the
 table once: it serves the search and, when no trial improves, gives the
-agents that the canonical up -> down trial changes.  A loss is blamed
-without sorting the tuple or listing the agents' values (``_blame``): from
-the changed agents, each with its old and new value, and the other holders
-of the value where the tuple falls.  _look_ahead blames its run of moves
-the same way, from every agent the run has changed since its base.
+agents that the canonical up -> down trial changes (its record).  A loss
+is blamed without sorting the tuple or listing the agents' values
+(``_blame``): from the recorded agents, each with its old and new value,
+and the other holders of the value where the tuple falls.  _look_ahead
+records its run of moves into one dict, every agent the run has changed
+since its base, and commits the run as soon as _blame finds no loss.
 
 Progress.  On a ranked instance a chain demotion strictly lowers the value of
 every student it moves and leaves every other student's value unchanged.  So
@@ -68,7 +69,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ._state import RankedState, initial_boundary
-from .errors import InvalidInputError
 from .model import (
     Instance,
     _capacity_binds,
@@ -112,41 +112,30 @@ class FixSets:
         }
 
 
-def _record(changes: dict, state: RankedState, table, p: int, q: int) -> None:
-    """Add to `changes` the agents whose values the trial p -> q changes
-    from `state` (``RankedState.changed``): `changes` maps an agent's
-    position to (its value before the first recorded trial, its value
-    after this one)."""
-    for a, old, new in state.changed(table, p, q):
-        changes[a] = (changes.get(a, (old,))[0], new)
-
-
-def _blame(state: RankedState, changes: dict) -> int:
+def _blame(state: RankedState, changes: dict) -> Optional[int]:
     """Position of the agent blamed for the leximin loss from `state` to
     the state in which the agents in `changes` (position -> (old, new), see
-    _record) take their new values and every other agent keeps its own.
+    ``RankedState.record``) take their new values and every other agent
+    keeps its own, or None when there is no loss.
 
-    The blame falls on the occupant, in the new sorted tuple, of the first
-    index where new < old.  The value x there is the first at which the
-    sorted new and old values of the changed agents differ (the agents that
-    keep their values add the same multiset to both; see _state).  Equal
-    values sort by position, so the occupant is holder number c of x in the
-    new state, c being the number of agents holding x in the old one.  The
-    holders are the changed agents whose new value is x and the others
-    that hold x in `state` (``RankedState.holders``).  When equal values
-    reshuffle, the occupant may not have lost anything itself; then blame
-    the first holder whose own value strictly decreased (without this, the
-    fixing rules can fail to make progress).  No full tuple is sorted and
-    no values list is built: O(n) compares at C speed, plus
+    The new state loses iff the sorted new values of the changed agents
+    fall below their sorted old values (the agents that keep their values
+    add the same multiset to both; see _state).  The blame falls on the
+    occupant, in the new sorted tuple, of the first index where new < old.
+    The value x there is the first at which the two sorted lists differ.
+    Equal values sort by position, so the occupant is holder number c of x
+    in the new state, c being the number of agents holding x in the old
+    one.  The holders are the changed agents whose new value is x and the
+    others that hold x in `state` (``RankedState.holders``).  When equal
+    values reshuffle, the occupant may not have lost anything itself; then
+    blame the first holder whose own value strictly decreased (without
+    this, the fixing rules can fail to make progress).  No full tuple is
+    sorted and no values list is built: O(n) compares at C speed, plus
     O(m + len(changes))."""
     gone, came = map(sorted, zip(*changes.values()))
-    for x, y in zip(came, gone):
-        if x != y:
-            break
-    else:
-        raise InvalidInputError("tuples are equal; no losing agent")
-    if x > y:
-        raise InvalidInputError("tuple does not lose at first divergence")
+    if came >= gone:
+        return None
+    x = next(x for x, y in zip(came, gone) if x != y)
     others = [a for a in state.holders(x) if a not in changes]
     holders = sorted(others + [a for a, (_, new) in changes.items() if new == x])
     at = holders[len(others) + gone.count(x)]
@@ -181,8 +170,8 @@ def _best_trial(state: RankedState, table, receivers: list, lower_fix: set, coun
     """(p, q, improves): the first trial p -> q, over the receivers q and
     the givers p < q outside lower_fix with more than one student, whose
     key is largest, and whether it is at least as good as the state.  The
-    key of p -> q is sorted(R - removed + added): R outside delta_of's
-    removed slice, plus its added values, read off the state's `table`
+    key of p -> q is sorted(R - removed + added): R outside the removed
+    slice R[2p:2q+1], plus the added values, read off the state's `table`
     (see _state).  So keys rank the trials as their tuples do, and
     sorted(R) stands for the state.
 
@@ -256,17 +245,16 @@ def _look_ahead(state: RankedState, down: int, fixes: FixSets, counters: _Counte
         if shadow.k[up] == 1 or shadow.college_value(up) <= shadow.college_value(down):
             lf.add(up)
             continue
-        _record(changes, shadow, shadow.table(), up, down)
+        shadow.record(changes, shadow.table(), up, down)
         shadow.demote(up, down)
         counters.chain_moves += down - up
         counters.tuple_comparisons += 1
         # the shadow against its base, by the agents it changed (see _state)
-        gone, came = map(sorted, zip(*changes.values()))
-        if came >= gone:
+        blamed = _blame(state, changes)
+        if blamed is None:
             fixes.lower_fix = lf
             fixes.upper_fix = uf
             return shadow
-        blamed = _blame(state, changes)
         if blamed == n + up:
             lf.add(up)
             uf.add(up + 1)
@@ -346,9 +334,10 @@ def _inner_run(
             continue
         # attribute the loss from the canonical up -> down trial, read off
         # the same table: its blame decides whether to fix a boundary or
-        # speculate ahead
+        # speculate ahead; _best_trial ranked this trial below the state, so
+        # it loses and is blamed on someone
         canon = {}
-        _record(canon, state, table, up, down)
+        state.record(canon, table, up, down)
         blamed = _blame(state, canon)
         if blamed == n + up:
             fixes.lower_fix.add(up)

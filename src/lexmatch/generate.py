@@ -61,6 +61,8 @@ def generate(spec: GenSpec) -> Instance:
         raise InvalidInputError(f"kind {spec.kind} needs at least two value cells")
     rng = random.Random((spec.kind, n, m, spec.seed).__repr__())
     hi = spec.value_max if spec.value_max is not None else max(4 * n * m, 100)
+    if hi < 1:
+        raise InvalidInputError(f"value_max must be at least 1, got {hi}")
     caps = _capacities(spec, rng)
 
     if spec.kind == "ranked_isometric":

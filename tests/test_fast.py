@@ -204,13 +204,12 @@ def _multi_step_fast(instance, on_state=None, stats=None):
         stats["ties"] += 1
         stats["multi_link"] += k[j - 1] == 1
         trial = state.copy()
-        gone, came = [], []
+        changes = {}  # every agent the trial changed: base and current value
         committed = False
         while sum(trial.k[:j]) - 1 >= j and trial.k[j] < caps[j]:
             t_up = max(p for p in range(j) if trial.k[p] > 1)
-            removed, added = trial.delta(t_up, j)
-            gone = sorted(gone + removed)
-            came = sorted(came + added)
+            trial.record(changes, trial.table(), t_up, j)
+            gone, came = map(sorted, zip(*changes.values()))
             trial.demote(t_up, j)
             chain_moves += j - t_up
             tuple_comparisons += 1
@@ -260,9 +259,9 @@ def _tie_rich_pool(seed, count):
 
 
 class TestOneTrialTieRule:
-    """fast's tie rule is one delta trial; on isometric instances it must
+    """fast's tie rule is one recorded trial; on isometric instances it must
     agree with the multi-step loop it replaced, report, counters and
-    on_state trace alike (see the proof in fast._run)."""
+    on_state trace alike (see the proof in fast's docstring)."""
 
     @staticmethod
     def _agree(instance, stats):

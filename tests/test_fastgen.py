@@ -7,7 +7,6 @@ import pytest
 from lexmatch import (
     GenSpec,
     Instance,
-    InvalidInputError,
     Matching,
     NotAdmissibleError,
     boundary_from_matching,
@@ -19,7 +18,7 @@ from lexmatch import (
     oracle_leximin,
 )
 from lexmatch import fastgen
-from lexmatch._state import RankedState, delta_of, initial_boundary
+from lexmatch._state import RankedState, initial_boundary
 from lexmatch.fastgen import FixSets
 from lexmatch.model import ScaledLeximin, _capacity_binds, scaled_leximin
 from lexmatch.reference import ranked_dp
@@ -27,19 +26,20 @@ from lexmatch.reference import ranked_dp
 from conftest import random_instances, random_sizes
 
 
-def _first_loss_agent(came: list, gone: list, new: list, old: list) -> int:
+def _first_loss_agent(came: list, gone: list, new: list, old: list):
     """The blame as fastgen once read it off the agents' values by position
     (students by index, then colleges): `came` and `gone` are the values
     added and removed since old, sorted.  The occupant of the first index
     where new < old is occurrence old.count(x) of its value x in new; when
-    that occupant did not lose, the first holder of x that did."""
+    that occupant did not lose, the first holder of x that did.  None when
+    new does not lose."""
     for x, y in zip(came, gone):
         if x != y:
             break
     else:
-        raise InvalidInputError("tuples are equal; no losing agent")
+        return None  # the tuples are equal
     if x > y:
-        raise InvalidInputError("tuple does not lose at first divergence")
+        return None  # the tuple gains at the first divergence
     holders, at = [], -1  # positions holding x in new, in order
     for _ in range(new.count(x)):
         at = new.index(x, at + 1)
@@ -77,7 +77,8 @@ def _blame(instance, mu_new, mu_old):
         if a != b
     }
     state = RankedState(instance, boundary_from_matching(instance, mu_old).k)
-    return new.agent(fastgen._blame(state, changes))
+    at = fastgen._blame(state, changes)
+    return None if at is None else new.agent(at)
 
 
 class TestFirstLossAgent:
@@ -97,9 +98,12 @@ class TestFirstLossAgent:
         # value did not move; the blame must go to the agent that lost
         assert _blame(inst, new, old) == ("c", 1)
 
-    def test_rejects_non_loss(self, ref_instance):
-        with pytest.raises(InvalidInputError):
-            _blame(ref_instance, Matching([0, 1, 1, 1]), Matching([0, 0, 1, 1]))
+    def test_no_one_is_blamed_without_a_loss(self, ref_instance):
+        # the tuple rises from (3, 4, 7, 99, 100, 199) to (3, 4, 9, 16, 100, 100)
+        assert _blame(ref_instance, Matching([0, 1, 1, 1]), Matching([0, 0, 1, 1])) is None
+        # student 1 moves to college 1 and the values {5, 3, 2} become {3, 2, 5}
+        inst = Instance.build([[10, 9], [5, 3], [7, 6]], [[2, 1, 0], [4, 3, 2]])
+        assert _blame(inst, Matching([0, 1, 1]), Matching([0, 0, 1])) is None
 
 
 class TestFastGen:
@@ -288,7 +292,7 @@ class TestProgress:
             at = blame(state, changes)
             assert at == _reference_blame(state, changes)
             new, old = _by_position(state, changes)
-            if at < inst.n:  # positions below n are students
+            if at is not None and at < inst.n:  # positions below n are students
                 assert new[at] < old[at]
                 blamed.append(at)
             return at
@@ -300,8 +304,8 @@ class TestProgress:
 
 
 def _old_delta(state, p, q):
-    """RankedState.delta as the O(q - p) walk over colleges p..q that the
-    table replaced."""
+    """(removed, added) of the trial p -> q as the O(q - p) walk over
+    colleges p..q that the table replaced."""
     u, v, start, total = state._u, state._v, state._start, state._total
     removed, added = [], []
     gained = 0  # college t's value of the student it gains from t - 1
@@ -331,15 +335,16 @@ def _old_pick(state, trials):
     return (*best, sorted(best_added) >= sorted(best_removed))
 
 
-def _old_first_loss_agent(new: ScaledLeximin, old: ScaledLeximin) -> int:
+def _old_first_loss_agent(new: ScaledLeximin, old: ScaledLeximin):
     """The blame as a scan of the two full sorted tuples and a dict of the
-    old values, returning the blamed agent's position."""
+    old values, returning the blamed agent's position, or None when new does
+    not lose."""
     new_values, old_values = new.values, old.values
     for t, (x, y) in enumerate(zip(new_values, old_values)):
         if x == y:
             continue
         if x > y:
-            raise InvalidInputError("tuple does not lose at first divergence")
+            return None  # the tuple gains at the first divergence
         agent = new.agents[t]
         old_of = dict(zip(old.agents, old_values))
         if old_of[agent] > x:
@@ -348,7 +353,7 @@ def _old_first_loss_agent(new: ScaledLeximin, old: ScaledLeximin) -> int:
             if v == x and old_of[a] > v:
                 return a
         return agent
-    raise InvalidInputError("tuples are equal; no losing agent")
+    return None  # the tuples are equal
 
 
 def _high_m_ties():
@@ -374,7 +379,9 @@ class TestAgainstTheOldDefinitions:
         def checked(state):
             got = table(state)
             for p, q in itertools.combinations(range(len(state.k)), 2):
-                removed, added = delta_of(got, p, q)
+                changes = {}
+                state.record(changes, got, p, q)
+                removed, added = zip(*changes.values())
                 old_removed, old_added = _old_delta(state, p, q)
                 assert sorted(removed) == sorted(old_removed)
                 assert sorted(added) == sorted(old_added)
@@ -443,7 +450,7 @@ class TestAgainstTheOldDefinitions:
         monkeypatch.setattr(fastgen, "_look_ahead", counted)
         for inst in _high_m_ties():
             fast_gen(inst)
-        # a look-ahead run blames after each losing step; from the second
+        # a look-ahead run blames after each step; from the second
         # step on, its changes hold the agents of several moves
         multi_step = sum(
             count - 1 for run, count in Counter(blames).items() if run and count > 1
@@ -477,10 +484,12 @@ def _all_pairs_best_trial(state, table, receivers, lower_fix, counters):
     return giver, receiver, best_key >= sorted(R)
 
 
-def _trial_key(table, p, q):
+def _trial_key(state, table, p, q):
     """sorted(R - removed + added) of the trial p -> q."""
     R = table[0]
-    return sorted(R[:2 * p] + R[2 * q + 1:] + delta_of(table, p, q)[1])
+    changes = {}
+    state.record(changes, table, p, q)
+    return sorted(R[:2 * p] + R[2 * q + 1:] + [new for _, new in changes.values()])
 
 
 class TestSeparableSearch:
@@ -526,7 +535,7 @@ class TestSeparableSearch:
         cv = [[10, 5, 4, 3, 2], [20, 15, 10, 2, 1], [5, 4, 3, 2, 1]]
         state = RankedState(Instance.build(sv, cv), [2, 2, 1])
         table = state.table()
-        assert _trial_key(table, 0, 2) == _trial_key(table, 1, 2)
+        assert _trial_key(state, table, 0, 2) == _trial_key(state, table, 1, 2)
         got = fastgen._best_trial(state, table, [2], set(), fastgen._Counters())
         want = _all_pairs_best_trial(state, table, [2], set(), fastgen._Counters())
         assert got[:2] == want[:2] == (0, 2)

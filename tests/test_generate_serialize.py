@@ -18,6 +18,7 @@ from lexmatch import (
     solve_dispatch,
 )
 from lexmatch.cli import main
+from lexmatch.generate import KINDS
 from lexmatch.serialize import (
     dump_instance,
     dump_matching,
@@ -90,6 +91,16 @@ class TestGenerate:
     def test_impossible_specs_rejected(self, spec):
         with pytest.raises(InvalidInputError):
             generate(spec)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("value_max", [0, -5])
+    def test_value_max_below_one_is_invalid_input(self, capsys, kind, value_max):
+        message = f"value_max must be at least 1, got {value_max}$"
+        with pytest.raises(InvalidInputError, match=message):
+            generate(GenSpec(kind=kind, n=3, m=2, value_max=value_max))
+        args = ["gen", "--kind", kind, "--n", "3", "--m", "2", "--value-max", str(value_max)]
+        assert main(args) == 2
+        assert "invalid input: value_max must be at least 1" in capsys.readouterr().err
 
 
 class TestSerialize:
@@ -410,6 +421,13 @@ class TestCli:
         path = _write(tmp_path, "inst.json", "{broken")
         assert main(["solve", "--instance", path]) == 2
         assert main(["solve", "--instance", str(tmp_path / "missing.json")]) == 2
+
+    def test_an_unreadable_input_file_is_invalid_input(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"student_values": "\xe9"}')
+        for path in (tmp_path / "missing.json", tmp_path, latin1):
+            assert main(["solve", "--instance", str(path)]) == 2
+            assert f"invalid input: cannot read {path}: " in capsys.readouterr().err
 
     def test_exit_code_infeasible(self, tmp_path):
         inst = Instance.build([[5, 4]], [[7], [6]], capacities=[1, 1])

@@ -36,6 +36,43 @@ def test_traced_names_resolve_where_the_tracer_looks_them_up():
         assert callable(getattr(module, attr, None)), f"lexmatch.{module_name}.{attr}"
 
 
+def test_the_only_unread_imports_are_the_tracer_targets():
+    # a module binds these names only so that spans.py can wrap them there;
+    # any other import a module never reads is a stray one
+    unread = set()
+    for path in sorted((SRC / "lexmatch").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        # a package's __all__ reads the names it re-exports
+        exported = {
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "__all__"
+            for name in ast.literal_eval(node.value)
+        }
+        unread |= {f"{path.stem}.{name}" for name in imported - read - exported}
+    assert unread == {
+        "cli.leximin_tuple",
+        "const2.is_stable",
+        "const2.leximin_tuple",
+        "fastgen.classify",
+        "fastgen.leximin_tuple",
+        "oracle.leximin_tuple",
+    }
+
+
 def test_import_lexmatch_loads_the_modules_the_benchmark_reads():
     # run.py's import_lexmatch takes LIBRARY_MODULES from sys.modules right
     # after `import lexmatch`.  In this process pytest has imported them all

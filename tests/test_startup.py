@@ -37,6 +37,22 @@ def test_python_m_lexmatch_keeps_the_exit_codes():
     assert proc.stderr.startswith("error: invalid input: bad JSON")
 
 
+def test_a_reader_that_stops_early_ends_the_command_quietly():
+    # 2000 students print more than a pipe holds, so the command is still
+    # writing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lexmatch", "gen", "--kind", "ranked", "--n", "2000", "--m", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr == b""
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     # -S keeps site-packages start-up hooks out of the count
     code = (

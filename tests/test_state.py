@@ -1,4 +1,4 @@
-"""The ranked solvers' integer kernel and delta comparison against the
+"""The ranked solvers' integer kernel and trial records against the
 Fraction-valued definitions in lexmatch.model."""
 
 import itertools
@@ -101,7 +101,9 @@ def test_state_matches_the_fraction_definitions(index):
         for p, q in itertools.combinations(range(inst.m), 2):
             if state.k[p] <= 1:
                 continue
-            removed, added = state.delta(p, q)
+            changes = {}
+            state.record(changes, table, p, q)
+            removed, added = map(list, zip(*changes.values()))
             trial = state.copy()
             trial.demote(p, q)
             trial_tuple = leximin_tuple(inst, trial.matching())
@@ -109,24 +111,26 @@ def test_state_matches_the_fraction_definitions(index):
                 trial.matching().assignment
             )
             assert _verdict(sorted(added), sorted(removed)) == leximin_compare(trial_tuple, full)
-            # changed lists every agent whose value differs, old and new
+            # the record lists every agent whose value differs, old and new
             after = trial.values()
-            changed = state.changed(table, p, q)
-            assert all(before[a] == old and after[a] == new for a, old, new in changed)
-            moved = {a for a, _, _ in changed}
-            assert all(before[a] == after[a] for a in range(len(before)) if a not in moved)
+            assert all(
+                before[a] == old and after[a] == new for a, (old, new) in changes.items()
+            )
+            assert all(before[a] == after[a] for a in range(len(before)) if a not in changes)
             trials[p, q] = (removed, added, trial_tuple)
         for (r1, a1, t1), (r2, a2, t2) in itertools.product(trials.values(), repeat=2):
             assert _verdict(sorted(a1 + r2), sorted(a2 + r1)) == leximin_compare(t1, t2)
-        assert state.k == k, "delta and copies must leave the state alone"
+        assert state.k == k, "records and copies must leave the state alone"
 
 
-def test_delta_of_a_trial_that_only_reshuffles_values_is_equal():
+def test_the_record_of_a_trial_that_only_reshuffles_values_is_equal():
     # demote(0, 1) from k = (2, 1) moves student 1 to college 1: it removes
     # {u(1,0), v_0 total, v_1 total} = {5, 3, 2} and adds {3, 2, 5}
     inst = Instance.build([[10, 9], [5, 3], [7, 6]], [[2, 1, 0], [4, 3, 2]])
     state = RankedState(inst, [2, 1])
-    removed, added = state.delta(0, 1)
+    changes = {}
+    state.record(changes, state.table(), 0, 1)
+    removed, added = zip(*changes.values())
     assert sorted(removed) == sorted(added) == [2, 3, 5]
     trial = state.copy()
     trial.demote(0, 1)
@@ -172,7 +176,9 @@ def _check_against_fractions(inst, state):
         removed += [student_value(inst, mu, i) for i in movers]
         added = [college_value(inst, trial, t) for t in range(p, q + 1)]
         added += [student_value(inst, trial, i) for i in movers]
-        got_removed, got_added = state.delta(p, q)
+        changes = {}
+        state.record(changes, state.table(), p, q)
+        got_removed, got_added = zip(*changes.values())
         assert sorted(got_removed) == sorted(x * scale for x in removed)
         assert sorted(got_added) == sorted(x * scale for x in added)
 
