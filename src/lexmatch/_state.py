@@ -56,7 +56,10 @@ def initial_boundary(instance: Instance) -> list:
     its capacity allows while reserving one seat for every college after it.
     With capacities of n-1 or more this is (n-m+1, 1, ..., 1).  Raises
     InfeasibleError when no complete matching exists (n < m, or the
-    capacities cannot hold n)."""
+    capacities cannot hold n).  No college gets an empty block: once n >= m,
+    the fill keeps at most n - (m - j) students placed before college j, so
+    the reserve leaves j at least one, and ``Instance`` keeps every capacity
+    in [1, n]."""
     n, m = instance.n, instance.m
     if n < m:
         raise InfeasibleError(f"{n} students cannot cover {m} colleges")
@@ -64,8 +67,6 @@ def initial_boundary(instance: Instance) -> list:
     k, assigned = [], 0
     for j in range(m):
         size = min(caps[j], n - assigned - (m - 1 - j))
-        if size < 1:
-            raise InfeasibleError("capacities admit no complete matching")
         k.append(size)
         assigned += size
     if assigned < n:

@@ -51,7 +51,9 @@ def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
     ranked and capacitated instances included (const2 proves it exact on
     every strict m=2 input); otherwise ranked+isometric -> fast, ranked ->
     fast_gen; anything else has no known polynomial solver and raises
-    NpHardRegimeError (the oracle remains available explicitly)."""
+    NpHardRegimeError (the oracle remains available explicitly).  fast and
+    fast_gen are heuristics: at m >= 3 neither is exact, on isometric input
+    or not (see reference.ranked_dp for the exact optimum)."""
     if algo == "auto":
         flags = classify(instance)
         if flags.strict and instance.m == 2:

@@ -82,12 +82,6 @@ def _require_m2_strict(instance: Instance) -> None:
         raise NotAdmissibleError("solver requires strict preferences on both sides")
 
 
-def favorites(instance: Instance) -> list:
-    """alpha: each student's preferred college (0 or 1)."""
-    u0, u1 = instance._kernel[1]
-    return [0 if a > b else 1 for a, b in zip(u0, u1)]
-
-
 def _prefix_minima(values) -> list:
     """The running minimum of values at each position; this plain loop is
     several times faster than accumulate(values, min)."""
@@ -214,10 +208,8 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
                     b0, b1, s0, s1 = d0, d1, t0, t1
                 else:
                     # the students in different colleges, then the totals
-                    if d0 >= b0:
-                        new, old = w0[b0:d0], h0[b0:d0]
-                    else:
-                        new, old = h0[d0:b0], w0[d0:b0]
+                    # b0 is only ever set to the current d0, and d0 only grows
+                    new, old = w0[b0:d0], h0[b0:d0]
                     if d1 > b1:
                         new += w1[b1:d1]
                         old += h1[b1:d1]

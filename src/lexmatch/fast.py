@@ -17,7 +17,12 @@ before the optimum even at m=2.  On
 ``generate(GenSpec("ranked_isometric", 5, 2, seed=211977))`` it returns block
 sizes (3, 2), while the leximin optimum (``oracle_leximin``) is (1, 4).
 solve_dispatch sends every strict m=2 input to const2.fast_const, which is
-exact on them.
+exact on them.  At m=3, on ``Instance.from_matrix([[15, 13, 11], [14, 9, 7],
+[12, 6, 3], [10, 5, 2], [8, 4, 1]])`` it returns (1, 1, 3), while the
+optimum is (1, 2, 2); solve_dispatch sends that input here.  A matrix is
+row-separated when each student's worst value exceeds the next student's
+best; this one is not, as student 1's worst, 7, is below student 2's best,
+12.
 """
 
 from __future__ import annotations

@@ -85,24 +85,10 @@ class FixSets:
     (blocked, blocker) suspending `blocked` from being chosen as the
     receiving college until `up` moves past `blocker`."""
 
-    def __init__(self, upper_fix=None, lower_fix=None, soft_fix=None):
-        self.upper_fix = set() if upper_fix is None else upper_fix
-        self.lower_fix = set() if lower_fix is None else lower_fix
-        self.soft_fix = set() if soft_fix is None else soft_fix
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    # mutable, so unhashable
-    __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"FixSets(upper_fix={self.upper_fix!r}, lower_fix={self.lower_fix!r}, "
-            f"soft_fix={self.soft_fix!r})"
-        )
+    def __init__(self, upper_fix: set, lower_fix: set):
+        self.upper_fix = upper_fix
+        self.lower_fix = lower_fix
+        self.soft_fix = set()
 
     def purge(self, up: int) -> None:
         if not self.soft_fix:
@@ -141,29 +127,6 @@ def _blame(state: RankedState, changes: dict) -> Optional[int]:
     at = holders[len(others) + gone.count(x)]
     lost = [a for a, (old, new) in changes.items() if new == x < old]
     return at if at in lost else min(lost, default=at)
-
-
-class _Counters:
-    __slots__ = ("iterations", "chain_moves", "tuple_comparisons", "reruns")
-
-    def __init__(self):
-        self.iterations = self.chain_moves = self.tuple_comparisons = 0
-        self.reruns = 0
-
-    def report(self, algorithm: str, state: RankedState) -> SolverReport:
-        n, m = state.instance.n, state.instance.m
-        return SolverReport(
-            algorithm=algorithm,
-            matching=state.matching(),
-            leximin=state.leximin(),
-            steps=self.iterations + self.chain_moves + self.tuple_comparisons * (n + m),
-            counters={
-                "iterations": self.iterations,
-                "chain_moves": self.chain_moves,
-                "tuple_comparisons": self.tuple_comparisons,
-                "reruns": self.reruns,
-            },
-        )
 
 
 def _best_trial(state: RankedState, table, receivers: list, lower_fix: set, counters):
@@ -221,12 +184,12 @@ def _best_trial(state: RankedState, table, receivers: list, lower_fix: set, coun
         key.sort()
         if best_key is None or key > best_key:
             best_key, giver, receiver = key, p, q
-    counters.chain_moves += moves
-    counters.tuple_comparisons += trials
+    counters["chain_moves"] += moves
+    counters["tuple_comparisons"] += trials
     return giver, receiver, best_key >= sorted(R)
 
 
-def _look_ahead(state: RankedState, down: int, fixes: FixSets, counters: _Counters):
+def _look_ahead(state: RankedState, down: int, fixes: FixSets, counters: dict):
     """Speculative multi-demote into college `down`.  Returns the committed
     state (or None) and mutates the global fix sets only on the non-commit
     exits that pin something down permanently."""
@@ -247,8 +210,8 @@ def _look_ahead(state: RankedState, down: int, fixes: FixSets, counters: _Counte
             continue
         shadow.record(changes, shadow.table(), up, down)
         shadow.demote(up, down)
-        counters.chain_moves += down - up
-        counters.tuple_comparisons += 1
+        counters["chain_moves"] += down - up
+        counters["tuple_comparisons"] += 1
         # the shadow against its base, by the agents it changed (see _state)
         blamed = _blame(state, changes)
         if blamed is None:
@@ -275,7 +238,7 @@ def _inner_run(
     state: RankedState,
     fixes: FixSets,
     watch_full: bool,
-    counters: _Counters,
+    counters: dict,
     on_state,
 ):
     """One full run of the main loop.  Mutates state and fixes in place and
@@ -293,7 +256,7 @@ def _inner_run(
     emit(state)
     # terminates by the progress measure in the module docstring
     while len(fixes.lower_fix) < m:
-        counters.iterations += 1
+        counters["iterations"] += 1
         up = next(j for j in range(m) if j not in fixes.lower_fix)
         fixes.purge(up)
         blocked = fixes.upper_fix | {j for j, _ in fixes.soft_fix}
@@ -369,14 +332,22 @@ def fast_gen(instance: Instance, on_state: Optional[Callable] = None) -> SolverR
     binds = _capacity_binds(instance)
     state = RankedState(instance, initial_boundary(instance))
     fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
-    counters = _Counters()
+    counters = dict.fromkeys(("iterations", "chain_moves", "tuple_comparisons", "reruns"), 0)
     while True:
         state, restart = _inner_run(state, fixes, binds, counters, on_state)
         if restart == m:
             break
-        counters.reruns += 1
+        counters["reruns"] += 1
         fixes = FixSets(upper_fix=set(range(restart)) or {0}, lower_fix={m - 1})
-    return counters.report("cap_fast_gen" if binds else "fast_gen", state)
+    steps = counters["iterations"] + counters["chain_moves"]
+    steps += counters["tuple_comparisons"] * (instance.n + m)
+    return SolverReport(
+        algorithm="cap_fast_gen" if binds else "fast_gen",
+        matching=state.matching(),
+        leximin=state.leximin(),
+        steps=steps,
+        counters=counters,
+    )
 
 
 cap_fast_gen = fast_gen  # the one solver under its capacitated name

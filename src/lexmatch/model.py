@@ -443,9 +443,6 @@ class ScaledLeximin:
         agents = [idx if kind == "s" else n + idx for kind, idx in t.agent_at]
         return ScaledLeximin(scale, n, ints, agents, t)
 
-    def agent(self, position: int) -> Agent:
-        return ("s", position) if position < self.n else ("c", position - self.n)
-
     def view(self) -> LeximinTuple:
         if self._view is None:
             scale, n = self.scale, self.n

@@ -24,8 +24,7 @@ from lexmatch import (
     load_instance,
     oracle_leximin,
 )
-from lexmatch import const2
-from lexmatch.const2 import _require_m2_strict, _staircase, favorites, is_stable_m2
+from lexmatch.const2 import _require_m2_strict, _staircase, is_stable_m2
 from lexmatch.model import GREATER, _capacity_binds, scaled_leximin
 from lexmatch.report import SolverReport
 
@@ -51,6 +50,12 @@ def _zero_valued_strict_m2(seed, count):
         if any(0 in row for row in sv + cv):
             made += 1
             yield Instance.build(sv, cv)
+
+
+def favorites(instance):
+    """Each student's preferred college (0 or 1)."""
+    u0, u1 = instance._kernel[1]
+    return [0 if a > b else 1 for a, b in zip(u0, u1)]
 
 
 def _complete_assignments(n):
@@ -348,26 +353,6 @@ class TestStaircase:
                         for d1 in range(len(fans[1]) + 1):
                             assert stable(d0, d1) == want_stable(d0, d1), (case, d0, d1)
         assert grids >= 100 and both_sides >= 100
-
-    def test_the_solvers_do_not_call_favorites(self, monkeypatch):
-        inst = _two_sided(30, 7)
-        want = fast_const(inst).to_json_dict()
-
-        def refuse(instance):
-            raise AssertionError("favorites called")
-
-        monkeypatch.setattr(const2, "favorites", refuse)
-        assert fast_const(inst).to_json_dict() == want
-        assert is_stable_m2(inst, fast_const(inst).matching)
-
-
-class TestFavorites:
-    def test_reference_instance(self, ref_instance):
-        assert favorites(ref_instance) == [0, 0, 0, 0]
-
-    def test_mixed(self):
-        inst = Instance.build([[10, 1], [2, 9]], [[5, 4], [3, 6]])
-        assert favorites(inst) == [0, 1]
 
 
 class TestIsStableM2:

@@ -225,6 +225,10 @@ class TestDispatch:
         with pytest.raises(NpHardRegimeError):
             solve_dispatch(inst)
 
+    def test_an_unknown_algorithm_is_refused(self, ref_instance):
+        with pytest.raises(InvalidInputError, match="^unknown algorithm 'nope'$"):
+            solve_dispatch(ref_instance, "nope")
+
     def test_oracle_is_explicit_only(self):
         inst = generate(GenSpec(kind="weak", n=4, m=2, seed=0))
         report = solve_dispatch(inst, algo="oracle")
@@ -275,15 +279,16 @@ class TestCli:
 
     def test_verify_reports_blocking_pair(self, tmp_path, capsys, ref_instance):
         inst = _write(tmp_path, "inst.json", dump_instance(ref_instance))
-        mu = _write(tmp_path, "mu.json", dump_matching(Matching([0, 1, 0, 1])))
-        assert main(["verify", "--instance", inst, "--matching", mu]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["stable"] is False
-        assert out["blocking_pair"] == {
-            "student": 1,
-            "college": 0,
-            "displaced_student": 2,
-        }
+        for assignment, student, displaced in (([0, 1, 0, 1], 1, 2), ([1, 0, 1, 1], 0, 1)):
+            mu = _write(tmp_path, "mu.json", dump_matching(Matching(assignment)))
+            assert main(["verify", "--instance", inst, "--matching", mu]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["stable"] is False
+            assert out["blocking_pair"] == {
+                "student": student,
+                "college": 0,
+                "displaced_student": displaced,
+            }
 
     def test_verify_leaves_int_instances_without_fraction_rows(
         self, tmp_path, capsys, monkeypatch
@@ -412,6 +417,11 @@ class TestCli:
         assert main(["reduce", "--from", "partition", "--input", path]) == 2
         assert "partition integers must be an int, got 2.7" in capsys.readouterr().err
 
+    def test_reduce_refuses_a_json_array(self, tmp_path, capsys):
+        path = _write(tmp_path, "in.json", json.dumps([1, 1]))
+        assert main(["reduce", "--from", "partition", "--input", path]) == 2
+        assert "reduction input must be a JSON object" in capsys.readouterr().err
+
     def test_exit_code_np_hard(self, tmp_path, capsys):
         inst = generate(GenSpec(kind="weak", n=4, m=3, seed=0))
         path = _write(tmp_path, "inst.json", dump_instance(inst))
@@ -435,6 +445,10 @@ class TestCli:
         assert main(["solve", "--instance", path, "--algo", "oracle"]) == 4
         # one college that cannot take every student
         inst = Instance.build([[3], [2], [1]], [[3, 2, 1]], capacities=[2])
+        path = _write(tmp_path, "inst.json", dump_instance(inst))
+        assert main(["solve", "--instance", path]) == 4
+        # fewer students than colleges
+        inst = Instance.from_matrix([[3, 2, 1], [2, 1, 0]])
         path = _write(tmp_path, "inst.json", dump_instance(inst))
         assert main(["solve", "--instance", path]) == 4
 

@@ -206,6 +206,7 @@ class TestInstance:
                 "student value row length != number of colleges",
             ),
             ("12", FROM_MATRIX, None, "matrix must be a list of value rows, each a list"),
+            ([[2, 1]], [[2], [1]], [1], "need exactly one capacity per college"),
         ],
     )
     def test_refusals_keep_their_messages(
@@ -547,6 +548,15 @@ def test_matchings_refuse_bool_colleges(ref_instance, check, college):
         check(ref_instance, Matching([college, 0, 1, 1]))
 
 
+def test_matchings_refuse_the_wrong_length_and_an_overfull_college(ref_instance):
+    with pytest.raises(InvalidInputError, match="^matching length != number of students$"):
+        Matching([0, 1, 1]).validate(ref_instance)
+    overfull = Matching([0, 0, 0, 0])  # capacities (3, 3)
+    overfull.validate(ref_instance)
+    with pytest.raises(InvalidInputError, match="^college 0 holds 4 students, capacity 3$"):
+        overfull.validate(ref_instance, enforce_capacities=True)
+
+
 class TestLeximinTuple:
     def test_balanced_split_values(self, ref_instance):
         t = leximin_tuple(ref_instance, Matching([0, 0, 1, 1]))
@@ -681,6 +691,10 @@ class TestAlphaApprox:
 
     def test_zero_violates_lower_bound(self):
         assert not check_alpha_approx(_lt([1, 1]), _lt([0, 1]), Fraction(9, 10))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(InvalidInputError, match="^tuple length mismatch$"):
+            check_alpha_approx(_lt([1]), _lt([1, 2]), 1)
 
     def test_alpha_out_of_range(self):
         # alpha is parsed like every other value, then range-checked

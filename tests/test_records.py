@@ -26,7 +26,6 @@ from lexmatch import (
     is_stable,
     solve_dispatch,
 )
-from lexmatch.fastgen import FixSets
 
 REF_LEXIMIN = (
     "LeximinTuple(values=(Fraction(3, 1), Fraction(4, 1), Fraction(9, 1), "
@@ -167,17 +166,6 @@ def test_solver_report_fields_repr_equality_and_json(ref_instance):
     bare = SolverReport("oracle", Matching([0]), LeximinTuple((Fraction(1),), (("s", 0),)), 1)
     assert bare.counters == {} and bare.to_json_dict()["counters"] == {}
     assert SolverReport("oracle", Matching([0]), bare.leximin, 1).counters is not bare.counters
-
-
-def test_fix_sets_defaults_repr_and_equality():
-    fixes = FixSets()
-    assert repr(fixes) == "FixSets(upper_fix=set(), lower_fix=set(), soft_fix=set())"
-    assert FixSets().upper_fix is not fixes.upper_fix
-    given = FixSets(upper_fix={0}, lower_fix={1})
-    assert repr(given) == "FixSets(upper_fix={0}, lower_fix={1}, soft_fix=set())"
-    assert given == FixSets({0}, {1}, set()) and given != fixes
-    with pytest.raises(TypeError):
-        hash(given)
 
 
 def test_frozen_instance_error_lives_in_errors():

@@ -59,6 +59,12 @@ def test_refuses_what_the_oracle_refuses():
         oracle_leximin(short, require_complete=True, respect_capacities=True)
     with pytest.raises(InfeasibleError):
         ranked_dp(short)
+    # fewer students than colleges: no complete matching
+    few = Instance.from_matrix([[3, 2, 1], [2, 1, 0]])
+    assert classify(few).ranked
+    for solver in (fast, fast_gen, solve_dispatch, ranked_dp):
+        with pytest.raises(InfeasibleError):
+            solver(few)
 
 
 def test_the_ranked_heuristics_never_beat_it():
@@ -97,6 +103,24 @@ def test_named_counterexample_optimum(kind, n, m, seed, value_max, _returned_k, 
     solver = fast if kind == "ranked_isometric" else fast_gen
     got = solver(inst)
     assert got.leximin.values <= exact.leximin.values
+
+
+def test_fast_is_not_exact_on_a_ranked_isometric_5x3():
+    # strict, ranked and isometric, but not row-separated: student 1's
+    # worst value, 7, is below student 2's best, 12
+    inst = Instance.from_matrix([[15, 13, 11], [14, 9, 7], [12, 6, 3], [10, 5, 2], [8, 4, 1]])
+    flags = classify(inst)
+    assert flags.strict and flags.ranked and flags.isometric
+    for got in (fast(inst), solve_dispatch(inst)):
+        assert got.algorithm == "fast"
+        assert _sizes(got.matching.assignment, 3) == (1, 1, 3)
+        assert got.leximin.values == (1, 2, 3, 6, 9, 9, 15, 15)
+    for exact in (
+        ranked_dp(inst),
+        oracle_leximin(inst, require_complete=True, respect_capacities=True),
+    ):
+        assert _sizes(exact.matching.assignment, 3) == (1, 2, 2)
+        assert exact.leximin.values == (1, 2, 3, 6, 9, 15, 15, 15)
 
 
 @pytest.mark.parametrize(

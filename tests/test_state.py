@@ -88,7 +88,8 @@ def test_state_matches_the_fraction_definitions(index):
         scaled = state.leximin()
         assert scaled.view() == full
         assert scaled.values == [v * scale for v in full.values]
-        assert list(map(scaled.agent, scaled.agents)) == list(full.agent_at)
+        n = inst.n
+        assert [("s", p) if p < n else ("c", p - n) for p in scaled.agents] == list(full.agent_at)
         for j in range(inst.m):
             assert state.college_value(j) == college_value(inst, mu, j) * scale
         assert list(map(state.college_of, range(inst.n))) == list(mu.assignment)
