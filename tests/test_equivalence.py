@@ -16,7 +16,10 @@ whose fans sit on both sides and whose walks run 10 or more moves (keys
 ``two_sided/...``, one of them with binding capacities) pin the m=2 solver
 beyond the generated sweep, where such walks are rare.  Ranked inputs on which
 fast_gen's look-ahead commits its run (keys ``look_ahead/...``) pin that
-branch, which the generated sweep reaches without a commit.  A change that keeps outputs
+branch, which the generated sweep reaches without a commit.  Ranked isometric
+grids of the tableau family (keys ``tableau/...``, see ``conftest.tableau``),
+with values drawn tight (from [1, nm]) and wide (from [1, 50nm]), pin the
+ranked solvers off the row-separated inputs that ``generate`` draws.  A change that keeps outputs
 as they are (a refactor, a speed-up) must leave every digest in place; the
 digests change only in a change that states an output change, which
 records them again with
@@ -48,6 +51,8 @@ from lexmatch import (
 from lexmatch import fastgen
 from lexmatch.fast import fast_admissible
 from lexmatch.generate import KINDS
+
+from conftest import tableau
 
 DATA = Path(__file__).resolve().parent / "data" / "equivalence.json"
 SIZES = ((2, 2), (5, 2), (7, 3), (16, 3), (30, 5), (40, 2), (60, 8))
@@ -122,6 +127,9 @@ LOOK_AHEAD = (
     GenSpec("ranked", 16, 3, seed=2, value_max=19),
 )
 
+# (n, m) of the tableau grids, each drawn with tight and wide values
+TABLEAU = ((5, 3), (7, 3), (7, 4), (12, 4), (30, 5))
+
 
 def _sweep():
     """(key, instance) for every instance of the sweep, in a fixed order."""
@@ -154,6 +162,12 @@ def _sweep():
         key += "" if spec.value_max is None else "/ties"
         yield key, inst
         yield key + "/scaled", _image(inst)
+    for n, m in TABLEAU:
+        for hi in (n * m, 50 * n * m):
+            key = f"tableau/n{n}/m{m}/hi{hi}"
+            inst = tableau(random.Random(key), n, m, hi)
+            yield key, inst
+            yield key + "/scaled", _image(inst)
 
 
 SWEEP = dict(_sweep())

@@ -275,7 +275,7 @@ class TestOneTrialTieRule:
             inst for inst in SWEEP.values()
             if classify(inst).ranked and classify(inst).isometric
         ]
-        assert len(isometric) == 40
+        assert len(isometric) == 60
         stats = Counter()
         for inst in isometric:
             self._agree(inst, stats)

@@ -2,6 +2,7 @@
 oracle, and the ranked heuristics against it."""
 
 import json
+import random
 
 import pytest
 
@@ -21,7 +22,7 @@ from lexmatch import (
 from lexmatch.cli import main
 from lexmatch.reference import ranked_dp
 
-from conftest import random_sizes
+from conftest import random_sizes, tableau
 
 
 def _sizes(k_of, m):
@@ -48,6 +49,25 @@ def test_matches_the_oracle_tuple_and_matching():
         assert (got.matching, got.leximin) == (want.matching, want.leximin), inst
         checked += 1
     assert checked == 900
+
+
+@pytest.mark.parametrize("spread", ["tight", "wide"])
+def test_matches_the_oracle_on_the_tableau_family(spread):
+    # tight values come from [1, nm] or [1, nm+3], wide ones from [1, 3nm]
+    # or [1, 50nm]; most grids are not row-separated
+    rng = random.Random(spread)
+    separated = 0
+    for _ in range(200):
+        m = rng.randint(2, 4)
+        n = rng.randint(m, 8)
+        hi = n * m + rng.choice((0, 3)) if spread == "tight" else n * m * rng.choice((3, 50))
+        inst = tableau(rng, n, m, hi)
+        want = oracle_leximin(inst, require_complete=True, respect_capacities=True)
+        got = ranked_dp(inst)
+        assert (got.matching, got.leximin) == (want.matching, want.leximin), inst
+        rows = inst.student_values
+        separated += all(rows[i][-1] > rows[i + 1][0] for i in range(n - 1))
+    assert separated < 100
 
 
 def test_refuses_what_the_oracle_refuses():
