@@ -1,9 +1,11 @@
 """Command-line interface and the regime-based solve dispatcher.
 
 Exit codes: 0 ok; 1 stdout closed before the output was written (a reader
-such as `head` stopped early); 2 invalid input, an unreadable input file
-included; 3 NP-hard regime (no exact solver); 4 infeasible; 5 enumeration
-budget exceeded.
+such as `head` stopped early); 2 invalid input: an unreadable input file, or
+one that does not parse, an integer over the interpreter's 4,300-digit limit
+or nesting deeper than its recursion limit included; 3 NP-hard regime (no
+exact solver); 4 infeasible; 5 enumeration budget exceeded, refused before
+the walk starts on the exact count of candidates it would visit.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .fastgen import fast_gen
 from .generate import CAPACITY_MODES, KINDS, GenSpec, generate
 # leximin_tuple is not called here; it is kept bound for perfbench/spans.py
 from .model import Instance, classify, is_stable, leximin_tuple, scaled_leximin
-from .oracle import candidate_count, candidates, oracle_leximin
+from .oracle import _budgeted_walk, oracle_leximin
 from .report import SolverReport
 from .serialize import (
+    _decode,
     dump_instance,
     load_instance,
     load_matching,
@@ -43,6 +46,9 @@ EXIT_NP_HARD = 3
 EXIT_INFEASIBLE = 4
 EXIT_BUDGET = 5
 
+# the names solve_dispatch takes, and so `solve --algo`'s choices
+_ALGORITHMS = ("auto", "fast", "fast-gen", "fast-const", "oracle")
+
 
 def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
     """Route an instance to the right solver.  This is the one name-to-solver
@@ -53,7 +59,9 @@ def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
     fast_gen; anything else has no known polynomial solver and raises
     NpHardRegimeError (the oracle remains available explicitly).  fast and
     fast_gen are heuristics: at m >= 3 neither is exact, on isometric input
-    or not (see reference.ranked_dp for the exact optimum)."""
+    or not (see reference.ranked_dp for the exact optimum).  The names are
+    _ALGORITHMS; each solver is called by its name in this module, which
+    perfbench's tracer rebinds to time the layer."""
     if algo == "auto":
         flags = classify(instance)
         if flags.strict and instance.m == 2:
@@ -69,9 +77,9 @@ def solve_dispatch(instance: Instance, algo: str = "auto") -> SolverReport:
             )
     if algo == "fast":
         return fast(instance)
-    if algo in ("fast-gen", "fast_gen"):
+    if algo == "fast-gen":
         return fast_gen(instance)
-    if algo in ("fast-const", "fast_const"):
+    if algo == "fast-const":
         return fast_const(instance)
     if algo == "oracle":
         return oracle_leximin(instance, require_complete=True, respect_capacities=True)
@@ -108,31 +116,15 @@ def _cmd_verify(args) -> int:
         "leximin": scaled_leximin(instance, matching).wire(),
     }
     if certificate is not None:
-        out["blocking_pair"] = {
-            "student": certificate.student,
-            "college": certificate.college,
-            "displaced_student": certificate.displaced_student,
-        }
+        out["blocking_pair"] = certificate._asdict()
     _emit(out)
     return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
     instance = load_instance(_read(args.instance))
-    # the ranked walk is pruned by --complete/--respect-capacities, so only
-    # the general assignment space is refused before it starts
-    total = candidate_count(instance, args.complete)
-    if not classify(instance).ranked and total > args.budget:
-        raise BudgetExceededError(f"{total} candidates exceed the budget of {args.budget}")
-    results = []
-    walk = candidates(instance, args.complete, args.respect_capacities)
-    for count, mu in enumerate(walk, start=1):
-        if count > args.budget:
-            raise BudgetExceededError(
-                f"candidate count exceeds the budget of {args.budget}"
-            )
-        if is_stable(instance, mu) is None:
-            results.append(matching_to_dict(mu))
+    walk = _budgeted_walk(instance, args.complete, args.respect_capacities, args.budget)
+    results = [matching_to_dict(mu) for mu in walk if is_stable(instance, mu) is None]
     _emit({"stable_matchings": results, "count": len(results)})
     return EXIT_OK
 
@@ -171,10 +163,7 @@ _REDUCTION_KINDS = {
 def _cmd_reduce(args) -> int:
     from .reductions import ReductionSpec  # off the solve path's imports
 
-    try:
-        data = json.loads(_read(args.input))
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"bad JSON: {exc}") from exc
+    data = _decode(_read(args.input))
     if not isinstance(data, dict):
         raise InvalidInputError("reduction input must be a JSON object")
     kind = _REDUCTION_KINDS[getattr(args, "from")]
@@ -204,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algo",
         default="auto",
-        choices=["auto", "fast", "fast-gen", "fast-const", "oracle"],
+        choices=_ALGORITHMS,
     )
     p.set_defaults(func=_cmd_solve)
 

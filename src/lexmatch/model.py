@@ -290,9 +290,6 @@ class Matching:
     def __repr__(self):
         return f"Matching({list(self.assignment)})"
 
-    def college_of(self, i: int) -> Optional[int]:
-        return self.assignment[i]
-
     def college_view(self, m: int) -> tuple:
         """Members of each college, as m tuples of ascending student indices."""
         if self._college_view is None or len(self._college_view) != m:
@@ -386,19 +383,13 @@ def is_stable(instance: Instance, matching: Matching) -> Optional[BlockingPair]:
     return None
 
 
-# Agents are tagged tuples: ("s", i) for students, ("c", j) for colleges.
-Agent = tuple
-
-
 class LeximinTuple(NamedTuple):
-    """All n+m agent values sorted ascending.  Agents with equal value appear
-    in increasing index order, students before colleges."""
+    """All n+m agent values sorted ascending, agent_at[p] tagging position p's
+    agent ("s", i) or ("c", j).  Agents with equal value appear in increasing
+    index order, students before colleges."""
 
     values: tuple
     agent_at: tuple
-
-    def position_of(self, agent: Agent) -> int:
-        return self.agent_at.index(agent)
 
 
 class ScaledLeximin:

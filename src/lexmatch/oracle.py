@@ -1,11 +1,13 @@
 """Brute-force ground truth: enumerate, filter by stability, take the
 leximin maximum.  Deliberately has no shared code with the solvers beyond
-the core model, so it can serve as an independent check."""
+the core model, so it can serve as an independent check.  The oracle's
+budget and `lexmatch enumerate --budget` are one rule: candidate_count gives
+the exact number of candidates the walk would visit, capacities included,
+and a walk over budget is refused before it starts."""
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceededError, InfeasibleError
@@ -22,7 +24,7 @@ from .report import SolverReport
 
 
 class OracleBudget(NamedTuple):
-    """Cap on how many candidate matchings the oracle may enumerate."""
+    """Cap on how many candidate matchings the oracle may visit."""
 
     max_enumerated: int = 10**7
 
@@ -50,14 +52,35 @@ def candidates(
         yield mu
 
 
-def candidate_count(instance: Instance, require_complete: bool = False) -> int:
-    """Size of the space `candidates` walks: on a ranked instance the
-    compositions of n into m parts, C(n+m-1, m-1), or C(n-1, m-1) when every
-    part must be nonempty; else every assignment of the n students."""
+def candidate_count(
+    instance: Instance, require_complete: bool = False, respect_capacities: bool = False
+) -> int:
+    """How many matchings `candidates` visits with the same arguments.  On a
+    ranked instance it yields every one it visits: the compositions of n
+    into m parts, each part at least 1 under require_complete and at most
+    its college's capacity under respect_capacities, counted part by part
+    with prefix sums in O(m n).  Elsewhere it visits every assignment of
+    the n students, (m+1)^n or m^n, and filters them after."""
     n, m = instance.n, instance.m
-    if classify(instance).ranked:
-        return math.comb(n - 1 if require_complete else n + m - 1, m - 1)
-    return (m if require_complete else m + 1) ** n
+    if not classify(instance).ranked:
+        return (m if require_complete else m + 1) ** n
+    lo = 1 if require_complete else 0
+    ways = [1] + [0] * n  # ways[t]: compositions of t into the parts so far
+    for cap in instance.capacities if respect_capacities else (n,) * m:
+        # the next part is lo..cap: ways[t] becomes ways[t-cap] + ... + ways[t-lo]
+        sums = list(itertools.accumulate(ways, initial=0))
+        ways = [sums[max(t - lo + 1, 0)] - sums[max(t - cap, 0)] for t in range(n + 1)]
+    return ways[n]
+
+
+def _budgeted_walk(
+    instance: Instance, require_complete: bool, respect_capacities: bool, budget: int
+) -> Iterator[Matching]:
+    """`candidates`, refused up front if it would visit more than budget."""
+    count = candidate_count(instance, require_complete, respect_capacities)
+    if count > budget:
+        raise BudgetExceededError(f"{count} candidates exceed the budget of {budget}")
+    return candidates(instance, require_complete, respect_capacities)
 
 
 def oracle_leximin(
@@ -70,14 +93,12 @@ def oracle_leximin(
     instances only need one candidate per contiguous block assignment; all
     other instances get the full assignment space.  Ties in the optimum go to
     the first-enumerated matching."""
-    count = candidate_count(instance, require_complete)
-    if count > budget.max_enumerated:
-        raise BudgetExceededError(
-            f"{count} candidates exceed the oracle budget of {budget.max_enumerated}"
-        )
+    walk = _budgeted_walk(
+        instance, require_complete, respect_capacities, budget.max_enumerated
+    )
     best = best_tuple = None
     enumerated = stable_count = 0
-    for mu in candidates(instance, require_complete, respect_capacities):
+    for mu in walk:
         enumerated += 1
         if is_stable(instance, mu) is not None:
             continue

@@ -37,10 +37,7 @@ def instance_from_dict(data: dict) -> Instance:
         cv = data["college_values"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError("instance JSON needs student_values and college_values") from exc
-    try:
-        return Instance.build(sv, cv, capacities=data.get("capacities"))
-    except TypeError as exc:
-        raise InvalidInputError("value matrices and capacities must be lists") from exc
+    return Instance.build(sv, cv, capacities=data.get("capacities"))
 
 
 def matching_to_dict(matching: Matching) -> dict:
@@ -48,10 +45,7 @@ def matching_to_dict(matching: Matching) -> dict:
 
 
 def matching_from_dict(data: dict) -> Matching:
-    try:
-        assignment = data["assignment"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError("matching JSON needs an assignment list") from exc
+    assignment = data.get("assignment") if isinstance(data, dict) else None
     if not isinstance(assignment, (list, tuple)):
         raise InvalidInputError("matching JSON needs an assignment list")
     out = []
@@ -69,12 +63,17 @@ def dump_instance(instance: Instance) -> str:
     return json.dumps(instance_to_dict(instance), indent=2)
 
 
-def load_instance(text: str) -> Instance:
+def _decode(text: str):
+    # malformed JSON and over-long integers raise ValueError, deep nesting
+    # RecursionError
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"bad JSON: {exc}") from exc
-    return instance_from_dict(data)
+
+
+def load_instance(text: str) -> Instance:
+    return instance_from_dict(_decode(text))
 
 
 def dump_matching(matching: Matching) -> str:
@@ -82,8 +81,4 @@ def dump_matching(matching: Matching) -> str:
 
 
 def load_matching(text: str) -> Matching:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"bad JSON: {exc}") from exc
-    return matching_from_dict(data)
+    return matching_from_dict(_decode(text))

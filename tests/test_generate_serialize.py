@@ -17,7 +17,7 @@ from lexmatch import (
     is_stable,
     solve_dispatch,
 )
-from lexmatch.cli import main
+from lexmatch.cli import _ALGORITHMS, main
 from lexmatch.generate import KINDS
 from lexmatch.serialize import (
     dump_instance,
@@ -49,6 +49,10 @@ class TestGenerate:
         for seed in range(5):
             inst = generate(GenSpec(kind=kind, n=6, m=3, seed=seed))
             assert check(classify(inst)), (kind, seed)
+
+    def test_unknown_capacity_mode_is_refused(self):
+        with pytest.raises(InvalidInputError, match="unknown capacity mode 'tight'"):
+            generate(GenSpec("ranked", 4, 2, capacity_mode="tight"))
 
     def test_deterministic_per_spec(self):
         spec = GenSpec(kind="ranked", n=7, m=3, seed=42)
@@ -178,6 +182,27 @@ class TestSerialize:
             load_instance(payload)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacities", 2),
+            ("capacities", "22"),
+            ("capacities", {"0": 2, "1": 2}),
+            ("student_values", [{"0": 2, "1": 1}, {"0": 4, "1": 3}]),
+            ("student_values", [[[2], [1]], [[4], [3]]]),
+            ("student_values", [None, None]),
+            ("college_values", [{"0": 2, "1": 1}, {"0": 4, "1": 3}]),
+            ("college_values", [[[2], [1]], [[4], [3]]]),
+            ("college_values", [None, None]),
+        ],
+    )
+    def test_odd_shapes_are_refused_by_the_instance_itself(self, field, value):
+        # Instance raises InvalidInputError on each, so no TypeError reaches
+        # instance_from_dict
+        data = {"student_values": [[2, 1], [4, 3]], "college_values": [[2, 1], [4, 3]]}
+        with pytest.raises(InvalidInputError):
+            instance_from_dict(dict(data, **{field: value}))
+
+    @pytest.mark.parametrize(
         "payload",
         [
             "[]",
@@ -209,7 +234,7 @@ class TestDispatch:
         assert solve_dispatch(strict).algorithm == "fast_const"
 
     @pytest.mark.parametrize(
-        "college_row, solver", [([3, 2, 1], "fast"), ([5, 4, 3], "fast_gen")]
+        "college_row, solver", [([3, 2, 1], "fast"), ([5, 4, 3], "fast-gen")]
     )
     def test_one_college_with_capacity_n_minus_1_is_infeasible(self, college_row, solver):
         # a capacity of n - 1 binds when there is only one college; it was
@@ -224,6 +249,17 @@ class TestDispatch:
         inst = generate(GenSpec(kind="weak", n=4, m=3, seed=0))
         with pytest.raises(NpHardRegimeError):
             solve_dispatch(inst)
+
+    def test_the_algo_choices_are_the_dispatch_names(self, tmp_path, capsys, ref_instance):
+        # ranked, isometric, strict and m = 2, so every solver admits it
+        path = _write(tmp_path, "inst.json", dump_instance(ref_instance))
+        for algo in _ALGORITHMS:
+            assert main(["solve", "--instance", path, "--algo", algo]) == 0
+        for spelling in ("fast_gen", "fast_const"):
+            with pytest.raises(InvalidInputError, match="unknown algorithm"):
+                solve_dispatch(ref_instance, spelling)
+            with pytest.raises(SystemExit):
+                main(["solve", "--instance", path, "--algo", spelling])
 
     def test_an_unknown_algorithm_is_refused(self, ref_instance):
         with pytest.raises(InvalidInputError, match="^unknown algorithm 'nope'$"):
@@ -426,6 +462,26 @@ class TestCli:
         inst = generate(GenSpec(kind="weak", n=4, m=3, seed=0))
         path = _write(tmp_path, "inst.json", dump_instance(inst))
         assert main(["solve", "--instance", path]) == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"integers": [%s]}' % ("9" * 5000), "[" * 200_000, "{broken"],
+        ids=["5000-digit-int", "deep-nesting", "malformed"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "verify", "reduce"])
+    def test_unparsable_json_is_invalid_input(
+        self, tmp_path, capsys, ref_instance, command, text
+    ):
+        bad = _write(tmp_path, "bad.json", text)
+        inst = _write(tmp_path, "inst.json", dump_instance(ref_instance))
+        argv = {
+            "solve": ["solve", "--instance", bad],
+            "verify": ["verify", "--instance", inst, "--matching", bad],
+            "reduce": ["reduce", "--from", "partition", "--input", bad],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid input: bad JSON") and "Traceback" not in err
 
     def test_exit_code_invalid(self, tmp_path):
         path = _write(tmp_path, "inst.json", "{broken")

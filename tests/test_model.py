@@ -607,7 +607,7 @@ class TestLeximinTuple:
             t = leximin_tuple(inst, mu)
             assert list(t.values) == sorted(t.values)
             assert len(t.values) == inst.n + inst.m
-            assert t.position_of(("s", 0)) == t.agent_at.index(("s", 0))
+            assert t.values[t.agent_at.index(("s", 0))] == student_value(inst, mu, 0)
 
 
     def test_matches_the_fraction_definition_on_partial_matchings(self):

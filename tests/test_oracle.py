@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +11,8 @@ from lexmatch import (
     InfeasibleError,
     Instance,
     Matching,
+    classify,
+    dump_instance,
     generate,
     is_stable,
     leximin_compare,
@@ -17,8 +21,11 @@ from lexmatch import (
     solve_dispatch,
     subset_sum_to_smo,
 )
+from lexmatch import cli, oracle
+from lexmatch.generate import CAPACITY_MODES, KINDS
 from lexmatch.model import GREATER
-from lexmatch.oracle import OracleBudget
+from lexmatch.oracle import OracleBudget, candidate_count, candidates
+from lexmatch.reference import ranked_dp
 
 from conftest import random_instances
 
@@ -97,7 +104,70 @@ class TestOracle:
         with pytest.raises(BudgetExceededError, match="84 candidates exceed"):
             oracle_leximin(inst, require_complete=True, budget=OracleBudget(83))
 
+    def test_budget_counts_the_compositions_that_fit_the_capacities(self, tmp_path, capsys):
+        # C(39, 7) = 15,380,937 compositions into nonempty blocks, but only
+        # 6,147 of them keep every block within its capacity of 6
+        inst = generate(GenSpec("ranked", 40, 8, seed=1, capacity_mode="uniform", capacity=6))
+        report = oracle_leximin(inst, require_complete=True, respect_capacities=True)
+        assert report.counters["enumerated"] == 6147
+        exact = ranked_dp(inst)
+        assert (report.matching, report.leximin) == (exact.matching, exact.leximin)
+        path = tmp_path / "inst.json"
+        path.write_text(dump_instance(inst))
+        assert cli.main(["solve", "--instance", str(path), "--algo", "oracle"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["matching"]["assignment"] == list(exact.matching.assignment)
+
     def test_infeasible_when_fewer_students_than_nonempty_colleges(self):
         inst = Instance.build([[5, 4]], [[7], [6]], capacities=[1, 1])
         with pytest.raises(InfeasibleError):
             oracle_leximin(inst, require_complete=True)
+
+
+def _specs(kind):
+    """Specs of one generate kind at n <= 7 under capacities none, random
+    and uniform (the tightest uniform bound).  The general assignment space
+    is walked whole, so there it stays at (m+1)^n <= 4096, and the kinds
+    that need two value cells start at n*m = 2."""
+    general = kind not in ("ranked", "ranked_isometric")
+    for n in range(1, 8):
+        for m in range(1, n + 1):
+            if general and ((m + 1) ** n > 4096 or n * m < 2):
+                continue
+            for mode in CAPACITY_MODES:
+                yield GenSpec(kind, n, m, seed=n * m, capacity_mode=mode, capacity=-(-n // m))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_candidate_count_is_what_the_walk_visits(monkeypatch, kind):
+    # a ranked walk visits only the compositions it yields; the general walk
+    # visits every assignment of its product and filters after
+    visited = []
+
+    def product(*args, **kwargs):
+        for assignment in itertools.product(*args, **kwargs):
+            visited.append(assignment)
+            yield assignment
+
+    monkeypatch.setattr(
+        oracle, "itertools", SimpleNamespace(product=product, accumulate=itertools.accumulate)
+    )
+    for spec in _specs(kind):
+        inst = generate(spec)
+        for flags in itertools.product((False, True), repeat=2):
+            visited.clear()
+            yielded = len(list(candidates(inst, *flags)))
+            want = yielded if classify(inst).ranked else len(visited)
+            assert candidate_count(inst, *flags) == want >= yielded, (spec, flags)
+
+
+def test_enumerate_refuses_before_checking_any_candidate(tmp_path, capsys, monkeypatch):
+    # C(204, 4) = 70,058,751 candidates, counted before the walk starts
+    def is_stable(*args):
+        raise AssertionError("a candidate was checked")
+
+    monkeypatch.setattr(cli, "is_stable", is_stable)
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(generate(GenSpec("ranked", 200, 5, seed=1))))
+    assert cli.main(["enumerate", "--instance", str(path)]) == 5
+    assert "70058751 candidates exceed the budget of 1000000" in capsys.readouterr().err
