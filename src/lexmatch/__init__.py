@@ -34,7 +34,7 @@ from .model import (
     student_value,
     value_to_str,
 )
-from .oracle import OracleBudget, oracle_leximin
+from .oracle import oracle_leximin
 from .ranked import (
     BoundaryVector,
     boundary_from_matching,
@@ -103,7 +103,6 @@ __all__ = [
     "Matching",
     "NotAdmissibleError",
     "NpHardRegimeError",
-    "OracleBudget",
     "ReductionSpec",
     "SolverReport",
     "Value",

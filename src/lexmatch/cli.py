@@ -164,14 +164,13 @@ def _cmd_reduce(args) -> int:
     from .reductions import ReductionSpec  # off the solve path's imports
 
     data = _decode(_read(args.input))
-    if not isinstance(data, dict):
-        raise InvalidInputError("reduction input must be a JSON object")
     kind = _REDUCTION_KINDS[getattr(args, "from")]
     if args.replicate != 1:
         # only the bin-packing encoding has copies to replicate
         if kind != "bin_packing":
             raise InvalidInputError("--replicate applies only to --from bin-packing")
-        data = dict(data, replicate=args.replicate)
+        if isinstance(data, dict):  # build refuses any other data
+            data = dict(data, replicate=args.replicate)
     spec = ReductionSpec(kind=kind, data=data)
     print(dump_instance(spec.build()))
     return EXIT_OK
@@ -254,7 +253,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: BUDGET_EXCEEDED: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InvalidInputError, KeyError) as exc:
+    except InvalidInputError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -47,6 +47,12 @@ Every state the scan skips is unstable, overfills a college or is worse
 than a candidate it visited, so its best candidate is optimal.  Strict
 preferences make every mover fall, so zero values need no other case.
 
+The visit count is measured, not proved: on every strict m=2 input of the
+equivalence sweep, and on 7,092 generated strict, ranked and ranked
+isometric ones (n 2..40, capacities none, random and uniform, default and
+n+3 value_max), the scan visited at most n states other than (0, 0).  The
+tests pin that bound.
+
 The compare.  A candidate beats the best iff the sorted values that differ
 (the students in different colleges, and both totals) beat the best's as
 plain lists: adding the same multiset to two equal-size multisets keeps

@@ -215,7 +215,8 @@ def _kernel(student_values, college_values) -> tuple:
     and sum exact.  Plain non-negative ints (not bools) are the kernel as they
     stand: types are tested column by column at C speed, and a weakly ranked
     kernel's rows have their minimum last.  Anything else goes row by row
-    through as_value, so a refusal names the first bad value read."""
+    through as_value, so a refusal names the first bad value read, and then
+    takes the int path scaled.  An isometric kernel is (scale, u, u)."""
     u = tuple(zip(*student_values))
     v = tuple(map(tuple, college_values))
     # types compare by identity, so a bool, an IntEnum or any other int
@@ -224,18 +225,15 @@ def _kernel(student_values, college_values) -> tuple:
         flags = _classify(u, v)
         lows = (u[-1], [col[-1] for col in v]) if flags.weakly_ranked else chain(u, v)
         if min(map(min, lows)) >= 0:
-            return (1, u, v), flags
+            return (1, u, u if flags.isometric else v), flags
     sv = [tuple(map(as_value, row)) for row in student_values]
     cv = [tuple(map(as_value, row)) for row in college_values]
     scale = lcm(*{x.denominator for row in (*sv, *cv) for x in row})
-
-    def scaled(row):
-        if scale == 1:  # shares the Fractions' own int objects
-            return tuple(x.numerator for x in row)
-        return tuple(x.numerator * (scale // x.denominator) for x in row)
-
-    u, v = tuple(map(scaled, zip(*sv))), tuple(map(scaled, cv))
-    return (scale, u, v), _classify(u, v)
+    (_, u, v), flags = _kernel(
+        [[x.numerator * (scale // x.denominator) for x in row] for row in sv],
+        [[x.numerator * (scale // x.denominator) for x in row] for row in cv],
+    )
+    return (scale, u, v), flags
 
 
 def _fraction_rows(scale: int, rows) -> tuple:

@@ -8,9 +8,9 @@ and a walk over budget is refused before it starts."""
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .errors import BudgetExceededError, InfeasibleError
+from .errors import BudgetExceededError, InfeasibleError, InvalidInputError
 from .model import (
     Instance,
     Matching,
@@ -21,12 +21,6 @@ from .model import (
 )
 from .ranked import enumerate_stable
 from .report import SolverReport
-
-
-class OracleBudget(NamedTuple):
-    """Cap on how many candidate matchings the oracle may visit."""
-
-    max_enumerated: int = 10**7
 
 
 def candidates(
@@ -76,7 +70,10 @@ def candidate_count(
 def _budgeted_walk(
     instance: Instance, require_complete: bool, respect_capacities: bool, budget: int
 ) -> Iterator[Matching]:
-    """`candidates`, refused up front if it would visit more than budget."""
+    """`candidates`, refused up front if budget is not a plain non-negative
+    int (a bool is not) or the walk would visit more than budget."""
+    if type(budget) is not int or budget < 0:
+        raise InvalidInputError(f"budget must be a non-negative int, got {budget!r}")
     count = candidate_count(instance, require_complete, respect_capacities)
     if count > budget:
         raise BudgetExceededError(f"{count} candidates exceed the budget of {budget}")
@@ -87,15 +84,13 @@ def oracle_leximin(
     instance: Instance,
     require_complete: bool = False,
     respect_capacities: bool = False,
-    budget: OracleBudget = OracleBudget(),
+    budget: int = 10**7,
 ) -> SolverReport:
     """Leximin-optimal stable matching by exhaustive search.  Ranked
     instances only need one candidate per contiguous block assignment; all
     other instances get the full assignment space.  Ties in the optimum go to
-    the first-enumerated matching."""
-    walk = _budgeted_walk(
-        instance, require_complete, respect_capacities, budget.max_enumerated
-    )
+    the first-enumerated matching.  budget caps the candidates visited."""
+    walk = _budgeted_walk(instance, require_complete, respect_capacities, budget)
     best = best_tuple = None
     enumerated = stable_count = 0
     for mu in walk:

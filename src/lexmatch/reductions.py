@@ -191,11 +191,13 @@ class ReductionSpec(NamedTuple):
 
     def build(self) -> Instance:
         """The image instance.  Raises InvalidInputError for an unknown kind,
-        a key the kind does not read (rather than ignore it) or a missing
-        required key."""
+        data that is not a dict, a key the kind does not read (rather than
+        ignore it) or a missing required key."""
         kind = self.kind
         if kind not in _KEYS:
             raise InvalidInputError(f"unknown reduction kind {kind!r}")
+        if not isinstance(self.data, dict):
+            raise InvalidInputError("reduction input must be a JSON object")
         unknown = sorted(set(self.data).difference(_KEYS[kind]))
         if unknown:
             raise InvalidInputError(

@@ -12,8 +12,10 @@ from lexmatch import (
     GenSpec,
     InfeasibleError,
     Instance,
+    InvalidInputError,
     Matching,
     NotAdmissibleError,
+    classify,
     college_value,
     dump_instance,
     fast_const,
@@ -25,10 +27,11 @@ from lexmatch import (
     oracle_leximin,
 )
 from lexmatch.const2 import _require_m2_strict, _staircase, is_stable_m2
+from lexmatch.generate import CAPACITY_MODES
 from lexmatch.model import GREATER, _capacity_binds, scaled_leximin
 from lexmatch.report import SolverReport
 
-from test_equivalence import _two_sided
+from test_equivalence import SWEEP, _two_sided
 
 
 def _strict_m2_instances(seed, count, n_max, n_min=2):
@@ -56,6 +59,20 @@ def favorites(instance):
     """Each student's preferred college (0 or 1)."""
     u0, u1 = instance._kernel[1]
     return [0 if a > b else 1 for a, b in zip(u0, u1)]
+
+
+def _toggles(instance):
+    """fast_const's toggles, counted from the states its scan visits, so an
+    infeasible input counts too: every state but (0, 0) moves a fan."""
+    start = tuple(favorites(instance))
+    seen = []
+    try:
+        report = fast_const(instance, on_state=seen.append)
+    except InfeasibleError:
+        report = None
+    toggles = sum(mu.assignment != start for mu in seen)
+    assert report is None or report.counters["toggles"] == toggles
+    return toggles
 
 
 def _complete_assignments(n):
@@ -361,8 +378,6 @@ class TestIsStableM2:
         assert not is_stable_m2(ref_instance, Matching([0, 1, 0, 1]))
 
     def test_requires_complete(self, ref_instance):
-        from lexmatch import InvalidInputError
-
         with pytest.raises(InvalidInputError):
             is_stable_m2(ref_instance, Matching([0, None, 1, 1]))
 
@@ -563,6 +578,35 @@ class TestFastConst:
         # favorites, which overfill college 0
         make = {"toggle": _toggle_family, "crossed": _crossed}[family]
         assert _walk_digest(make(n, 0)) == digest
+
+    # The scan's visit count: n states is a measured bound, not a proof
+    # (see the const2 docstring)
+
+    def test_visits_at_most_n_states_on_the_equivalence_sweep(self):
+        strict_m2 = [
+            inst for inst in SWEEP.values() if inst.m == 2 and classify(inst).strict
+        ]
+        assert len(strict_m2) > 30
+        for inst in strict_m2:
+            assert _toggles(inst) <= inst.n, inst
+
+    def test_visits_at_most_n_states_on_generated_inputs(self):
+        checked = 0
+        for seed in range(12):
+            for kind in ("strict", "ranked", "ranked_isometric"):
+                for n in range(2, 41):
+                    for mode in CAPACITY_MODES:
+                        for value_max in (None, n + 3):
+                            spec = GenSpec(kind, n, 2, seed, mode, -(-n // 2), value_max)
+                            try:
+                                inst = generate(spec)
+                            except InvalidInputError:
+                                # ranked_isometric draws 2n distinct values
+                                assert kind == "ranked_isometric" and value_max
+                                continue
+                            assert _toggles(inst) <= n, spec
+                            checked += 1
+        assert checked == 7092
 
     # Hand-made scans.  All three students prefer college 0 and college 0
     # ranks them 0, 1, 2 from the bottom, so row d0 hands students 0..d0-1

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import lexmatch.cli
 import lexmatch.model
 from lexmatch import (
     GenSpec,
@@ -457,6 +458,25 @@ class TestCli:
         path = _write(tmp_path, "in.json", json.dumps([1, 1]))
         assert main(["reduce", "--from", "partition", "--input", path]) == 2
         assert "reduction input must be a JSON object" in capsys.readouterr().err
+
+    def test_reduce_refuses_a_json_array_to_replicate(self, tmp_path, capsys):
+        path = _write(tmp_path, "in.json", json.dumps(["1/2", "1/2"]))
+        args = ["reduce", "--from", "bin-packing", "--input", path, "--replicate", "2"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input: reduction input must be a JSON object" in captured.err
+
+    def test_a_key_error_is_a_bug_not_invalid_input(self, tmp_path, monkeypatch, ref_instance):
+        # every payload path raises InvalidInputError, so main lets a
+        # KeyError through rather than report it as exit 2
+        def solve_dispatch(*args, **kwargs):
+            raise KeyError("student_values")
+
+        monkeypatch.setattr(lexmatch.cli, "solve_dispatch", solve_dispatch)
+        path = _write(tmp_path, "inst.json", dump_instance(ref_instance))
+        with pytest.raises(KeyError, match="student_values"):
+            main(["solve", "--instance", path])
 
     def test_exit_code_np_hard(self, tmp_path, capsys):
         inst = generate(GenSpec(kind="weak", n=4, m=3, seed=0))

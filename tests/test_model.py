@@ -1,3 +1,4 @@
+import json
 import re
 from enum import IntEnum
 from fractions import Fraction
@@ -24,6 +25,7 @@ from lexmatch import (
     is_stable,
     leximin_compare,
     leximin_tuple,
+    load_instance,
     partition_to_smo,
     student_value,
     value_to_str,
@@ -332,6 +334,31 @@ class TestInstance:
                     delattr(inst, name)
         assert built == given
 
+    def test_an_isometric_kernel_stores_its_columns_once(self):
+        matrix = [[9, 5], [7, 3], [4, 1]]
+        columns = [list(col) for col in zip(*matrix)]
+        wire = json.dumps({"student_values": matrix, "college_values": columns})
+        isometric = (
+            load_instance(wire),
+            Instance.from_matrix(matrix),
+            Instance.from_matrix([[Fraction(x, 2) for x in row] for row in matrix]),
+            Instance.from_matrix([[f"{x}/3" for x in row] for row in matrix]),
+        )
+        for inst in isometric:
+            assert classify(inst).isometric
+            assert inst._kernel[1] is inst._kernel[2]
+        # sharing changes neither equality nor hash
+        assert isometric[0] == isometric[1] == Instance.build(matrix, columns)
+        assert hash(isometric[0]) == hash(isometric[1])
+        for sv in (matrix, [[Fraction(x, 2) for x in row] for row in matrix]):
+            other = Instance.build(sv, [[9, 7, 4], [5, 3, 2]])
+            assert not classify(other).isometric
+            assert other._kernel[1] is not other._kernel[2]
+
+    def test_is_not_equal_to_another_type(self, ref_instance):
+        assert ref_instance.__eq__(5) is NotImplemented
+        assert (ref_instance == 5) is False and ref_instance != 5
+
 
 class TestClassify:
     def test_reference_instance(self, ref_instance):
@@ -546,6 +573,12 @@ def test_matchings_refuse_bool_colleges(ref_instance, check, college):
         InvalidInputError, match=f"^student 0 assigned to invalid college {college}$"
     ):
         check(ref_instance, Matching([college, 0, 1, 1]))
+
+
+def test_a_matching_hashes_as_its_assignment():
+    for assignment in ([0, 1, None, 1], [], [2]):
+        assert hash(Matching(assignment)) == hash(tuple(assignment))
+    assert Matching([0, 1]) == Matching((0, 1)) != (0, 1)
 
 
 def test_matchings_refuse_the_wrong_length_and_an_overfull_college(ref_instance):

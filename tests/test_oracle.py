@@ -10,6 +10,7 @@ from lexmatch import (
     GenSpec,
     InfeasibleError,
     Instance,
+    InvalidInputError,
     Matching,
     classify,
     dump_instance,
@@ -24,7 +25,7 @@ from lexmatch import (
 from lexmatch import cli, oracle
 from lexmatch.generate import CAPACITY_MODES, KINDS
 from lexmatch.model import GREATER
-from lexmatch.oracle import OracleBudget, candidate_count, candidates
+from lexmatch.oracle import candidate_count, candidates
 from lexmatch.reference import ranked_dp
 
 from conftest import random_instances
@@ -92,17 +93,15 @@ class TestOracle:
     def test_budget_exceeded(self):
         inst = generate(GenSpec(kind="weak", n=10, m=3, seed=1))
         with pytest.raises(BudgetExceededError):
-            oracle_leximin(inst, budget=OracleBudget(max_enumerated=100))
+            oracle_leximin(inst, budget=100)
 
     def test_complete_budget_counts_the_nonempty_compositions(self):
         # C(9, 3) = 84 compositions of 10 into 4 nonempty blocks
         inst = generate(GenSpec("ranked", 10, 4, 0))
-        report = oracle_leximin(
-            inst, require_complete=True, budget=OracleBudget(84)
-        )
+        report = oracle_leximin(inst, require_complete=True, budget=84)
         assert report.counters["enumerated"] == 84
         with pytest.raises(BudgetExceededError, match="84 candidates exceed"):
-            oracle_leximin(inst, require_complete=True, budget=OracleBudget(83))
+            oracle_leximin(inst, require_complete=True, budget=83)
 
     def test_budget_counts_the_compositions_that_fit_the_capacities(self, tmp_path, capsys):
         # C(39, 7) = 15,380,937 compositions into nonempty blocks, but only
@@ -171,3 +170,39 @@ def test_enumerate_refuses_before_checking_any_candidate(tmp_path, capsys, monke
     path.write_text(dump_instance(generate(GenSpec("ranked", 200, 5, seed=1))))
     assert cli.main(["enumerate", "--instance", str(path)]) == 5
     assert "70058751 candidates exceed the budget of 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [-1, "x", True, False, 10.0, None])
+def test_a_budget_that_is_not_a_non_negative_int_is_refused_before_counting(
+    monkeypatch, budget
+):
+    def count(*args):
+        raise AssertionError("the candidates were counted")
+
+    monkeypatch.setattr(oracle, "candidate_count", count)
+    inst = generate(GenSpec("ranked", 4, 2, seed=0))
+    with pytest.raises(InvalidInputError, match="budget must be a non-negative int"):
+        oracle_leximin(inst, budget=budget)
+
+
+def test_enumerate_refuses_a_negative_budget_as_invalid_input(tmp_path, capsys, monkeypatch):
+    def count(*args):
+        raise AssertionError("the candidates were counted")
+
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(generate(GenSpec("ranked", 40, 8, seed=1))))
+    monkeypatch.setattr(oracle, "candidate_count", count)
+    assert cli.main(["enumerate", "--instance", str(path), "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: budget must be a non-negative int, got -1" in captured.err
+
+
+def test_a_zero_budget_refuses_any_non_empty_walk(tmp_path, capsys):
+    inst = generate(GenSpec("ranked", 4, 2, seed=0))
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(inst))
+    assert cli.main(["enumerate", "--instance", str(path), "--budget", "0"]) == 5
+    assert "5 candidates exceed the budget of 0" in capsys.readouterr().err
+    with pytest.raises(BudgetExceededError, match="exceed the budget of 0"):
+        oracle_leximin(inst, budget=0)

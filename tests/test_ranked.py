@@ -43,6 +43,11 @@ class TestBoundaryConversion:
     def test_non_contiguous_returns_none(self, ref_instance):
         assert boundary_from_matching(ref_instance, Matching([0, 1, 0, 1])) is None
 
+    def test_incomplete_returns_none(self, ref_instance):
+        # contiguous in the matched students, but one is unmatched
+        assert boundary_from_matching(ref_instance, Matching([0, 0, None, 1])) is None
+        assert boundary_from_matching(ref_instance, Matching([None] * 4)) is None
+
 
 class TestEnumeration:
     def test_reference_order_and_count(self, ref_instance):

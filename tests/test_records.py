@@ -17,7 +17,6 @@ from lexmatch import (
     InvalidInputError,
     LeximinTuple,
     Matching,
-    OracleBudget,
     ReductionSpec,
     SolverReport,
     classify,
@@ -48,7 +47,6 @@ def _records(ref_instance):
             "BlockingPair(student=0, college=0, displaced_student=1)",
         ),
         (solve_dispatch(ref_instance).leximin, REF_LEXIMIN),
-        (OracleBudget(), "OracleBudget(max_enumerated=10000000)"),
         (
             GenSpec("ranked", 5, 2),
             "GenSpec(kind='ranked', n=5, m=2, seed=0, capacity_mode='none', "
@@ -98,7 +96,6 @@ def test_frozen_records_unpack_and_equal_plain_tuples():
 
 
 def test_defaults():
-    assert OracleBudget().max_enumerated == 10**7
     spec = GenSpec(kind="strict", n=4, m=2)
     assert (spec.seed, spec.capacity_mode, spec.capacity, spec.value_max) == (
         0,

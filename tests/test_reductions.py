@@ -243,6 +243,11 @@ class TestReductionSpec:
         with pytest.raises(InvalidInputError):
             ReductionSpec("vertex_cover", {}).build()
 
+    @pytest.mark.parametrize("data", [5, [1, 2], "integers", None])
+    def test_refuses_data_that_is_not_a_dict(self, data):
+        with pytest.raises(InvalidInputError, match="^reduction input must be a JSON object$"):
+            ReductionSpec("subset_sum", data).build()
+
     @pytest.mark.parametrize(
         "kind, data, unknown",
         [

@@ -91,3 +91,9 @@ def test_solve_and_emit_build_no_fraction_until_the_tuple_is_read(monkeypatch):
     assert built == []
     assert data["leximin"] == [str(v) for v in report.leximin.values]
     assert len(built) >= inst.n + inst.m
+
+
+def test_is_not_equal_to_another_type(ref_instance):
+    report = solve_dispatch(ref_instance)
+    assert report.__eq__(5) is NotImplemented
+    assert (report == 5) is False and report != 5
