@@ -188,6 +188,5 @@ class RankedState:
 
     def leximin(self) -> ScaledLeximin:
         """The leximin tuple on the scaled ints."""
-        vals = self.values()
-        return ScaledLeximin(self.scale, self.instance.n, sorted(vals), None, by_position=vals)
+        return ScaledLeximin(self.scale, self.instance.n, self.values())
 

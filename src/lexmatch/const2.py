@@ -261,7 +261,7 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     return SolverReport(
         algorithm="fast_const",
         matching=Matching(assignment),
-        leximin=ScaledLeximin.build(scale, students, (s0, s1)),
+        leximin=ScaledLeximin(scale, n, students + [s0, s1]),
         steps=steps,
         counters={"toggles": toggles, "tuple_comparisons": tuple_comparisons},
     )

@@ -3,14 +3,50 @@
 Envy is measured against occupied bundles only: a student compares their
 college's value to every other *nonempty* college, and a college evaluates a
 rival's student set with its own additive valuation.
+
+Everything is computed on the instance's integer kernel (every value times
+one common scale, ``model``); a Fraction is made only in the returned
+values, by dividing by the scale once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
-from .model import Instance, Matching, college_value, student_value, value_to_str
+from .model import Instance, Matching, scaled_leximin, value_to_str
+
+
+def _table(instance: Instance, matching: Matching) -> tuple:
+    """(scale, u, v, view, own, bundle) on the kernel: view is the members
+    of each college, own[i] student i's value (0 when unmatched), and
+    bundle[j][j'] college j's total for college j''s members."""
+    matching.validate(instance)
+    scale, u, v = instance._kernel
+    view = matching.college_view(instance.m)
+    own = [0 if j is None else u[j][i] for i, j in enumerate(matching.assignment)]
+    bundle = [[sum(map(row.__getitem__, members)) for members in view] for row in v]
+    return scale, u, v, view, own, bundle
+
+
+def _envy(scale, u, v, view, own, bundle) -> tuple:
+    # a student's own college, and a college's own bundle, add a gap of 0
+    e_s = sum(
+        x - o for j, members in enumerate(view) if members for x, o in zip(u[j], own) if x > o
+    )
+    e_c = sum(r - row[j] for j, row in enumerate(bundle) for r in row if r > row[j])
+    return Fraction(e_s, scale), Fraction(e_c, scale), Fraction(e_s + e_c, scale)
+
+
+def _bounded_envy(pick, scale, u, v, view, own, bundle) -> bool:
+    # a rival bundle worth more than j's own is nonempty: values are >= 0
+    return not any(
+        r - pick(map(v[j].__getitem__, view[jp])) > row[j]
+        for j, row in enumerate(bundle)
+        for jp, r in enumerate(row)
+        if r > row[j]
+    )
 
 
 def envy_totals(instance: Instance, matching: Matching):
@@ -19,27 +55,7 @@ def envy_totals(instance: Instance, matching: Matching):
     from value 0.  E_C sums, per ordered college pair, the positive gap
     between the rival bundle (valued with the envier's valuation) and the
     envier's own bundle."""
-    matching.validate(instance)
-    view = matching.college_view(instance.m)
-    e_s = Fraction(0)
-    for i in range(instance.n):
-        own = student_value(instance, matching, i)
-        for j in range(instance.m):
-            if j == matching.assignment[i] or not view[j]:
-                continue
-            gap = instance.u(i, j) - own
-            if gap > 0:
-                e_s += gap
-    e_c = Fraction(0)
-    for j in range(instance.m):
-        own = college_value(instance, matching, j)
-        for jp in range(instance.m):
-            if jp == j:
-                continue
-            rival = sum((instance.v(j, i) for i in view[jp]), Fraction(0))
-            if rival > own:
-                e_c += rival - own
-    return e_s, e_c, e_s + e_c
+    return _envy(*_table(instance, matching))
 
 
 def ef1_check(instance: Instance, matching: Matching) -> bool:
@@ -47,44 +63,24 @@ def ef1_check(instance: Instance, matching: Matching) -> bool:
     envy j', or removing a single (best chosen) student from j''s bundle
     kills the envy.  Students hold at most one college each, so their side is
     trivially EF1."""
-    return _bounded_envy_check(instance, matching, drop_best=True)
+    return _bounded_envy(max, *_table(instance, matching))
 
 
 def efx_check(instance: Instance, matching: Matching) -> bool:
     """College-side EFX: as EF1 but removing the *least* valued student of
     the rival bundle must already kill the envy."""
-    return _bounded_envy_check(instance, matching, drop_best=False)
-
-
-def _bounded_envy_check(instance: Instance, matching: Matching, drop_best: bool) -> bool:
-    matching.validate(instance)
-    view = matching.college_view(instance.m)
-    for j in range(instance.m):
-        own = college_value(instance, matching, j)
-        for jp in range(instance.m):
-            if jp == j:
-                continue
-            rival_items = [instance.v(j, i) for i in view[jp]]
-            rival = sum(rival_items, Fraction(0))
-            if rival <= own:
-                continue  # always so for an empty bundle: values are >= 0
-            removed = max(rival_items) if drop_best else min(rival_items)
-            if rival - removed > own:
-                return False
-    return True
+    return _bounded_envy(min, *_table(instance, matching))
 
 
 def welfare(instance: Instance, matching: Matching):
     """(egalitarian, nash, utilitarian) over all n+m agent values."""
-    matching.validate(instance)
-    values = [student_value(instance, matching, i) for i in range(instance.n)]
-    values += [college_value(instance, matching, j) for j in range(instance.m)]
-    egalitarian = min(values)
-    nash = Fraction(1)
-    for v in values:
-        nash *= v
-    utilitarian = sum(values, Fraction(0))
-    return egalitarian, nash, utilitarian
+    t = scaled_leximin(instance, matching)
+    values, scale = t.values, t.scale
+    return (
+        Fraction(values[0], scale),
+        Fraction(prod(values), scale ** len(values)),
+        Fraction(sum(values), scale),
+    )
 
 
 class FairnessReport(NamedTuple):
@@ -111,15 +107,10 @@ class FairnessReport(NamedTuple):
 
 
 def fairness_report(instance: Instance, matching: Matching) -> FairnessReport:
-    e_s, e_c, e_total = envy_totals(instance, matching)
-    egal, nash, util = welfare(instance, matching)
+    table = _table(instance, matching)
     return FairnessReport(
-        e_s=e_s,
-        e_c=e_c,
-        e_total=e_total,
-        ef1_colleges=ef1_check(instance, matching),
-        efx_colleges=efx_check(instance, matching),
-        egalitarian=egal,
-        nash=nash,
-        utilitarian=util,
+        *_envy(*table),
+        _bounded_envy(max, *table),
+        _bounded_envy(min, *table),
+        *welfare(instance, matching),
     )

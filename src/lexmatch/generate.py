@@ -53,6 +53,11 @@ def generate(spec: GenSpec) -> Instance:
     """Deterministic for a fixed spec; the result's classification flags are
     guaranteed to include the requested kind's defining flags."""
     n, m = spec.n, spec.m
+    for name in ("n", "m", "capacity", "value_max"):
+        x = getattr(spec, name)
+        # type() refuses bools; capacity and value_max may be left as None
+        if type(x) is not int and (x is not None or name in ("n", "m")):
+            raise InvalidInputError(f"{name} must be an int, got {x!r}")
     if not n >= m >= 1:
         raise InvalidInputError("need n >= m >= 1")
     if spec.kind not in KINDS:

@@ -9,12 +9,15 @@ copy of the values, all scaled by the LCM of their denominators and laid out
 college by college (``Instance._kernel == (scale, u, v)``, where ``u[j][i]``
 is student i's value for college j and ``v[j][i]`` is college j's value for
 student i, so both are m tuples of n ints), and its flags (``classify``).
-The solvers, ``is_stable`` and ``leximin_tuple`` work on the kernel; the
-Fraction rows (``student_values``, ``college_values``, ``u``, ``v``) are
-built from it on first read.  ``Instance`` is the one way in: it checks rows
-and shape once, then types and flags the kernel columns as it builds them.  A
-``ScaledLeximin`` holds sorted scaled ints; who holds each, and its
-``LeximinTuple`` of Fractions, are found only when read.
+The solvers, ``is_stable``, ``leximin_tuple``, ``student_value``,
+``college_value`` and ``fairness`` work on the kernel, and a Fraction is
+made only where a value leaves the library: the Fraction rows
+(``student_values``, ``college_values``, ``u``, ``v``) are built from the
+kernel on first read.  ``Instance`` is the one way in: it checks rows and
+shape once, then types and flags the kernel columns as it builds them.  A
+``ScaledLeximin`` is built from the agents' scaled ints by position and sorts
+them; who holds each, and its ``LeximinTuple`` of Fractions, are found only
+when read.
 """
 
 from __future__ import annotations
@@ -70,7 +73,20 @@ def as_value(x) -> Fraction:
 
 def value_to_str(v: Fraction) -> str:
     """Render a Fraction for the wire format: '7' or '7/3'."""
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    top = _int_str(v.numerator)
+    return top if v.denominator == 1 else f"{top}/{_int_str(v.denominator)}"
+
+
+def _int_str(x: int) -> str:
+    """str(x), exact also past the interpreter's int-to-str digit limit,
+    which is left as it is: the JSON loader's refusal of over-long integers
+    relies on it."""
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal  # converts without the limit
+
+        return str(Decimal(x))
 
 
 class Instance:
@@ -332,14 +348,14 @@ class Matching:
 
 
 def student_value(instance: Instance, matching: Matching, i: int) -> Fraction:
+    scale, u, _ = instance._kernel
     j = matching.assignment[i]
-    return Fraction(0) if j is None else instance.u(i, j)
+    return Fraction(0 if j is None else u[j][i], scale)
 
 
 def college_value(instance: Instance, matching: Matching, j: int) -> Fraction:
-    return sum(
-        (instance.v(j, i) for i in matching.members(instance, j)), Fraction(0)
-    )
+    scale, _, v = instance._kernel
+    return Fraction(sum(map(v[j].__getitem__, matching.members(instance, j))), scale)
 
 
 class BlockingPair(NamedTuple):
@@ -391,46 +407,41 @@ class LeximinTuple(NamedTuple):
 
 
 class ScaledLeximin:
-    """A leximin tuple on the integer kernel: ``values`` are the n+m agent
-    values times ``scale``, sorted ascending, and ``agents[t]``, found on
-    first read, is the position of the agent holding ``values[t]`` (i for
-    student i, n+j for college j).  Scaling by one positive constant keeps
-    order and equality, so the solvers compare these directly.  ``view()``
-    is the public LeximinTuple, built on first call; ``wire()`` the JSON."""
+    """A leximin tuple on the integer kernel, built from the n+m agent values
+    times ``scale`` by position (student i at i, college j at n+j).
+    ``values`` holds them sorted ascending, and ``agents[t]``, sorted when read,
+    is the position of the agent holding ``values[t]``.  Scaling by one
+    positive constant keeps order and equality, so the solvers compare these
+    directly.  ``view()`` is the public LeximinTuple, built on first call;
+    ``wire()`` the JSON."""
 
-    __slots__ = ("scale", "n", "values", "_agents", "_by_position", "_view")
+    __slots__ = ("scale", "n", "values", "_by_position", "_view")
 
-    def __init__(self, scale: int, n: int, values, agents, view=None, by_position=None):
-        self.scale, self.n, self.values, self._agents = scale, n, values, agents
-        self._view, self._by_position = view, by_position
-
-    @staticmethod
-    def build(scale: int, student_values, college_values) -> "ScaledLeximin":
-        """The record of scaled student values (by index) and college values
-        (by index)."""
-        vals = [*student_values, *college_values]
-        return ScaledLeximin(scale, len(student_values), sorted(vals), None, by_position=vals)
+    def __init__(self, scale: int, n: int, by_position, view=None):
+        self.scale, self.n, self._by_position, self._view = scale, n, by_position, view
+        self.values = sorted(by_position)
 
     @property
     def agents(self) -> list:
         # a stable sort keeps equal values in position order: students
         # first, each side by index, as LeximinTuple requires
-        if self._agents is None:
-            self._agents = sorted(range(len(self._by_position)), key=self._by_position.__getitem__)
-        return self._agents
+        return sorted(range(len(self._by_position)), key=self._by_position.__getitem__)
 
     @staticmethod
     def of(t: LeximinTuple) -> "ScaledLeximin":
-        """The record of a LeximinTuple of exact values, kept as its view."""
-        values = t.values
+        """The record of a LeximinTuple of exact values, kept as its view; an
+        agent_at that is not a permutation of the n+m agents is refused."""
+        values, agent_at = t.values, t.agent_at
         scale = lcm(*{v.denominator for v in values})
-        if scale == 1:
-            ints = [v.numerator for v in values]
-        else:
-            ints = [v.numerator * (scale // v.denominator) for v in values]
-        n = list(map(itemgetter(0), t.agent_at)).count("s")
-        agents = [idx if kind == "s" else n + idx for kind, idx in t.agent_at]
-        return ScaledLeximin(scale, n, ints, agents, t)
+        n = list(map(itemgetter(0), agent_at)).count("s")
+        at = {("s", i): i for i in range(n)}
+        at.update((("c", j), n + j) for j in range(len(values) - n))
+        if len(agent_at) != len(values) or at.keys() != set(agent_at):
+            raise InvalidInputError(f"agent_at is not a permutation of the agents: {agent_at}")
+        by_position = [0] * len(at)
+        for a, v in zip(agent_at, values):
+            by_position[at[a]] = v.numerator * (scale // v.denominator)
+        return ScaledLeximin(scale, n, by_position, t)
 
     def view(self) -> LeximinTuple:
         if self._view is None:
@@ -447,12 +458,13 @@ class ScaledLeximin:
         return self._view
 
     def wire(self) -> list:
-        """The values as the wire format's strings: '7' or '7/3'
-        (Fraction's str is value_to_str)."""
-        scale = self.scale
-        if scale == 1:
-            return list(map(str, self.values))
-        return [str(Fraction(v, scale)) for v in self.values]
+        """The values as the wire format's strings: '7' or '7/3'."""
+        if self.scale == 1:
+            try:
+                return list(map(str, self.values))
+            except ValueError:  # a value past the int-to-str digit limit
+                pass
+        return [value_to_str(Fraction(v, self.scale)) for v in self.values]
 
 
 def scaled_leximin(instance: Instance, matching: Matching) -> ScaledLeximin:
@@ -460,14 +472,10 @@ def scaled_leximin(instance: Instance, matching: Matching) -> ScaledLeximin:
     students hold 0 and empty colleges 0."""
     matching.validate(instance)
     scale, u, v = instance._kernel
-    return ScaledLeximin.build(
-        scale,
-        [0 if j is None else u[j][i] for i, j in enumerate(matching.assignment)],
-        [
-            sum(map(v[j].__getitem__, members))
-            for j, members in enumerate(matching.college_view(instance.m))
-        ],
-    )
+    students = [0 if j is None else u[j][i] for i, j in enumerate(matching.assignment)]
+    view = matching.college_view(instance.m)
+    colleges = [sum(map(v[j].__getitem__, members)) for j, members in enumerate(view)]
+    return ScaledLeximin(scale, instance.n, students + colleges)
 
 
 def leximin_tuple(instance: Instance, matching: Matching) -> LeximinTuple:

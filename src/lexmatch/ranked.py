@@ -21,7 +21,7 @@ class BoundaryVector(NamedTuple("BoundaryVector", [("k", tuple)])):
     __slots__ = ()
 
     def __new__(cls, k: tuple):
-        if any((not isinstance(x, int)) or x < 0 for x in k):
+        if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in k):
             raise InvalidInputError(f"boundary vector parts must be ints >= 0: {k}")
         return super().__new__(cls, k)
 

@@ -194,7 +194,7 @@ class ReductionSpec(NamedTuple):
         data that is not a dict, a key the kind does not read (rather than
         ignore it) or a missing required key."""
         kind = self.kind
-        if kind not in _KEYS:
+        if not isinstance(kind, str) or kind not in _KEYS:
             raise InvalidInputError(f"unknown reduction kind {kind!r}")
         if not isinstance(self.data, dict):
             raise InvalidInputError("reduction input must be a JSON object")

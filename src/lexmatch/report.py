@@ -1,10 +1,10 @@
 """Solver output container shared by all algorithms.
 
-A report stores its leximin tuple as a ``ScaledLeximin``: the sorted scaled
-ints the ranked solvers already hold.  ``report.leximin`` is the public
-``LeximinTuple`` of Fractions, built on first read, and ``to_json_dict``
-renders the wire strings from the ints, so a solve that is only serialized
-builds no Fraction for its tuple.
+A report stores its leximin tuple as a ``ScaledLeximin``: the scaled ints
+the solvers already hold.  A Fraction is made only where a value leaves the
+library: ``report.leximin`` is the public ``LeximinTuple`` of Fractions,
+built on first read, and ``to_json_dict`` renders the wire strings from the
+ints, so a solve that is only serialized builds no Fraction for its tuple.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ class SolverReport:
     """What a solver returns: the matching, its leximin tuple, a step count
     and the solver's own counters.  The leximin tuple may be given as a
     ScaledLeximin or as a LeximinTuple of exact values (kept as the
-    record's view).  Reports are mutable and compare equal when every field
+    record's view; an agent_at that is not a permutation of the n+m agents
+    raises InvalidInputError).  Reports are mutable and compare equal when every field
     is equal."""
 
     def __init__(

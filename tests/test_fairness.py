@@ -1,7 +1,10 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from lexmatch import (
+    FairnessReport,
     Instance,
     Matching,
     ef1_check,
@@ -13,6 +16,7 @@ from lexmatch import (
 )
 
 from conftest import random_instances
+from test_equivalence import SWEEP
 
 
 class TestEnvyTotals:
@@ -134,3 +138,69 @@ class TestReportAndLeximinLink:
             egal_opt = welfare(inst, opt.matching)[0]
             for mu in enumerate_stable(inst, require_complete=True):
                 assert welfare(inst, mu)[0] <= egal_opt
+
+
+def _fraction_report(inst, mu):
+    """fairness_report by the Fraction definitions the kernel version
+    replaced, with every value read from the instance's Fraction rows."""
+    sv, cv = inst.student_values, inst.college_values
+    view = mu.college_view(inst.m)
+    pairs = [(j, jp) for j in range(inst.m) for jp in range(inst.m)]
+    # college j's values for college jp's members, and their sum
+    items = {(j, jp): [cv[j][i] for i in view[jp]] for j, jp in pairs}
+    bundle = {key: sum(xs, Fraction(0)) for key, xs in items.items()}
+    values = [Fraction(0) if j is None else sv[i][j] for i, j in enumerate(mu.assignment)]
+    values += [bundle[j, j] for j in range(inst.m)]
+
+    e_s = Fraction(0)
+    for i, here in enumerate(mu.assignment):
+        for j in range(inst.m):
+            if j != here and view[j] and sv[i][j] > values[i]:
+                e_s += sv[i][j] - values[i]
+    e_c = Fraction(0)
+    for j, jp in pairs:
+        if jp != j and bundle[j, jp] > bundle[j, j]:
+            e_c += bundle[j, jp] - bundle[j, j]
+
+    def bounded(drop):
+        return all(
+            jp == j or bundle[j, jp] <= bundle[j, j]
+            or bundle[j, jp] - drop(items[j, jp]) <= bundle[j, j]
+            for j, jp in pairs
+        )
+
+    nash = Fraction(1)
+    for x in values:
+        nash *= x
+    return FairnessReport(
+        e_s, e_c, e_s + e_c, bounded(max), bounded(min),
+        min(values), nash, sum(values, Fraction(0)),
+    )
+
+
+SMALL = {key: inst for key, inst in SWEEP.items() if inst.n <= 6}
+
+
+@pytest.mark.parametrize("key", list(SMALL))
+def test_kernel_report_is_the_fraction_report_on_every_assignment(key):
+    # every assignment of the sweep's small instances and their /scaled
+    # images, unmatched students included
+    inst = SMALL[key]
+    for assignment in itertools.product([None, *range(inst.m)], repeat=inst.n):
+        mu = Matching(assignment)
+        got = fairness_report(inst, mu)
+        assert got == _fraction_report(inst, mu), (key, assignment)
+        assert all(type(x) is Fraction for x in got[:3] + got[5:])
+
+
+def test_the_small_sweep_has_scaled_images():
+    assert any(inst._kernel[0] > 1 for inst in SMALL.values())
+    assert any(key.endswith("/scaled") for key in SMALL)
+
+
+def test_the_report_builds_no_fraction_rows(ref_instance):
+    inst = Instance.build([[5, 2], [4, 3]], [["7/2", 6], [1, "1/3"]])
+    for instance in (ref_instance, inst):
+        fairness_report(instance, Matching([0, 1] * (instance.n // 2)))
+        assert "student_values" not in vars(instance)
+        assert "college_values" not in vars(instance)

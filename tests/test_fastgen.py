@@ -439,7 +439,7 @@ class TestAgainstTheOldDefinitions:
             got = blame(state, changes)
             new, old = _by_position(state, changes)
             want = _old_first_loss_agent(
-                ScaledLeximin.build(1, new, []), ScaledLeximin.build(1, old, [])
+                ScaledLeximin(1, len(new), new), ScaledLeximin(1, len(old), old)
             )
             assert got == want == _reference_blame(state, changes)
             blames.append(inside[0])

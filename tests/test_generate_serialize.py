@@ -1,5 +1,9 @@
 import itertools
 import json
+import math
+import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -96,6 +100,14 @@ class TestGenerate:
     def test_impossible_specs_rejected(self, spec):
         with pytest.raises(InvalidInputError):
             generate(spec)
+
+    @pytest.mark.parametrize("value", ["5", 5.0, True, False, Fraction(5)])
+    @pytest.mark.parametrize("field", ["n", "m", "capacity", "value_max"])
+    def test_fields_that_are_not_plain_ints_are_refused(self, field, value):
+        spec = GenSpec("ranked", 5, 2, capacity_mode="uniform", capacity=3)
+        message = re.escape(f"{field} must be an int, got {value!r}")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            generate(spec._replace(**{field: value}))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("value_max", [0, -5])
@@ -502,6 +514,36 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid input: bad JSON") and "Traceback" not in err
+
+    def test_values_past_the_int_str_digit_limit_are_written_exactly(self, tmp_path, capsys):
+        # every value has 4,300 digits, so the loader takes it, but college
+        # totals have more; the interpreter's limit is left as it is
+        limit = sys.get_int_max_str_digits()
+        sv = [[(99 - i) * 10**4298, (60 - i) * 10**4298] for i in range(20)]
+        inst = Instance.build(sv, list(zip(*sv)))
+        assert main(["solve", "--instance", _write(tmp_path, "big.json", dump_instance(inst))]) == 0
+        out = json.loads(capsys.readouterr().out)
+        want = lexmatch.model.scaled_leximin(inst, Matching(out["matching"]["assignment"]))
+        assert list(map(Decimal, out["leximin"])) == list(map(Decimal, want.values))
+        assert max(map(len, out["leximin"])) > limit == sys.get_int_max_str_digits()
+
+    def test_a_nash_product_past_the_int_str_digit_limit_is_written_exactly(
+        self, tmp_path, capsys
+    ):
+        gen = ["gen", "--kind", "ranked_isometric", "--n", "2000", "--m", "4", "--seed", "1"]
+        assert main(gen) == 0
+        inst = _write(tmp_path, "inst.json", capsys.readouterr().out)
+        assert main(["solve", "--instance", inst]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        mu = _write(tmp_path, "mu.json", json.dumps(solved["matching"]))
+        assert main(["fairness", "--instance", inst, "--matching", mu]) == 0
+        out = json.loads(capsys.readouterr().out)
+        values = list(map(int, solved["leximin"]))
+        # Decimal builds from an int or a digit string exactly, with no limit
+        assert len(out["nash"]) > sys.get_int_max_str_digits()
+        assert Decimal(out["nash"]) == Decimal(math.prod(values))
+        assert out["egalitarian"] == solved["leximin"][0]
+        assert out["utilitarian"] == str(sum(values))
 
     def test_exit_code_invalid(self, tmp_path):
         path = _write(tmp_path, "inst.json", "{broken")

@@ -615,12 +615,12 @@ class TestLeximinTuple:
         for n, m in ((1, 1), (5, 2), (9, 4), (30, 6)):
             for _ in range(20):
                 vals = [rng.randrange(4) for _ in range(n + m)]
-                scaled = ScaledLeximin.build(scale, vals[:n], vals[n:])
+                scaled = ScaledLeximin(scale, n, vals)
                 expected = sorted(range(n + m), key=vals.__getitem__)
                 assert scaled.values == sorted(vals)
                 assert scaled.wire() == [str(Fraction(x, scale)) for x in sorted(vals)]
-                # serializing needs no agents, so it sorts none
-                assert scaled._agents is None
+                # serializing needs no agents, so it builds no view
+                assert scaled._view is None
                 assert scaled.agents == expected
                 # on ties students come first, each side by index
                 agents = scaled.agents

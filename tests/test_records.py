@@ -114,6 +114,7 @@ def test_defaults():
         ((1, -1), "boundary vector parts must be ints >= 0: (1, -1)"),
         ((2, 1.0), "boundary vector parts must be ints >= 0: (2, 1.0)"),
         (("1",), "boundary vector parts must be ints >= 0: ('1',)"),
+        ((True, 3), "boundary vector parts must be ints >= 0: (True, 3)"),
     ],
 )
 def test_boundary_vector_refusal(k, message):
@@ -163,6 +164,34 @@ def test_solver_report_fields_repr_equality_and_json(ref_instance):
     bare = SolverReport("oracle", Matching([0]), LeximinTuple((Fraction(1),), (("s", 0),)), 1)
     assert bare.counters == {} and bare.to_json_dict()["counters"] == {}
     assert SolverReport("oracle", Matching([0]), bare.leximin, 1).counters is not bare.counters
+
+
+@pytest.mark.parametrize(
+    "agent_at",
+    [
+        (("s", 0), ("s", 0)),
+        (("s", 1), ("c", 0)),
+        (("s", 0), ("c", 1)),
+        (("s", 0), ("x", 0)),
+        (("s", 0),),
+        (("s", 0), ("c", 0), ("c", 1)),
+    ],
+    ids=["repeat", "student-out-of-range", "college-out-of-range", "no-side", "short", "long"],
+)
+def test_solver_report_refuses_agents_that_are_not_a_permutation(agent_at):
+    t = LeximinTuple((Fraction(1), Fraction(2)), agent_at)
+    with pytest.raises(InvalidInputError, match="agent_at is not a permutation"):
+        SolverReport("oracle", Matching([0]), t, 1)
+
+
+def test_solver_report_places_each_value_at_its_agent():
+    # the college holds the lower value, so it comes first in the tuple
+    t = LeximinTuple((Fraction(1, 2), Fraction(2)), (("c", 0), ("s", 0)))
+    report = SolverReport("oracle", Matching([0]), t, 1)
+    assert report._leximin._by_position == [4, 1] and report._leximin.scale == 2
+    assert report._leximin.agents == [1, 0]
+    assert report.to_json_dict()["leximin"] == ["1/2", "2"]
+    assert report.leximin is t
 
 
 def test_frozen_instance_error_lives_in_errors():

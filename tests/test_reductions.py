@@ -243,6 +243,12 @@ class TestReductionSpec:
         with pytest.raises(InvalidInputError):
             ReductionSpec("vertex_cover", {}).build()
 
+    @pytest.mark.parametrize("kind", [["x"], {"subset_sum": 1}, None])
+    def test_a_kind_that_is_not_a_string_is_unknown(self, kind):
+        # an unhashable kind too, rather than a TypeError from the lookup
+        with pytest.raises(InvalidInputError, match="^unknown reduction kind "):
+            ReductionSpec(kind, {}).build()
+
     @pytest.mark.parametrize("data", [5, [1, 2], "integers", None])
     def test_refuses_data_that_is_not_a_dict(self, data):
         with pytest.raises(InvalidInputError, match="^reduction input must be a JSON object$"):
