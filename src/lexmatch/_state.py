@@ -10,8 +10,8 @@ and so is O(q - p); a college's value is read in O(1).
 All values here are the instance's integer kernel (``Instance._kernel``,
 college by college: ``u[j][i]`` and ``v[j][i]``): each value times one
 common scale, so comparisons are plain int compares.
-``leximin()`` returns the tuple as a ``ScaledLeximin`` of those ints; the
-solvers compare it as it stands and hand it to ``SolverReport``, which
+``leximin()`` returns the tuple as a ``ScaledLeximin`` of those ints, and
+``report`` ends a ranked walk by handing it to ``SolverReport``, which
 builds the Fraction tuple only when it is read.
 
 Delta comparison.  A chain demotion p -> q changes only q - p + 1 college
@@ -47,8 +47,9 @@ from bisect import bisect_right
 from itertools import accumulate
 
 from .errors import InfeasibleError
-from .model import Instance, Matching, ScaledLeximin
+from .model import Instance, Matching, ScaledLeximin, _capacity_binds
 from .ranked import assignment_from_sizes
+from .report import SolverReport
 
 
 def initial_boundary(instance: Instance) -> list:
@@ -190,3 +191,12 @@ class RankedState:
         """The leximin tuple on the scaled ints."""
         return ScaledLeximin(self.scale, self.instance.n, self.values())
 
+    def report(self, name: str, counters: dict) -> SolverReport:
+        """The report of a ranked walk that ends in this state: named
+        cap_<name> when some capacity can bind (model._capacity_binds), its
+        steps iterations + chain_moves + tuple_comparisons * (n + m)."""
+        instance = self.instance
+        steps = counters["iterations"] + counters["chain_moves"]
+        steps += counters["tuple_comparisons"] * (instance.n + instance.m)
+        algorithm = f"cap_{name}" if _capacity_binds(instance) else name
+        return SolverReport(algorithm, self.matching(), self.leximin(), steps, counters)

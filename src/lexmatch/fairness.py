@@ -75,9 +75,12 @@ def efx_check(instance: Instance, matching: Matching) -> bool:
 def welfare(instance: Instance, matching: Matching):
     """(egalitarian, nash, utilitarian) over all n+m agent values."""
     t = scaled_leximin(instance, matching)
-    values, scale = t.values, t.scale
+    return _welfare(t.scale, t.values)
+
+
+def _welfare(scale: int, values) -> tuple:
     return (
-        Fraction(values[0], scale),
+        Fraction(min(values), scale),
         Fraction(prod(values), scale ** len(values)),
         Fraction(sum(values), scale),
     )
@@ -108,9 +111,11 @@ class FairnessReport(NamedTuple):
 
 def fairness_report(instance: Instance, matching: Matching) -> FairnessReport:
     table = _table(instance, matching)
+    scale, _, _, _, own, bundle = table
     return FairnessReport(
         *_envy(*table),
         _bounded_envy(max, *table),
         _bounded_envy(min, *table),
-        *welfare(instance, matching),
+        # each agent's value: the students' own, then each college's own bundle
+        *_welfare(scale, own + [row[j] for j, row in enumerate(bundle)]),
     )

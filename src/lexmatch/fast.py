@@ -10,7 +10,7 @@ improves, which it reads off the demotion's record (see _state).
 The walk reads the capacities from the instance: the initial fill respects
 them and a full college is skipped.  A capacity that cannot bind
 (model._capacity_binds) never stops it.  cap_fast is another name for fast;
-the report says cap_fast when some capacity can bind.
+the report says cap_fast when some capacity can bind (RankedState.report).
 
 The walk is a heuristic, not an exact solver: its stopping rule can end
 before the optimum even at m=2.  On
@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 from ._state import RankedState, initial_boundary
 from .errors import NotAdmissibleError
-from .model import Instance, _capacity_binds, classify
+from .model import Instance, classify
 from .report import SolverReport
 
 
@@ -62,7 +62,7 @@ def fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverRepor
     ranked instance, so T_up > 2x."""
     if not fast_admissible(instance):
         raise NotAdmissibleError("solver requires a ranked isometric instance")
-    n, m = instance.n, instance.m
+    m = instance.m
     caps = instance.capacities
     state = RankedState(instance, initial_boundary(instance))
     k = state.k
@@ -100,17 +100,9 @@ def fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverRepor
         state.demote(up, j)
         emit()
 
-    steps = iterations + chain_moves + tuple_comparisons * (n + m)
-    return SolverReport(
-        algorithm="cap_fast" if _capacity_binds(instance) else "fast",
-        matching=state.matching(),
-        leximin=state.leximin(),
-        steps=steps,
-        counters={
-            "iterations": iterations,
-            "chain_moves": chain_moves,
-            "tuple_comparisons": tuple_comparisons,
-        },
+    return state.report(
+        "fast",
+        dict(iterations=iterations, chain_moves=chain_moves, tuple_comparisons=tuple_comparisons),
     )
 
 

@@ -20,7 +20,8 @@ boundaries right of it may have been fixed prematurely, so the run restarts
 from its end state, with only the colleges left of the smallest such giver
 upper-fixed.  Capacities that cannot bind (n - 1 or more) fill a college
 only when every other college holds one student; their runs never restart,
-and the report is named fast_gen rather than cap_fast_gen.
+and the report is named fast_gen rather than cap_fast_gen
+(RankedState.report).
 
 Demotion trials are never applied to be compared.  The state's ``table``
 holds, in O(m), the 2m - 1 values any trial can remove (R) and those it can
@@ -324,9 +325,9 @@ def _inner_run(
 def fast_gen(instance: Instance, on_state: Optional[Callable] = None) -> SolverReport:
     """Complete stable matching for general ranked valuations, aiming at the
     leximin optimum but not always reaching it (see the module docstring).
-    When a capacity can bind, the report is named cap_fast_gen and a run in
-    which a full college gave a student restarts (see the module
-    docstring)."""
+    When a capacity can bind, the report is named cap_fast_gen
+    (RankedState.report) and a run in which a full college gave a student
+    restarts (see the module docstring)."""
     _require_ranked(instance)
     m = instance.m
     binds = _capacity_binds(instance)
@@ -339,15 +340,7 @@ def fast_gen(instance: Instance, on_state: Optional[Callable] = None) -> SolverR
             break
         counters["reruns"] += 1
         fixes = FixSets(upper_fix=set(range(restart)) or {0}, lower_fix={m - 1})
-    steps = counters["iterations"] + counters["chain_moves"]
-    steps += counters["tuple_comparisons"] * (instance.n + m)
-    return SolverReport(
-        algorithm="cap_fast_gen" if binds else "fast_gen",
-        matching=state.matching(),
-        leximin=state.leximin(),
-        steps=steps,
-        counters=counters,
-    )
+    return state.report("fast_gen", counters)
 
 
 cap_fast_gen = fast_gen  # the one solver under its capacitated name

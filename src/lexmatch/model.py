@@ -17,7 +17,8 @@ kernel on first read.  ``Instance`` is the one way in: it checks rows and
 shape once, then types and flags the kernel columns as it builds them.  A
 ``ScaledLeximin`` is built from the agents' scaled ints by position and sorts
 them; who holds each, and its ``LeximinTuple`` of Fractions, are found only
-when read.
+when read.  It is the one form in which a solver holds its tuple and hands
+it to ``SolverReport``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import lcm
-from operator import countOf, ge, gt, itemgetter
+from operator import countOf, ge, gt
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import FrozenInstanceError, InvalidInputError
@@ -348,12 +349,14 @@ class Matching:
 
 
 def student_value(instance: Instance, matching: Matching, i: int) -> Fraction:
+    matching.validate(instance)
     scale, u, _ = instance._kernel
     j = matching.assignment[i]
     return Fraction(0 if j is None else u[j][i], scale)
 
 
 def college_value(instance: Instance, matching: Matching, j: int) -> Fraction:
+    matching.validate(instance)
     scale, _, v = instance._kernel
     return Fraction(sum(map(v[j].__getitem__, matching.members(instance, j))), scale)
 
@@ -412,13 +415,14 @@ class ScaledLeximin:
     ``values`` holds them sorted ascending, and ``agents[t]``, sorted when read,
     is the position of the agent holding ``values[t]``.  Scaling by one
     positive constant keeps order and equality, so the solvers compare these
-    directly.  ``view()`` is the public LeximinTuple, built on first call;
-    ``wire()`` the JSON."""
+    directly, and a SolverReport keeps the solver's own record.  ``view()``
+    is the public LeximinTuple, built on first call and cached; ``wire()``
+    the JSON."""
 
     __slots__ = ("scale", "n", "values", "_by_position", "_view")
 
-    def __init__(self, scale: int, n: int, by_position, view=None):
-        self.scale, self.n, self._by_position, self._view = scale, n, by_position, view
+    def __init__(self, scale: int, n: int, by_position):
+        self.scale, self.n, self._by_position, self._view = scale, n, by_position, None
         self.values = sorted(by_position)
 
     @property
@@ -426,22 +430,6 @@ class ScaledLeximin:
         # a stable sort keeps equal values in position order: students
         # first, each side by index, as LeximinTuple requires
         return sorted(range(len(self._by_position)), key=self._by_position.__getitem__)
-
-    @staticmethod
-    def of(t: LeximinTuple) -> "ScaledLeximin":
-        """The record of a LeximinTuple of exact values, kept as its view; an
-        agent_at that is not a permutation of the n+m agents is refused."""
-        values, agent_at = t.values, t.agent_at
-        scale = lcm(*{v.denominator for v in values})
-        n = list(map(itemgetter(0), agent_at)).count("s")
-        at = {("s", i): i for i in range(n)}
-        at.update((("c", j), n + j) for j in range(len(values) - n))
-        if len(agent_at) != len(values) or at.keys() != set(agent_at):
-            raise InvalidInputError(f"agent_at is not a permutation of the agents: {agent_at}")
-        by_position = [0] * len(at)
-        for a, v in zip(agent_at, values):
-            by_position[at[a]] = v.numerator * (scale // v.denominator)
-        return ScaledLeximin(scale, n, by_position, t)
 
     def view(self) -> LeximinTuple:
         if self._view is None:

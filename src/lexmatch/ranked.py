@@ -77,9 +77,14 @@ def boundary_from_matching(instance: Instance, matching: Matching) -> Optional[B
 def compositions(n: int, m: int, min_part: int = 0, caps=None) -> Iterator[tuple]:
     """Yield compositions of n into m parts, first part descending, each part
     in [min_part, cap].  With min_part=0 and no caps this yields all
-    C(n+m-1, m-1) compositions starting at (n, 0, ..., 0)."""
+    C(n+m-1, m-1) compositions starting at (n, 0, ..., 0).  m < 1, or caps
+    not one per part, raise InvalidInputError at the call."""
+    if m < 1:
+        raise InvalidInputError(f"compositions need at least one part, got m={m}")
     if caps is None:
         caps = [n] * m
+    elif len(caps) != m:
+        raise InvalidInputError(f"need one cap per part: {len(caps)} caps for m={m}")
 
     def rec(prefix, remaining, idx):
         if idx == m - 1:
@@ -93,7 +98,7 @@ def compositions(n: int, m: int, min_part: int = 0, caps=None) -> Iterator[tuple
         for part in range(hi, lo - 1, -1):
             yield from rec(prefix + (part,), remaining - part, idx + 1)
 
-    yield from rec((), n, 0)
+    return rec((), n, 0)
 
 
 def enumerate_stable(

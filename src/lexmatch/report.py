@@ -1,48 +1,44 @@
 """Solver output container shared by all algorithms.
 
-A report stores its leximin tuple as a ``ScaledLeximin``: the scaled ints
-the solvers already hold.  A Fraction is made only where a value leaves the
-library: ``report.leximin`` is the public ``LeximinTuple`` of Fractions,
-built on first read, and ``to_json_dict`` renders the wire strings from the
-ints, so a solve that is only serialized builds no Fraction for its tuple.
+A report takes its leximin tuple only as the ``ScaledLeximin`` the solver
+holds: the scaled ints it compared.  A Fraction is made only where a value
+leaves the library: ``report.leximin`` is the public, read-only
+``LeximinTuple`` of Fractions, built on first read and cached, and
+``to_json_dict`` renders the wire strings from the ints, so a solve that is
+only serialized builds no Fraction for its tuple.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from .model import LeximinTuple, Matching, ScaledLeximin
 
 
 class SolverReport:
     """What a solver returns: the matching, its leximin tuple, a step count
-    and the solver's own counters.  The leximin tuple may be given as a
-    ScaledLeximin or as a LeximinTuple of exact values (kept as the
-    record's view; an agent_at that is not a permutation of the n+m agents
-    raises InvalidInputError).  Reports are mutable and compare equal when every field
-    is equal."""
+    and the solver's own counters.  The leximin tuple is given as the
+    solver's ScaledLeximin and read back as a LeximinTuple.  Reports are
+    mutable, except for their tuple, and compare equal when every field is
+    equal."""
 
     def __init__(
         self,
         algorithm: str,
         matching: Matching,
-        leximin: Union[ScaledLeximin, LeximinTuple],
+        leximin: ScaledLeximin,
         steps: int,
         counters: Optional[dict] = None,
     ):
         self.algorithm = algorithm
         self.matching = matching
-        self.leximin = leximin
+        self._leximin = leximin
         self.steps = steps
         self.counters = {} if counters is None else counters
 
     @property
     def leximin(self) -> LeximinTuple:
         return self._leximin.view()
-
-    @leximin.setter
-    def leximin(self, value: Union[ScaledLeximin, LeximinTuple]) -> None:
-        self._leximin = value if isinstance(value, ScaledLeximin) else ScaledLeximin.of(value)
 
     def _fields(self) -> tuple:
         return (self.algorithm, self.matching, self.leximin, self.steps, self.counters)

@@ -204,3 +204,17 @@ def test_the_report_builds_no_fraction_rows(ref_instance):
         fairness_report(instance, Matching([0, 1] * (instance.n // 2)))
         assert "student_values" not in vars(instance)
         assert "college_values" not in vars(instance)
+
+
+def test_the_report_validates_the_matching_once(ref_instance, monkeypatch):
+    calls = []
+    validate = Matching.validate
+
+    def counted(self, instance, *args):
+        calls.append(self)
+        return validate(self, instance, *args)
+
+    monkeypatch.setattr(Matching, "validate", counted)
+    mu = Matching([0, 1, 1, 1])
+    fairness_report(ref_instance, mu)
+    assert calls == [mu]

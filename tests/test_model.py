@@ -575,6 +575,17 @@ def test_matchings_refuse_bool_colleges(ref_instance, check, college):
         check(ref_instance, Matching([college, 0, 1, 1]))
 
 
+@pytest.mark.parametrize(
+    "value, assignment",
+    [(student_value, [0]), (college_value, [0, 0]), (college_value, [0, 0, 7])],
+    ids=["student-short", "college-short", "college-invalid"],
+)
+def test_agent_values_refuse_a_matching_that_does_not_fit(value, assignment):
+    inst = generate(GenSpec("ranked", 5, 2, seed=1))
+    with pytest.raises(InvalidInputError):
+        value(inst, Matching(assignment), 0)
+
+
 def test_a_matching_hashes_as_its_assignment():
     for assignment in ([0, 1, None, 1], [], [2]):
         assert hash(Matching(assignment)) == hash(tuple(assignment))

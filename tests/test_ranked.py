@@ -80,6 +80,16 @@ class TestEnumeration:
             assert len(mus) == math.comb(inst.n + inst.m - 1, inst.m - 1)
             assert all(is_stable(inst, mu) is None for mu in mus)
 
+    @pytest.mark.parametrize(
+        "m, caps",
+        [(0, None), (-1, None), (3, [1]), (2, [3, 3, 3])],
+        ids=["no-part", "negative", "short-caps", "long-caps"],
+    )
+    def test_compositions_refuse_no_parts_and_caps_not_one_per_part(self, m, caps):
+        # the refusal comes at the call, before any composition is read
+        with pytest.raises(InvalidInputError):
+            compositions(3, m, caps=caps)
+
     def test_exactly_contiguous_matchings_are_stable(self):
         # complete-on-students matchings of a ranked instance are stable
         # iff they are contiguous block assignments

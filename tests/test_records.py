@@ -25,6 +25,7 @@ from lexmatch import (
     is_stable,
     solve_dispatch,
 )
+from lexmatch.model import ScaledLeximin, scaled_leximin
 
 REF_LEXIMIN = (
     "LeximinTuple(values=(Fraction(3, 1), Fraction(4, 1), Fraction(9, 1), "
@@ -129,10 +130,11 @@ def test_boundary_vector_refusal(k, message):
 
 def test_solver_report_fields_repr_equality_and_json(ref_instance):
     solved = fast(ref_instance)
+    matching = Matching([0, 1, 1, 1])
     report = SolverReport(
         algorithm="fast",
-        matching=Matching([0, 1, 1, 1]),
-        leximin=solved.leximin,
+        matching=matching,
+        leximin=scaled_leximin(ref_instance, matching),
         steps=5,
         counters={"iterations": 3, "chain_moves": 2, "tuple_comparisons": 0},
     )
@@ -151,47 +153,22 @@ def test_solver_report_fields_repr_equality_and_json(ref_instance):
     }
     with pytest.raises(TypeError):
         hash(report)
-    # mutable, as it was
+    # mutable, as it was, except for the solver's tuple
     report.steps = 6
     assert report != solved
     report.steps = 5
-    halves = LeximinTuple((Fraction(1, 2), Fraction(2)), (("s", 0), ("c", 0)))
-    report.leximin = halves
-    assert report.leximin is halves and report != solved
-    assert report.to_json_dict()["leximin"] == ["1/2", "2"]
-    report.leximin = solved.leximin
     assert report == solved
-    bare = SolverReport("oracle", Matching([0]), LeximinTuple((Fraction(1),), (("s", 0),)), 1)
+    with pytest.raises(AttributeError):
+        report.leximin = solved.leximin
+    assert report.leximin is report.leximin  # built once
+    # student 0 holds 1/2 and college 0 holds 2, at scale 2
+    halves = SolverReport("oracle", Matching([0]), ScaledLeximin(2, 1, [1, 4]), 1)
+    assert halves.leximin == LeximinTuple((Fraction(1, 2), Fraction(2)), (("s", 0), ("c", 0)))
+    assert halves.to_json_dict()["leximin"] == ["1/2", "2"]
+    one = ScaledLeximin(1, 1, [1])
+    bare = SolverReport("oracle", Matching([0]), one, 1)
     assert bare.counters == {} and bare.to_json_dict()["counters"] == {}
-    assert SolverReport("oracle", Matching([0]), bare.leximin, 1).counters is not bare.counters
-
-
-@pytest.mark.parametrize(
-    "agent_at",
-    [
-        (("s", 0), ("s", 0)),
-        (("s", 1), ("c", 0)),
-        (("s", 0), ("c", 1)),
-        (("s", 0), ("x", 0)),
-        (("s", 0),),
-        (("s", 0), ("c", 0), ("c", 1)),
-    ],
-    ids=["repeat", "student-out-of-range", "college-out-of-range", "no-side", "short", "long"],
-)
-def test_solver_report_refuses_agents_that_are_not_a_permutation(agent_at):
-    t = LeximinTuple((Fraction(1), Fraction(2)), agent_at)
-    with pytest.raises(InvalidInputError, match="agent_at is not a permutation"):
-        SolverReport("oracle", Matching([0]), t, 1)
-
-
-def test_solver_report_places_each_value_at_its_agent():
-    # the college holds the lower value, so it comes first in the tuple
-    t = LeximinTuple((Fraction(1, 2), Fraction(2)), (("c", 0), ("s", 0)))
-    report = SolverReport("oracle", Matching([0]), t, 1)
-    assert report._leximin._by_position == [4, 1] and report._leximin.scale == 2
-    assert report._leximin.agents == [1, 0]
-    assert report.to_json_dict()["leximin"] == ["1/2", "2"]
-    assert report.leximin is t
+    assert SolverReport("oracle", Matching([0]), one, 1).counters is not bare.counters
 
 
 def test_frozen_instance_error_lives_in_errors():
