@@ -4,8 +4,10 @@ Exit codes: 0 ok; 1 stdout closed before the output was written (a reader
 such as `head` stopped early); 2 invalid input: an unreadable input file, or
 one that does not parse, an integer over the interpreter's 4,300-digit limit
 or nesting deeper than its recursion limit included; 3 NP-hard regime (no
-exact solver); 4 infeasible; 5 enumeration budget exceeded, refused before
-the walk starts on the exact count of candidates it would visit.
+exact solver); 4 infeasible; 5 enumeration budget exceeded: on ranked input
+under --complete, refused before the walk on the exact count of compositions
+it would yield, and elsewhere once the walk has tried more placements than
+the budget.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .fastgen import fast_gen
 from .generate import CAPACITY_MODES, KINDS, GenSpec, generate
 # leximin_tuple is not called here; it is kept bound for perfbench/spans.py
 from .model import Instance, classify, is_stable, leximin_tuple, scaled_leximin
-from .oracle import _budgeted_walk, oracle_leximin
+from .oracle import candidates, oracle_leximin
 from .report import SolverReport
 from .serialize import (
     _decode,
@@ -123,7 +125,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     instance = load_instance(_read(args.instance))
-    walk = _budgeted_walk(instance, args.complete, args.respect_capacities, args.budget)
+    walk = candidates(instance, args.complete, args.respect_capacities, args.budget)
     results = [matching_to_dict(mu) for mu in walk if is_stable(instance, mu) is None]
     _emit({"stable_matchings": results, "count": len(results)})
     return EXIT_OK

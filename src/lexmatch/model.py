@@ -350,6 +350,8 @@ class Matching:
 
 def student_value(instance: Instance, matching: Matching, i: int) -> Fraction:
     matching.validate(instance)
+    if type(i) is not int or not 0 <= i < instance.n:
+        raise InvalidInputError(f"student index must be an int in [0, {instance.n}), got {i!r}")
     scale, u, _ = instance._kernel
     j = matching.assignment[i]
     return Fraction(0 if j is None else u[j][i], scale)
@@ -357,6 +359,8 @@ def student_value(instance: Instance, matching: Matching, i: int) -> Fraction:
 
 def college_value(instance: Instance, matching: Matching, j: int) -> Fraction:
     matching.validate(instance)
+    if type(j) is not int or not 0 <= j < instance.m:
+        raise InvalidInputError(f"college index must be an int in [0, {instance.m}), got {j!r}")
     scale, _, v = instance._kernel
     return Fraction(sum(map(v[j].__getitem__, matching.members(instance, j))), scale)
 

@@ -1,13 +1,10 @@
 """Brute-force ground truth: enumerate, filter by stability, take the
 leximin maximum.  Deliberately has no shared code with the solvers beyond
-the core model, so it can serve as an independent check.  The oracle's
-budget and `lexmatch enumerate --budget` are one rule: candidate_count gives
-the exact number of candidates the walk would visit, capacities included,
-and a walk over budget is refused before it starts."""
+the core model, so it can serve as an independent check."""
 
 from __future__ import annotations
 
-import itertools
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import BudgetExceededError, InfeasibleError, InvalidInputError
@@ -24,76 +21,87 @@ from .report import SolverReport
 
 
 def candidates(
-    instance: Instance, require_complete: bool = False, respect_capacities: bool = False
+    instance: Instance, require_complete=False, respect_capacities=False, budget: int = 10**7
 ) -> Iterator[Matching]:
-    """Every matching that can be stable under the constraints, in a fixed
-    order.  Ranked instances need only one per contiguous block assignment
-    (enumerate_stable); all other instances get the full assignment space."""
-    if classify(instance).ranked:
-        yield from enumerate_stable(instance, require_complete, respect_capacities)
-        return
-    n, m = instance.n, instance.m
-    choices = range(m) if require_complete else [None, *range(m)]
-    for assignment in itertools.product(choices, repeat=n):
-        if respect_capacities:
-            if any(
-                assignment.count(j) > instance.capacities[j] for j in range(m)
-            ):
-                continue
-        mu = Matching(assignment)
-        if require_complete and not mu.is_complete(instance):
-            continue
-        yield mu
-
-
-def candidate_count(
-    instance: Instance, require_complete: bool = False, respect_capacities: bool = False
-) -> int:
-    """How many matchings `candidates` visits with the same arguments.  On a
-    ranked instance it yields every one it visits: the compositions of n
-    into m parts, each part at least 1 under require_complete and at most
-    its college's capacity under respect_capacities, counted part by part
-    with prefix sums in O(m n).  Elsewhere it visits every assignment of
-    the n students, (m+1)^n or m^n, and filters them after."""
-    n, m = instance.n, instance.m
-    if not classify(instance).ranked:
-        return (m if require_complete else m + 1) ** n
-    lo = 1 if require_complete else 0
-    ways = [1] + [0] * n  # ways[t]: compositions of t into the parts so far
-    for cap in instance.capacities if respect_capacities else (n,) * m:
-        # the next part is lo..cap: ways[t] becomes ways[t-cap] + ... + ways[t-lo]
-        sums = list(itertools.accumulate(ways, initial=0))
-        ways = [sums[max(t - lo + 1, 0)] - sums[max(t - cap, 0)] for t in range(n + 1)]
-    return ways[n]
-
-
-def _budgeted_walk(
-    instance: Instance, require_complete: bool, respect_capacities: bool, budget: int
-) -> Iterator[Matching]:
-    """`candidates`, refused up front if budget is not a plain non-negative
-    int (a bool is not) or the walk would visit more than budget."""
+    """The one walk of the oracle and `lexmatch enumerate`.  Ranked input
+    under require_complete needs one matching per composition of n into m
+    nonempty blocks (enumerate_stable), refused before the walk if they
+    number more than budget, a plain non-negative int; all other input gets
+    _pruned_walk, refused once it tries more than budget placements."""
     if type(budget) is not int or budget < 0:
         raise InvalidInputError(f"budget must be a non-negative int, got {budget!r}")
-    count = candidate_count(instance, require_complete, respect_capacities)
-    if count > budget:
-        raise BudgetExceededError(f"{count} candidates exceed the budget of {budget}")
-    return candidates(instance, require_complete, respect_capacities)
+    if not (require_complete and classify(instance).ranked):
+        return _pruned_walk(instance, require_complete, respect_capacities, budget)
+    n = instance.n
+    ways = [1] + [0] * n  # ways[t]: compositions of t into the parts so far
+    for cap in instance.capacities if respect_capacities else (n,) * instance.m:
+        # the next part is 1..cap: ways[t] becomes ways[t-cap] + ... + ways[t-1]
+        sums = list(accumulate(ways, initial=0))
+        ways = [sums[t] - sums[max(t - cap, 0)] for t in range(n + 1)]
+    if ways[n] > budget:
+        raise BudgetExceededError(f"{ways[n]} candidates exceed the budget of {budget}")
+    return enumerate_stable(instance, require_complete, respect_capacities)
+
+
+def _pruned_walk(instance, require_complete, respect_capacities, budget) -> Iterator[Matching]:
+    """The stable matchings in the product's order: students 0..n-1 placed
+    depth first on an explicit stack, each to None (unless require_complete),
+    then to colleges 0..m-1.  A placement is cut when the college is full,
+    when the student blocks with a nonempty college, when the college's
+    floor (least member value) falls and an earlier student now blocks with
+    it, or when too few students remain to fill the empty colleges.  Floors
+    only fall, so a blocking pair among placed students stays blocking."""
+    _, u, v = instance._kernel
+    n, m = instance.n, instance.m
+    caps = instance.capacities if respect_capacities else (n,) * m
+    choices = range(m) if require_complete else (None, *range(m))
+    size, floor = [0] * m, [1 + max(map(max, v))] * m  # floor[j]: above all v while j is empty
+    placed = []  # per placed student: college, value there, the college's old floor
+    tries = [0]  # tries[i]: how many of student i's choices have been tried
+    tried = 0
+    while tries:
+        i = len(tries) - 1
+        if len(placed) > i:  # student i's subtree is done: take it out
+            c, _, old = placed.pop()
+            if c is not None:
+                size[c], floor[c] = size[c] - 1, old
+        if tries[i] == len(choices):
+            tries.pop()
+            continue
+        c = choices[tries[i]]
+        tries[i] += 1
+        tried += 1
+        if tried > budget:
+            raise BudgetExceededError(f"placements tried exceed the budget of {budget}")
+        mine, old = (0, None) if c is None else (u[c][i], floor[c])
+        if c is not None and size[c] == caps[c]:
+            continue
+        if any(uj[i] > mine and vj[i] > f for uj, vj, f in zip(u, v, floor)):
+            continue
+        if c is not None:
+            low = v[c][i]
+            # an earlier student blocks if it prefers c and c prefers it to low
+            if low < old and any(x > h and y > low for x, (_, h, _), y in zip(u[c], placed, v[c])):
+                continue
+            size[c], floor[c] = size[c] + 1, min(low, old)
+        placed.append((c, mine, old))
+        if require_complete and size.count(0) > n - 1 - i:
+            continue
+        if i + 1 < n:
+            tries.append(0)
+        else:
+            yield Matching([c for c, _, _ in placed])
 
 
 def oracle_leximin(
-    instance: Instance,
-    require_complete: bool = False,
-    respect_capacities: bool = False,
-    budget: int = 10**7,
+    instance: Instance, require_complete=False, respect_capacities=False, budget: int = 10**7
 ) -> SolverReport:
-    """Leximin-optimal stable matching by exhaustive search.  Ranked
-    instances only need one candidate per contiguous block assignment; all
-    other instances get the full assignment space.  Ties in the optimum go to
-    the first-enumerated matching.  budget caps the candidates visited."""
-    walk = _budgeted_walk(instance, require_complete, respect_capacities, budget)
+    """Leximin-optimal stable matching by exhaustive search: every one of
+    `candidates` is judged by is_stable, and ties in the optimum go to the
+    first-enumerated matching."""
     best = best_tuple = None
     enumerated = stable_count = 0
-    for mu in walk:
+    for mu in candidates(instance, require_complete, respect_capacities, budget):
         enumerated += 1
         if is_stable(instance, mu) is not None:
             continue

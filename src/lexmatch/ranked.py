@@ -77,14 +77,13 @@ def boundary_from_matching(instance: Instance, matching: Matching) -> Optional[B
 def compositions(n: int, m: int, min_part: int = 0, caps=None) -> Iterator[tuple]:
     """Yield compositions of n into m parts, first part descending, each part
     in [min_part, cap].  With min_part=0 and no caps this yields all
-    C(n+m-1, m-1) compositions starting at (n, 0, ..., 0).  m < 1, or caps
-    not one per part, raise InvalidInputError at the call."""
+    C(n+m-1, m-1) compositions starting at (n, 0, ..., 0).  caps is read once,
+    as a list; m < 1, or caps not one plain int per part, raise at the call."""
     if m < 1:
         raise InvalidInputError(f"compositions need at least one part, got m={m}")
-    if caps is None:
-        caps = [n] * m
-    elif len(caps) != m:
-        raise InvalidInputError(f"need one cap per part: {len(caps)} caps for m={m}")
+    caps = [n] * m if caps is None else list(caps)
+    if len(caps) != m or any(type(cap) is not int for cap in caps):
+        raise InvalidInputError(f"need one plain int cap per part, got {caps} for m={m}")
 
     def rec(prefix, remaining, idx):
         if idx == m - 1:

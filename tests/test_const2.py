@@ -457,6 +457,21 @@ class TestFastConst:
             checked += 1
         assert infeasible > 0
 
+    @pytest.mark.parametrize("kind", ["strict", "ranked"])
+    def test_oracle_equality_beyond_the_product_walk(self, kind):
+        # the oracle's pruned walk (on strict input) reaches n = 40, where a
+        # walk over all 2^n assignments cannot
+        for n in range(20, 41):
+            for capacity_mode in ("none", "random"):
+                for value_max in (None, n + 3):
+                    spec = GenSpec(kind, n, 2, seed=n, capacity_mode=capacity_mode,
+                                   value_max=value_max)
+                    inst = generate(spec)
+                    got = fast_const(inst)
+                    want = oracle_leximin(inst, require_complete=True, respect_capacities=True)
+                    assert got.matching == want.matching, spec
+                    assert got.leximin.values == want.leximin.values, spec
+
     def test_oracle_equality_random(self):
         for inst in _strict_m2_instances(seed=63, count=100, n_max=7):
             got = fast_const(inst).leximin.values

@@ -25,6 +25,8 @@ digests change only in a change that states an output change, which
 records them again with
 
     PYTHONPATH=src python tests/test_equivalence.py --record
+
+which prints each (key, column) whose digest moved.
 """
 
 import hashlib
@@ -251,7 +253,15 @@ def test_outputs_match_the_recorded_digests(key):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py --record")
+    before = _recorded() if DATA.exists() else {}
+    after = {key: digests(inst) for key, inst in SWEEP.items()}
+    # name every (key, column) that moved, so a stated change lists exactly what
+    for key in sorted(before.keys() | after.keys()):
+        was, now = before.get(key, {}), after.get(key, {})
+        for column in sorted(was.keys() | now.keys()):
+            if was.get(column) != now.get(column):
+                print(key, column)
     DATA.parent.mkdir(exist_ok=True)
     with open(DATA, "w", encoding="utf-8") as fh:
-        json.dump({key: digests(inst) for key, inst in SWEEP.items()}, fh, indent=1, sort_keys=True)
+        json.dump(after, fh, indent=1, sort_keys=True)
         fh.write("\n")

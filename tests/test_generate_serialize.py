@@ -377,11 +377,14 @@ class TestCli:
         "flags",
         [[], ["--complete"], ["--respect-capacities"], ["--complete", "--respect-capacities"]],
     )
-    def test_enumerate_general_matches_brute_force(self, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("kind", ["weak", "ranked", "ranked_isometric"])
+    def test_enumerate_general_matches_brute_force(self, tmp_path, capsys, flags, kind):
+        # ranked input too: without --complete a stable matching may leave
+        # students unmatched, which no composition describes
         inst = generate(
-            GenSpec(kind="weak", n=5, m=3, seed=4, capacity_mode="uniform", capacity=2)
+            GenSpec(kind=kind, n=5, m=3, seed=4, capacity_mode="uniform", capacity=2)
         )
-        assert not classify(inst).ranked
+        assert classify(inst).ranked == (kind != "weak")
         path = _write(tmp_path, "inst.json", dump_instance(inst))
         assert main(["enumerate", "--instance", path, *flags]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -403,13 +406,14 @@ class TestCli:
     @pytest.mark.parametrize(
         "kind,flags,limit",
         [
-            ("ranked", [], 5),  # compositions of 4 into 2
-            ("ranked", ["--complete"], 3),
-            # capacities of 3 drop (4, 0) and (0, 4) from the walk, though
-            # the composition space still holds 5
-            ("ranked", ["--respect-capacities"], 3),
-            ("weak", [], 3**4),  # every assignment, unmatched students included
-            ("weak", ["--complete"], 2**4),
+            # the placements the pruned walk tries, cut ones included
+            ("ranked", [], 60),
+            ("ranked", ["--complete"], 3),  # compositions of 4 into 2 nonempty parts
+            # capacities of 3 cut the placements that fill a college with a
+            # fourth student, but those are tried too
+            ("ranked", ["--respect-capacities"], 60),
+            ("weak", [], 60),
+            ("weak", ["--complete"], 20),
         ],
     )
     def test_enumerate_budget_boundary(self, tmp_path, capsys, kind, flags, limit):

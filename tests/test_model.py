@@ -576,14 +576,27 @@ def test_matchings_refuse_bool_colleges(ref_instance, check, college):
 
 
 @pytest.mark.parametrize(
-    "value, assignment",
-    [(student_value, [0]), (college_value, [0, 0]), (college_value, [0, 0, 7])],
-    ids=["student-short", "college-short", "college-invalid"],
+    "value, assignment, index",
+    [
+        (student_value, [0], 0),
+        (college_value, [0, 0], 0),
+        (college_value, [0, 0, 7], 0),
+        # -1 once read the last agent (student 4's 10, college 1's 111)
+        (student_value, [0, 0, 1, 1, 1], -1),
+        (college_value, [0, 0, 1, 1, 1], -1),
+        (student_value, [0, 0, 1, 1, 1], 7),
+        (college_value, [0, 0, 1, 1, 1], 5),
+        (student_value, [0, 0, 1, 1, 1], True),
+    ],
+    ids=[
+        "student-short", "college-short", "college-invalid", "student-minus-one",
+        "college-minus-one", "student-past-n", "college-past-m", "student-bool",
+    ],
 )
-def test_agent_values_refuse_a_matching_that_does_not_fit(value, assignment):
+def test_agent_values_refuse_a_matching_or_an_index_that_does_not_fit(value, assignment, index):
     inst = generate(GenSpec("ranked", 5, 2, seed=1))
     with pytest.raises(InvalidInputError):
-        value(inst, Matching(assignment), 0)
+        value(inst, Matching(assignment), index)
 
 
 def test_a_matching_hashes_as_its_assignment():

@@ -1,7 +1,7 @@
 import itertools
 import json
 import math
-from types import SimpleNamespace
+import operator
 
 import pytest
 
@@ -12,7 +12,6 @@ from lexmatch import (
     Instance,
     InvalidInputError,
     Matching,
-    classify,
     dump_instance,
     generate,
     is_stable,
@@ -25,7 +24,7 @@ from lexmatch import (
 from lexmatch import cli, oracle
 from lexmatch.generate import CAPACITY_MODES, KINDS
 from lexmatch.model import GREATER
-from lexmatch.oracle import candidate_count, candidates
+from lexmatch.oracle import candidates
 from lexmatch.reference import ranked_dp
 
 from conftest import random_instances
@@ -77,8 +76,10 @@ class TestOracle:
     def test_counters(self, ref_instance):
         report = oracle_leximin(ref_instance)
         assert report.algorithm == "oracle"
-        assert report.counters["enumerated"] == 5  # compositions of 4 into 2
-        assert report.counters["stable"] == 5
+        # the pruned walk yields only stable matchings: the 5 compositions
+        # of 4 into 2 and 10 that leave a suffix of the students unmatched
+        assert report.counters["enumerated"] == 15
+        assert report.counters["stable"] == 15
 
     @pytest.mark.parametrize("n,m", [(6, 3), (7, 2), (5, 5), (4, 1)])
     def test_steps_count_one_candidate_per_composition(self, n, m):
@@ -124,75 +125,99 @@ class TestOracle:
 
 
 def _specs(kind):
-    """Specs of one generate kind at n <= 7 under capacities none, random
-    and uniform (the tightest uniform bound).  The general assignment space
-    is walked whole, so there it stays at (m+1)^n <= 4096, and the kinds
-    that need two value cells start at n*m = 2."""
+    """Specs of one generate kind at n <= 7 and m <= 3 under capacities
+    none, random and uniform (the tightest uniform bound).  The kinds that
+    need two value cells start at n*m = 2."""
     general = kind not in ("ranked", "ranked_isometric")
     for n in range(1, 8):
-        for m in range(1, n + 1):
-            if general and ((m + 1) ** n > 4096 or n * m < 2):
+        for m in range(1, min(n, 3) + 1):
+            if general and n * m < 2:
                 continue
             for mode in CAPACITY_MODES:
                 yield GenSpec(kind, n, m, seed=n * m, capacity_mode=mode, capacity=-(-n // m))
 
 
+def _product_walk(inst, require_complete, respect_capacities):
+    """The reference walk: every assignment of the students in
+    itertools.product's order, filtered afterwards by capacity,
+    completeness and stability."""
+    choices = range(inst.m) if require_complete else [None, *range(inst.m)]
+    for assignment in itertools.product(choices, repeat=inst.n):
+        mu = Matching(assignment)
+        sizes = map(len, mu.college_view(inst.m))
+        if respect_capacities and any(map(operator.gt, sizes, inst.capacities)):
+            continue
+        if require_complete and not mu.is_complete(inst):
+            continue
+        if is_stable(inst, mu) is None:
+            yield mu
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_candidate_count_is_what_the_walk_visits(monkeypatch, kind):
-    # a ranked walk visits only the compositions it yields; the general walk
-    # visits every assignment of its product and filters after
-    visited = []
-
-    def product(*args, **kwargs):
-        for assignment in itertools.product(*args, **kwargs):
-            visited.append(assignment)
-            yield assignment
-
-    monkeypatch.setattr(
-        oracle, "itertools", SimpleNamespace(product=product, accumulate=itertools.accumulate)
-    )
+def test_the_walk_yields_the_product_walks_stable_matchings_in_its_order(kind):
+    # the pruned walk, and the composition walk on ranked input under
+    # require_complete, yield exactly what the product walk keeps
     for spec in _specs(kind):
         inst = generate(spec)
         for flags in itertools.product((False, True), repeat=2):
-            visited.clear()
-            yielded = len(list(candidates(inst, *flags)))
-            want = yielded if classify(inst).ranked else len(visited)
-            assert candidate_count(inst, *flags) == want >= yielded, (spec, flags)
+            got, want = list(candidates(inst, *flags)), list(_product_walk(inst, *flags))
+            assert got == want, (spec, flags)
 
 
 def test_enumerate_refuses_before_checking_any_candidate(tmp_path, capsys, monkeypatch):
-    # C(204, 4) = 70,058,751 candidates, counted before the walk starts
+    # ranked input under --complete: C(199, 4) = 63,391,251 compositions,
+    # counted before the walk starts
     def is_stable(*args):
         raise AssertionError("a candidate was checked")
 
     monkeypatch.setattr(cli, "is_stable", is_stable)
     path = tmp_path / "inst.json"
     path.write_text(dump_instance(generate(GenSpec("ranked", 200, 5, seed=1))))
-    assert cli.main(["enumerate", "--instance", str(path)]) == 5
-    assert "70058751 candidates exceed the budget of 1000000" in capsys.readouterr().err
+    assert cli.main(["enumerate", "--instance", str(path), "--complete"]) == 5
+    assert "63391251 candidates exceed the budget of 1000000" in capsys.readouterr().err
+
+
+def test_enumerate_refuses_a_deep_walk_during_the_walk(tmp_path, capsys):
+    # 2,000 students deep: the walk's stack is explicit, so the refusal is
+    # exit 5, not a RecursionError
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(generate(GenSpec("weak", 2000, 2, seed=1))))
+    assert cli.main(["enumerate", "--instance", str(path), "--budget", "5000"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: BUDGET_EXCEEDED: placements tried exceed the budget of 5000\n"
+
+
+def _refuse_to_walk(monkeypatch):
+    """Make counting the compositions (which reads the flags) or starting
+    the pruned walk fail the test."""
+
+    def walk(*args):
+        raise AssertionError("the walk was counted or started")
+
+    monkeypatch.setattr(oracle, "classify", walk)
+    monkeypatch.setattr(oracle, "_pruned_walk", walk)
 
 
 @pytest.mark.parametrize("budget", [-1, "x", True, False, 10.0, None])
 def test_a_budget_that_is_not_a_non_negative_int_is_refused_before_counting(
     monkeypatch, budget
 ):
-    def count(*args):
-        raise AssertionError("the candidates were counted")
-
-    monkeypatch.setattr(oracle, "candidate_count", count)
+    _refuse_to_walk(monkeypatch)
     inst = generate(GenSpec("ranked", 4, 2, seed=0))
-    with pytest.raises(InvalidInputError, match="budget must be a non-negative int"):
-        oracle_leximin(inst, budget=budget)
+    for flags in itertools.product((False, True), repeat=2):
+        with pytest.raises(InvalidInputError, match="budget must be a non-negative int"):
+            oracle_leximin(inst, *flags, budget=budget)
 
 
-def test_enumerate_refuses_a_negative_budget_as_invalid_input(tmp_path, capsys, monkeypatch):
-    def count(*args):
-        raise AssertionError("the candidates were counted")
-
+@pytest.mark.parametrize("complete", [[], ["--complete"]])
+def test_enumerate_refuses_a_negative_budget_as_invalid_input(
+    tmp_path, capsys, monkeypatch, complete
+):
     path = tmp_path / "inst.json"
     path.write_text(dump_instance(generate(GenSpec("ranked", 40, 8, seed=1))))
-    monkeypatch.setattr(oracle, "candidate_count", count)
-    assert cli.main(["enumerate", "--instance", str(path), "--budget", "-1"]) == 2
+    _refuse_to_walk(monkeypatch)
+    assert cli.main(["enumerate", "--instance", str(path), *complete, "--budget", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid input: budget must be a non-negative int, got -1" in captured.err
@@ -202,7 +227,13 @@ def test_a_zero_budget_refuses_any_non_empty_walk(tmp_path, capsys):
     inst = generate(GenSpec("ranked", 4, 2, seed=0))
     path = tmp_path / "inst.json"
     path.write_text(dump_instance(inst))
-    assert cli.main(["enumerate", "--instance", str(path), "--budget", "0"]) == 5
-    assert "5 candidates exceed the budget of 0" in capsys.readouterr().err
-    with pytest.raises(BudgetExceededError, match="exceed the budget of 0"):
-        oracle_leximin(inst, budget=0)
+    args = ["enumerate", "--instance", str(path), "--budget", "0"]
+    # the pruned walk refuses its first placement; under --complete the
+    # C(3, 1) = 3 compositions are refused before the walk
+    assert cli.main(args) == 5
+    assert "placements tried exceed the budget of 0" in capsys.readouterr().err
+    assert cli.main([*args, "--complete"]) == 5
+    assert "3 candidates exceed the budget of 0" in capsys.readouterr().err
+    for complete in (False, True):
+        with pytest.raises(BudgetExceededError, match="exceed the budget of 0"):
+            oracle_leximin(inst, complete, budget=0)

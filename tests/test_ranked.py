@@ -82,13 +82,16 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "m, caps",
-        [(0, None), (-1, None), (3, [1]), (2, [3, 3, 3])],
-        ids=["no-part", "negative", "short-caps", "long-caps"],
+        [(0, None), (-1, None), (3, [1]), (2, [3, 3, 3]), (2, [1.0, 2]), (2, [True, 2])],
+        ids=["no-part", "negative", "short-caps", "long-caps", "float-cap", "bool-cap"],
     )
     def test_compositions_refuse_no_parts_and_caps_not_one_per_part(self, m, caps):
         # the refusal comes at the call, before any composition is read
         with pytest.raises(InvalidInputError):
             compositions(3, m, caps=caps)
+
+    def test_compositions_read_caps_once(self):
+        assert list(compositions(3, 2, caps=iter([1, 2]))) == [(1, 2)]
 
     def test_exactly_contiguous_matchings_are_stable(self):
         # complete-on-students matchings of a ranked instance are stable
