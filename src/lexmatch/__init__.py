@@ -38,8 +38,6 @@ from .oracle import oracle_leximin
 from .ranked import (
     BoundaryVector,
     boundary_from_matching,
-    compositions,
-    enumerate_stable,
     matching_from_boundary,
 )
 from .report import SolverReport
@@ -114,12 +112,10 @@ __all__ = [
     "check_alpha_approx",
     "classify",
     "college_value",
-    "compositions",
     "dump_instance",
     "dump_matching",
     "ef1_check",
     "efx_check",
-    "enumerate_stable",
     "envy_totals",
     "fairness_report",
     "fast",

@@ -5,9 +5,9 @@ such as `head` stopped early); 2 invalid input: an unreadable input file, or
 one that does not parse, an integer over the interpreter's 4,300-digit limit
 or nesting deeper than its recursion limit included; 3 NP-hard regime (no
 exact solver); 4 infeasible; 5 enumeration budget exceeded: on ranked input
-under --complete, refused before the walk on the exact count of compositions
-it would yield, and elsewhere once the walk has tried more placements than
-the budget.
+under --complete, refused before the walk on the exact count of block
+assignments it would yield, and elsewhere once the walk has tried more
+placements than the budget.
 """
 
 from __future__ import annotations

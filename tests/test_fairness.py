@@ -14,6 +14,7 @@ from lexmatch import (
     oracle_leximin,
     welfare,
 )
+from lexmatch.oracle import candidates
 
 from conftest import random_instances
 from test_equivalence import SWEEP
@@ -131,12 +132,10 @@ class TestReportAndLeximinLink:
     def test_leximin_optimum_maximizes_egalitarian_among_stable(self):
         # the leximin optimum's first coordinate is the egalitarian optimum
         # over complete stable matchings
-        from lexmatch import enumerate_stable
-
         for inst in random_instances("ranked", seed=87, count=15, n_max=7, m_max=3):
             opt = oracle_leximin(inst, require_complete=True)
             egal_opt = welfare(inst, opt.matching)[0]
-            for mu in enumerate_stable(inst, require_complete=True):
+            for mu in candidates(inst, require_complete=True):
                 assert welfare(inst, mu)[0] <= egal_opt
 
 

