@@ -166,6 +166,49 @@ def test_the_walk_yields_the_product_walks_stable_matchings_in_its_order(kind):
             assert got == want, (spec, flags)
 
 
+@pytest.mark.parametrize(
+    "n, caps",
+    [(5, (5, 5, 5)), (6, (2, 3, 2)), (7, (2, 3, 2)), (8, (2, 3, 2)), (2, (2, 2, 2)),
+     (4, (4,)), (4, (1, 1, 1, 1)), (9, (9, 1, 4, 2))],
+    ids=["loose", "capped", "caps-fill", "caps-short", "few-students",
+         "one-college", "one-each", "mixed"],
+)
+def test_the_block_walk_yields_the_capped_compositions_in_descending_lex_order(n, caps):
+    # every k with 1 <= k_j <= caps[j] summing to n, each k_j largest
+    # first, as colleges 0..m-1 taking the next k_j students in turn
+    sizes = itertools.product(*(range(cap, 0, -1) for cap in caps))
+    want = [
+        Matching([j for j, kj in enumerate(k) for _ in range(kj)])
+        for k in sizes if sum(k) == n
+    ]
+    assert list(oracle._block_walk(n, caps)) == want
+
+
+# (placements tried, stable matchings) on each kind at n = 8, m = 3,
+# uniform capacity 3 and seed 5, under the flag pairs (require_complete,
+# respect_capacities) in product order: the figures of the walk that
+# rescanned the placed students for a falling floor, before it kept a rival
+# per college.  Ranked input under require_complete counts compositions
+# instead, refused before the walk.
+PLACEMENTS_TRIED = {
+    "ranked_isometric": [(1320, 165), (900, 63), (21, 21), (3, 3)],
+    "ranked": [(1320, 165), (900, 63), (21, 21), (3, 3)],
+    "strict": [(1456, 193), (972, 69), (447, 37), (231, 7)],
+    "weak": [(1664, 221), (1116, 74), (567, 52), (309, 12)],
+    "weak_ranked_isometric": [(1320, 165), (900, 63), (351, 21), (180, 3)],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_budget_counts_the_same_placements_tried_as_the_rescanning_walk(kind):
+    inst = generate(GenSpec(kind, 8, 3, seed=5, capacity_mode="uniform", capacity=3))
+    flag_pairs = itertools.product((False, True), repeat=2)
+    for flags, (tried, stable) in zip(flag_pairs, PLACEMENTS_TRIED[kind], strict=True):
+        assert sum(1 for _ in candidates(inst, *flags, budget=tried)) == stable, flags
+        with pytest.raises(BudgetExceededError):
+            list(candidates(inst, *flags, budget=tried - 1))
+
+
 def test_enumerate_refuses_before_checking_any_candidate(tmp_path, capsys, monkeypatch):
     # ranked input under --complete: C(199, 4) = 63,391,251 compositions,
     # counted before the walk starts
