@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from math import lcm
-from operator import countOf, ge, gt
+from operator import countOf, ge, gt, iconcat
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import FrozenInstanceError, InvalidInputError
@@ -95,8 +95,8 @@ class Instance:
 
     student_values: n rows of m entries, row i = student i's value for each college.
     college_values: m rows of n entries, row j = college j's value for each student.
-    capacities: one positive bound per college, each at most n; None gives
-    n-1 each (n if there is a single college).
+    capacities: a list or tuple of one positive bound per college, each at
+    most n; None gives n-1 each (n if there is a single college).
 
     Both matrices must be lists of list rows, then nonempty and of fitting
     row lengths, and only then is each value parsed once into the integer
@@ -117,13 +117,36 @@ class Instance:
             raise InvalidInputError("student value row length != number of colleges")
         if set(map(len, college_values)) != {n}:
             raise InvalidInputError("college value row length != number of students")
-        kernel, flags = _kernel(student_values, college_values)
+        self._settle(*_kernel(student_values, college_values), capacities)
+
+    @classmethod
+    def _from_flat(cls, flat: list, college_values, capacities) -> "Instance":
+        """The instance whose student rows, each of m = len(college_values)
+        values, lie end to end in `flat`: what the constructor gives for
+        those rows, without making them when every value is a plain
+        non-negative int.  The caller has checked the shape: n = len(flat)
+        / m >= 1, and the college values are m >= 1 list rows of n each."""
+        m = len(college_values)
+        found = _int_kernel(_slices(tuple(flat), m), tuple(map(tuple, college_values)))
+        if found is None:
+            # values to parse: the constructor names the first bad one
+            rows = [flat[i : i + m] for i in range(0, len(flat), m)]
+            return cls(rows, college_values, capacities)
+        instance = cls.__new__(cls)
+        instance._settle(*found, capacities)
+        return instance
+
+    def _settle(self, kernel, flags, capacities) -> None:
+        """Check the capacities against the kernel's n and m, then set the
+        fields."""
+        n, m = len(kernel[1][0]), len(kernel[1])
         if capacities is None:
             capacities = (max(1, n - 1) if m > 1 else n,) * m
-        try:
-            capacities = tuple(capacities)
-        except TypeError as exc:
-            raise InvalidInputError("need exactly one capacity per college") from exc
+        elif not isinstance(capacities, (list, tuple)):
+            # as for value rows: a set, a dict, bytes or a string is iterable
+            # too, and would be read in its own order or element by element
+            raise InvalidInputError("capacities must be a list of ints, one per college")
+        capacities = tuple(capacities)
         for j, b in enumerate(capacities):
             if not isinstance(b, int) or isinstance(b, bool) or b < 1 or b > n:
                 raise InvalidInputError(
@@ -190,9 +213,12 @@ class Instance:
     @staticmethod
     def from_matrix(matrix, capacities=None) -> "Instance":
         """Build an isometric instance from a single n-by-m matrix V where
-        V[i][j] is both u_i(c_j) and v_j(s_i)."""
+        V[i][j] is both u_i(c_j) and v_j(s_i).  The college rows are V's
+        columns, cut by _columns as the kernel's are, so neither transpose
+        makes an iterator per row.  m is the first row's length: a ragged V
+        is refused by the student row check."""
         _check_rows(matrix, "matrix")
-        return Instance(matrix, list(zip(*matrix)), capacities)
+        return Instance(matrix, _columns(matrix, len(matrix[0]) if matrix else 0), capacities)
 
 
 def _check_rows(rows, name: str) -> None:
@@ -224,25 +250,36 @@ def _classify(u, v) -> "ClassificationFlags":
     )
 
 
+def _columns(rows, m: int) -> tuple:
+    """The m columns of rows of m values each, as tuples.  The rows are
+    flattened once (extending one list by a list or tuple row makes no
+    iterator) and each column is a slice of the flat copy, so this allocates
+    O(m) GC-tracked objects.  zip(*rows) would hold one iterator per row: on
+    2,000 rows of 4 those set off about 1.8 young-generation collections
+    per build at the default threshold."""
+    return _slices(tuple(reduce(iconcat, rows, [])), m)
+
+
+def _slices(flat: tuple, m: int) -> tuple:
+    """The m columns of rows laid end to end in `flat`."""
+    return tuple(flat[j::m] for j in range(m))
+
+
 def _kernel(student_values, college_values) -> tuple:
     """The kernel (scale, u, v) of value matrices of checked shape, and its
     flags: every value times `scale`, the LCM of all value denominators, as
-    plain ints, with the student rows transposed so that both sides are m
-    tuples of n; scaling by one positive constant keeps every order, equality
-    and sum exact.  Plain non-negative ints (not bools) are the kernel as they
-    stand: types are tested column by column at C speed, and a weakly ranked
-    kernel's rows have their minimum last.  Anything else goes row by row
-    through as_value, so a refusal names the first bad value read, and then
-    takes the int path scaled.  An isometric kernel is (scale, u, u)."""
-    u = tuple(zip(*student_values))
-    v = tuple(map(tuple, college_values))
-    # types compare by identity, so a bool, an IntEnum or any other int
-    # subclass is not counted; no column is empty (n, m >= 1)
-    if all(countOf(map(type, col), int) == len(col) for col in chain(u, v)):
-        flags = _classify(u, v)
-        lows = (u[-1], [col[-1] for col in v]) if flags.weakly_ranked else chain(u, v)
-        if min(map(min, lows)) >= 0:
-            return (1, u, u if flags.isometric else v), flags
+    plain ints, with the student rows flattened once and sliced into columns
+    (_columns: O(m) GC-tracked objects, not an iterator per row) so that
+    both sides are m tuples of n; scaling by one positive constant keeps
+    every order, equality and sum exact.  Plain non-negative ints (not
+    bools) are the kernel as they stand (_int_kernel).  Anything else goes
+    row by row through as_value, so a refusal names the first bad value in
+    row order, and then takes the int path scaled.  An isometric kernel is
+    (scale, u, u)."""
+    u = _columns(student_values, len(college_values))
+    found = _int_kernel(u, tuple(map(tuple, college_values)))
+    if found is not None:
+        return found
     sv = [tuple(map(as_value, row)) for row in student_values]
     cv = [tuple(map(as_value, row)) for row in college_values]
     scale = lcm(*{x.denominator for row in (*sv, *cv) for x in row})
@@ -251,6 +288,21 @@ def _kernel(student_values, college_values) -> tuple:
         [[x.numerator * (scale // x.denominator) for x in row] for row in cv],
     )
     return (scale, u, v), flags
+
+
+def _int_kernel(u: tuple, v: tuple):
+    """The kernel (1, u, v) of student columns u and college rows v, and its
+    flags, when every value is a plain non-negative int; else None.  Types
+    are tested column by column at C speed, and a weakly ranked kernel's
+    rows have their minimum last."""
+    # types compare by identity, so a bool, an IntEnum or any other int
+    # subclass is not counted; no column is empty (n, m >= 1)
+    if all(countOf(map(type, col), int) == len(col) for col in chain(u, v)):
+        flags = _classify(u, v)
+        lows = (u[-1], [col[-1] for col in v]) if flags.weakly_ranked else chain(u, v)
+        if min(map(min, lows)) >= 0:
+            return (1, u, u if flags.isometric else v), flags
+    return None
 
 
 def _fraction_rows(scale: int, rows) -> tuple:

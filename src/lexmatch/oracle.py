@@ -35,14 +35,24 @@ def candidates(
         return _pruned_walk(instance, require_complete, respect_capacities, budget)
     n = instance.n
     caps = instance.capacities if respect_capacities else (n,) * instance.m
-    ways = [1] + [0] * n  # ways[t]: compositions of t into the parts so far
-    for cap in caps:
-        # the next part is 1..cap: ways[t] becomes ways[t-cap] + ... + ways[t-1]
-        sums = list(accumulate(ways, initial=0))
-        ways = [sums[t] - sums[max(t - cap, 0)] for t in range(n + 1)]
-    if ways[n] > budget:
-        raise BudgetExceededError(f"{ways[n]} candidates exceed the budget of {budget}")
+    count = _block_count(n, caps)
+    if count > budget:
+        raise BudgetExceededError(f"{count} candidates exceed the budget of {budget}")
     return _block_walk(n, caps)
+
+
+def _block_count(n, caps) -> int:
+    """How many compositions of n into m = len(caps) parts with 1 <= part j
+    <= caps[j] there are: the number of matchings _block_walk yields.  After
+    j parts only the totals j..j+n-m can still end in a full composition, so
+    each row holds n-m+1 counts and the whole count is O(m(n-m+1))."""
+    width = n - len(caps) + 1
+    ways = [1] + [0] * (width - 1)  # ways[d]: compositions of j + d into the j parts so far
+    for cap in caps:
+        # the next part is 1..cap: total t gets the counts of t-cap..t-1 summed
+        sums = list(accumulate(ways, initial=0))
+        ways = [sums[d + 1] - sums[max(d + 1 - cap, 0)] for d in range(width)]
+    return ways[-1] if width > 0 else 0
 
 
 def _block_walk(n, caps) -> Iterator[Matching]:

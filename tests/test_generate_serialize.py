@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import math
+import random
 import re
 import sys
 from decimal import Decimal
@@ -10,6 +12,7 @@ import pytest
 
 import lexmatch.cli
 import lexmatch.model
+import lexmatch.serialize
 from lexmatch import (
     GenSpec,
     Instance,
@@ -229,6 +232,163 @@ class TestSerialize:
     def test_bad_matching_payloads(self, payload):
         with pytest.raises(InvalidInputError):
             load_matching(payload)
+
+
+def _compact(data) -> str:
+    return json.dumps(data, separators=(",", ":"))
+
+
+def _whole(text):
+    """What decoding the whole text at once gives: the instance's kernel,
+    flags and capacities, or the refusal."""
+    try:
+        inst = instance_from_dict(lexmatch.serialize._decode(text))
+    except InvalidInputError as exc:
+        return "refused", str(exc)
+    return inst._kernel, inst._flags, inst.capacities
+
+
+def _loaded(text):
+    try:
+        inst = load_instance(text)
+    except InvalidInputError as exc:
+        return "refused", str(exc)
+    return inst._kernel, inst._flags, inst.capacities
+
+
+class TestBlockedLoad:
+    """load_instance decodes the student rows of a compact text a block at a
+    time; every text must give what decoding it whole gives."""
+
+    def _matrices(self, rng, n, m, hi=9):
+        sv = [[rng.randint(0, hi) for _ in range(m)] for _ in range(n)]
+        cv = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
+        return {"student_values": sv, "college_values": cv}
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 256])
+    def test_blocks_give_the_whole_decode(self, monkeypatch, block_rows):
+        monkeypatch.setattr(lexmatch.serialize, "_BLOCK_ROWS", block_rows)
+        rng = random.Random(block_rows)
+        for n, m in ((1, 1), (1, 3), (2, 1), (7, 2), (300, 4), (1100, 2)):
+            data = self._matrices(rng, n, m)
+            for extra in ({}, {"capacities": [n] * m}, {"capacities": None}):
+                text = _compact(dict(data, **extra))
+                if n >= 4 * block_rows:  # a few blocks or fewer may go whole
+                    assert lexmatch.serialize._load_blocked(text) is not None
+                assert _loaded(text) == _whole(text)
+
+    def test_ranked_isometric_kernel_is_shared(self):
+        n, m = 1000, 4
+        sv = [[4 * (n - i) - j for j in range(m)] for i in range(n)]
+        text = _compact({"student_values": sv, "college_values": [list(c) for c in zip(*sv)]})
+        inst = load_instance(text)
+        assert inst._flags.ranked and inst._flags.isometric
+        assert inst._kernel[1] is inst._kernel[2]
+        assert _loaded(text) == _whole(text)
+
+    def test_rational_values_go_through_the_constructor(self, monkeypatch):
+        monkeypatch.setattr(lexmatch.serialize, "_BLOCK_ROWS", 1)
+        text = _compact(
+            {
+                "student_values": [["1/2", 3], [2, "7/3"], [1, 0]],
+                "college_values": [[5, "2/9", 1], [1, 1, "3/4"]],
+                "capacities": [2, 2],
+            }
+        )
+        assert lexmatch.serialize._load_blocked(text) is not None
+        assert load_instance(text) == Instance.build(*json.loads(text).values())
+
+    def test_an_indented_text_is_decoded_whole(self, ref_instance):
+        text = dump_instance(ref_instance)
+        assert lexmatch.serialize._load_blocked(text) is None
+        assert load_instance(text) == ref_instance
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a later key of the same name wins, NaN and all
+            '{"student_values":[[1],[2]],"college_values":[[1,2]],"student_values":NaN}',
+            '{"student_values":[[1],[2]],"college_values":[[1,2]],"student_values":[[3]]}',
+            '{"student_values":[[1],[2]],"college_values":[[1,2]],"capacities":[NaN]}',
+            '{"student_values":[[NaN],[2]],"college_values":[[1,2]]}',
+            # the first "]]" or a "],[" inside a string
+            '{"student_values":[[1],["]],["]],"college_values":[[1,2]]}',
+            '{"student_values":[[1],[2]],"college_values":[[1,2]],"x":"]],["}',
+            '{"student_values":[[1],[2]],"college_values":[["]]",2]]}',
+            # shapes
+            '{"student_values":[[1],[2,3]],"college_values":[[1,2]]}',
+            '{"student_values":[[1],[2]],"college_values":[[1,2,3]]}',
+            '{"student_values":[[1],[2]],"college_values":[[1,2],[3]]}',
+            '{"student_values":[[1],[2]],"college_values":[]}',
+            '{"student_values":[[]],"college_values":[[]]}',
+            '{"student_values":[[1],[[2]]],"college_values":[[1,2]]}',
+            '{"student_values":[[1],{"a":2}],"college_values":[[1,2]]}',
+            '{"student_values":[[1],[2]]}',
+            # values and capacities
+            '{"student_values":[[1],[-2]],"college_values":[[1,2]]}',
+            '{"student_values":[[1],[true]],"college_values":[[1,2]]}',
+            '{"student_values":[[1],[2.5]],"college_values":[[1,2]]}',
+            '{"student_values":[[1],["x"]],"college_values":[[1,2]]}',
+            '{"student_values":[[1],[2]],"college_values":[[1,2]],"capacities":[3]}',
+            '{"student_values":[[1],[2]],"college_values":[[1,2]],"capacities":[Infinity]}',
+            '{"student_values":[[1],[2]],"college_values":[[1,2]],"capacities":{"0":1}}',
+            # not JSON
+            '{"student_values":[[1],[02]],"college_values":[[1,2]]}',
+            '{"student_values":[[1],[2]],"college_values":[[1,2]]}x',
+            '{"student_values":[[1],[2],],"college_values":[[1,2]]}',
+            '{"student_values":[[1],[2]]],"college_values":[[1,2]]}',
+            '{"student_values":[[1],[2]],"college_values":[[1,2]]',
+        ],
+    )
+    def test_odd_texts_load_as_decoded_whole(self, monkeypatch, text):
+        monkeypatch.setattr(lexmatch.serialize, "_BLOCK_ROWS", 1)
+        assert _loaded(text) == _whole(text)
+
+    def test_mutated_texts_load_as_decoded_whole(self, monkeypatch):
+        monkeypatch.setattr(lexmatch.serialize, "_BLOCK_ROWS", 1)
+        rng = random.Random(7)
+        texts = []
+        for _ in range(20):
+            n, m = rng.randint(3, 12), rng.randint(1, 3)
+            data = self._matrices(rng, n, m)
+            if rng.random() < 0.3:
+                data["capacities"] = [rng.randint(0, n + 1) for _ in range(m)]
+            texts.append(_compact(data))
+        pieces = list("[],0123456789") + ["],[", "]]", "[[", "NaN", '"3/2"', "true", '"a":']
+        blocked = 0
+        for _ in range(3000):
+            text = rng.choice(texts)
+            for _ in range(rng.randint(1, 2)):
+                at = rng.randrange(len(text) + 1)
+                if rng.random() < 0.5:
+                    text = text[:at] + rng.choice(pieces) + text[at:]
+                else:
+                    text = text[:at] + text[at + 1 :]
+            assert _loaded(text) == _whole(text), text
+            try:
+                blocked += lexmatch.serialize._load_blocked(text) is not None
+            except InvalidInputError:
+                blocked += 1
+        assert blocked > 200  # some mutants still take the blocked path
+
+    def test_a_load_sets_off_no_young_collections(self):
+        # decoded whole, the 5,000 row lists set off 7 young collections at
+        # the default threshold of 700
+        n = 5000
+        sv = [[2 * (n - i) + 1, 2 * (n - i)] for i in range(n)]
+        text = _compact({"student_values": sv, "college_values": [list(c) for c in zip(*sv)]})
+        thresholds = gc.get_threshold()
+        try:
+            gc.collect()
+            gc.set_threshold(700)
+            before = gc.get_stats()[0]["collections"]
+            inst = load_instance(text)
+            collections = gc.get_stats()[0]["collections"] - before
+            gc.set_threshold(*thresholds)
+            assert inst.n == n and inst._flags.ranked
+            assert collections == 0
+        finally:
+            gc.set_threshold(*thresholds)
 
 
 class TestDispatch:
@@ -573,6 +733,17 @@ class TestCli:
         inst = Instance.from_matrix([[3, 2, 1], [2, 1, 0]])
         path = _write(tmp_path, "inst.json", dump_instance(inst))
         assert main(["solve", "--instance", path]) == 4
+
+    @pytest.mark.parametrize("capacities", [5, "12", {"0": 1, "1": 2}, [[1, 2]]])
+    def test_capacities_not_a_list_of_ints_are_invalid_input(self, tmp_path, capsys, capacities):
+        payload = {"student_values": [[2, 1], [4, 3], [6, 5]], "college_values": [[1, 2, 3], [4, 5, 6]]}
+        path = _write(tmp_path, "inst.json", json.dumps(dict(payload, capacities=capacities)))
+        assert main(["solve", "--instance", path]) == 2
+        err = capsys.readouterr().err
+        if isinstance(capacities, list):  # a list, but of a list
+            assert "invalid input: capacity of college 0 must be an int in [1, n], got [1, 2]" in err
+        else:
+            assert "invalid input: capacities must be a list of ints, one per college" in err
 
     @pytest.mark.parametrize("command", ["verify", "fairness"])
     @pytest.mark.parametrize("assignment", [5, "0111", {"0": 1}])

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from enum import IntEnum
@@ -30,6 +31,7 @@ from lexmatch import (
     student_value,
     value_to_str,
 )
+from lexmatch import model
 from lexmatch.generate import KINDS
 from lexmatch.model import ScaledLeximin
 
@@ -199,7 +201,7 @@ class TestInstance:
                 None,
                 "value must be an exact rational, got False",
             ),
-            ([[2, 1]], [[2], [1]], 5, "need exactly one capacity per college"),
+            ([[2, 1]], [[2], [1]], 5, "capacities must be a list of ints, one per college"),
             ([], FROM_MATRIX, None, "instance needs at least one student and one college"),
             (
                 [[1, 2], [3]],
@@ -358,6 +360,124 @@ class TestInstance:
     def test_is_not_equal_to_another_type(self, ref_instance):
         assert ref_instance.__eq__(5) is NotImplemented
         assert (ref_instance == 5) is False and ref_instance != 5
+
+    @pytest.mark.parametrize(
+        "capacities",
+        [{2, 1}, {2: 0, 1: 0}, b"\x01\x02", "12", (b for b in (1, 2)), range(1, 3), 5, 1.5],
+        ids=["set", "dict", "bytes", "str", "generator", "range", "int", "float"],
+    )
+    def test_capacities_must_be_a_list_or_a_tuple(self, capacities):
+        # each of these is iterable or sized, and would be read in its own
+        # order, by key or element by element
+        sv, cv = [[2, 1], [4, 3], [6, 5]], [[1, 2, 3], [4, 5, 6]]
+        message = "^capacities must be a list of ints, one per college$"
+        for build in (
+            lambda: Instance(sv, cv, capacities),
+            lambda: Instance.build(sv, cv, capacities),
+            lambda: Instance.from_matrix(sv, capacities),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                build()
+
+    def test_list_and_tuple_capacities_are_stored_as_a_tuple(self):
+        class Caps(list):
+            pass
+
+        sv, cv = [[2, 1], [4, 3], [6, 5]], [[1, 2, 3], [4, 5, 6]]
+        for capacities in ([1, 2], (1, 2), Caps([1, 2])):
+            assert Instance.build(sv, cv, capacities).capacities == (1, 2)
+
+    @pytest.mark.parametrize("spelling", ["int", "string"])
+    def test_row_types_give_the_same_kernel_flags_and_capacities(self, spelling):
+        # the student rows are flattened once and sliced into columns: list,
+        # tuple and list-subclass rows, mixed or not, read the same
+        class Row(list):
+            pass
+
+        spell = {"int": int, "string": lambda x: f"{2 * x}/2"}[spelling]
+        sv = [[spell(x) for x in row] for row in ([9, 5, 2], [7, 6, 1], [8, 3, 0], [4, 4, 4])]
+        cv = [[spell(x) for x in row] for row in ([3, 1, 2, 0], [9, 8, 7, 6], [1, 1, 5, 5])]
+        plain = Instance.build(sv, cv, [2, 3, 1])
+        want = (plain._kernel, plain._flags, plain.capacities)
+        assert plain._kernel[1] == ((9, 7, 8, 4), (5, 6, 3, 4), (2, 1, 0, 4))
+        for rows in (
+            [tuple(row) for row in sv],
+            [Row(row) for row in sv],
+            [tuple(row) if i % 2 else row for i, row in enumerate(sv)],
+            [Row(row) if i % 2 else tuple(row) for i, row in enumerate(sv)],
+            tuple(map(tuple, sv)),
+        ):
+            for college_rows in (cv, [tuple(row) for row in cv], [Row(row) for row in cv]):
+                got = Instance.build(rows, college_rows, (2, 3, 1))
+                assert (got._kernel, got._flags, got.capacities) == want
+        # from_matrix: the matrix's columns are the college rows
+        iso = Instance.build(sv, [list(col) for col in zip(*sv)], [2, 2, 2])
+        want = (iso._kernel, iso._flags, iso.capacities)
+        for matrix in (sv, [tuple(row) for row in sv], tuple(map(tuple, sv)), [Row(row) for row in sv]):
+            got = Instance.from_matrix(matrix, [2, 2, 2])
+            assert (got._kernel, got._flags, got.capacities) == want
+            assert got._flags.isometric and got._kernel[1] is got._kernel[2]
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_a_ragged_student_row_is_refused_before_any_value_is_parsed(
+        self, spelling, monkeypatch
+    ):
+        def as_value(x):
+            raise AssertionError(f"value {x!r} parsed before the shape check")
+
+        monkeypatch.setattr(model, "as_value", as_value)
+        message = "^student value row length != number of colleges$"
+        for sv, cv in (
+            ([[2, -1], [4]], [[2, 1], [4, 3]]),
+            ([(2, 1), [4, 3, 0]], [["x", 1], [4, 3]]),
+            ([[2, 1], (4,)], [[2, 1], [4, 3]]),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                Instance.build(_respell(sv, spelling), _respell(cv, spelling))
+        for matrix in ([[2, 1], [4]], [(2,), [4, 3]]):
+            with pytest.raises(InvalidInputError, match=message):
+                Instance.from_matrix(_respell(matrix, spelling))
+
+    @pytest.mark.parametrize(
+        "sv, cv, bad",
+        [
+            # the first bad value in row order, not in column order
+            ([[1, "x"], ["y", 2]], [[1, 1], [1, 1]], "x"),
+            ([[1, "1/0"], [-3, 2]], [[1, 1], [1, 1]], "1/0"),
+            ([(1, 2), ["3", 2.5]], [[True, 1], [1, 1]], 2.5),
+            ([[1, 2], [3, 4]], [[1, "z"], [-1, 1]], "z"),
+            # student rows are read before college rows
+            ([[1, 2], [3, "q"]], [["p", 1], [1, 1]], "q"),
+        ],
+    )
+    def test_the_value_path_names_the_first_bad_value_in_row_order(self, sv, cv, bad):
+        # every refusal message ends with the value it names
+        with pytest.raises(InvalidInputError, match=re.escape(repr(bad)) + "$"):
+            Instance.build(sv, cv)
+        if any(bad in row for row in sv):
+            with pytest.raises(InvalidInputError, match=re.escape(repr(bad)) + "$"):
+                Instance.from_matrix(sv)
+
+    def test_a_build_sets_off_no_young_collections(self):
+        # the student rows are not transposed with zip(*rows), which holds an
+        # iterator per row: at a threshold of 100 that was 45 collections
+        # for 5,000 rows, and 90 through from_matrix, which transposed twice
+        n = 5000
+        sv = [[2 * (n - i) + 1, 2 * (n - i)] for i in range(n)]
+        cv = [list(col) for col in zip(*sv)]
+        thresholds = gc.get_threshold()
+        try:
+            for build in (lambda: Instance.build(sv, cv), lambda: Instance.from_matrix(sv)):
+                gc.collect()
+                gc.set_threshold(100)
+                before = gc.get_stats()[0]["collections"]
+                inst = build()
+                collections = gc.get_stats()[0]["collections"] - before
+                gc.set_threshold(*thresholds)
+                assert inst.n == n and inst._flags.ranked
+                assert collections <= 2
+        finally:
+            gc.set_threshold(*thresholds)
 
 
 class TestClassify:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import operator
+import random
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,48 @@ def test_a_thousand_colleges_deep_block_walk_solves_and_enumerates(tmp_path, cap
     assert cli.main(["enumerate", "--instance", str(path), "--complete"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["count"], out["stable_matchings"][0]["assignment"]) == (1, identity)
+
+
+def _full_row_count(n, caps):
+    """The compositions of n into parts 1 <= part j <= caps[j], counted over
+    every total 0..n after each part."""
+    ways = [1] + [0] * n
+    for cap in caps:
+        ways = [sum(ways[max(t - cap, 0):t]) for t in range(n + 1)]
+    return ways[n]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_the_banded_count_equals_the_full_row_count(n):
+    # caps absent, uniform at every bound (those below n/m cannot hold n)
+    # and random, counted with and without respect_capacities
+    rng = random.Random(n)
+    for m in range(1, n + 1):
+        cap_sets = [None, *([b] * m for b in range(1, n + 1))]
+        cap_sets += [[rng.randint(1, n) for _ in range(m)] for _ in range(3)]
+        for caps in cap_sets:
+            # every student ranks colleges 0..m-1, every college students 0..n-1
+            inst = Instance.build([list(range(m, 0, -1))] * n, [list(range(n, 0, -1))] * m, caps)
+            for respect in (False, True):
+                used = inst.capacities if respect else (n,) * m
+                want = _full_row_count(n, used)
+                assert oracle._block_count(n, used) == want
+                walk = candidates(inst, True, respect, budget=want)
+                assert sum(1 for _ in walk) == want, (m, caps, respect)
+                if want:
+                    refusal = f"^{want} candidates exceed the budget of {want - 1}$"
+                    with pytest.raises(BudgetExceededError, match=refusal):
+                        candidates(inst, True, respect, budget=want - 1)
+
+
+def test_the_banded_count_at_two_thousand_colleges():
+    # one composition of 2,000 into 2,000 nonempty parts, and 1,999 of
+    # 2,000 into 1,999; the full rows would hold 2,000 x 2,001 counts
+    assert oracle._block_count(2000, (2000,) * 2000) == 1
+    assert oracle._block_count(2000, (2000,) * 1999) == 1999
+    assert oracle._block_count(2000, (2,) * 1999) == 1999
+    assert oracle._block_count(2000, (1,) * 1999) == 0
+    assert oracle._block_count(1999, (2000,) * 2000) == 0
 
 
 def test_the_oracle_imports_only_errors_model_and_report():
