@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import lcm
 from operator import countOf, ge, gt, iconcat
 from typing import NamedTuple, Optional, Sequence
@@ -120,14 +120,14 @@ class Instance:
         self._settle(*_kernel(student_values, college_values), capacities)
 
     @classmethod
-    def _from_flat(cls, flat: list, college_values, capacities) -> "Instance":
+    def _from_flat(cls, flat: tuple, college_values, capacities) -> "Instance":
         """The instance whose student rows, each of m = len(college_values)
         values, lie end to end in `flat`: what the constructor gives for
         those rows, without making them when every value is a plain
         non-negative int.  The caller has checked the shape: n = len(flat)
         / m >= 1, and the college values are m >= 1 list rows of n each."""
         m = len(college_values)
-        found = _int_kernel(_slices(tuple(flat), m), tuple(map(tuple, college_values)))
+        found = _int_kernel(flat, tuple(map(tuple, college_values)))
         if found is None:
             # values to parse: the constructor names the first bad one
             rows = [flat[i : i + m] for i in range(0, len(flat), m)]
@@ -214,11 +214,12 @@ class Instance:
     def from_matrix(matrix, capacities=None) -> "Instance":
         """Build an isometric instance from a single n-by-m matrix V where
         V[i][j] is both u_i(c_j) and v_j(s_i).  The college rows are V's
-        columns, cut by _columns as the kernel's are, so neither transpose
+        columns, cut as the kernel's are (_flat, _slices), so neither transpose
         makes an iterator per row.  m is the first row's length: a ragged V
         is refused by the student row check."""
         _check_rows(matrix, "matrix")
-        return Instance(matrix, _columns(matrix, len(matrix[0]) if matrix else 0), capacities)
+        m = len(matrix[0]) if matrix else 0
+        return Instance(matrix, _slices(_flat(matrix), m), capacities)
 
 
 def _check_rows(rows, name: str) -> None:
@@ -228,14 +229,25 @@ def _check_rows(rows, name: str) -> None:
         raise InvalidInputError(f"{name} must be a list of value rows, each a list")
 
 
-def _classify(u, v) -> "ClassificationFlags":
-    """The flags of kernel columns u and v: they ignore how values were spelled."""
+def _classify(flat, u, v) -> "ClassificationFlags":
+    """The flags of student columns u, cut from the student rows laid end to
+    end in `flat`, and college rows v: they ignore how values were spelled.
+    An isometric kernel (tested first) whose flat values strictly fall is
+    row-separated: its rows fall, and so does every column, since u[j][i]
+    >= u[m-1][i] > u[0][i+1] >= u[j][i+1], and the columns are the college
+    rows, so this one pass of nm - 1 compares proves it ranked.  Any other
+    kernel gets the column-wise scans, after a pass that on an isometric
+    kernel stops at its first failing compare."""
+    isometric = u == v
     # students: one C-level scan per pair of adjacent colleges, not one
     # Python call per student (n is large, m small)
     s_pairs = tuple(zip(u, u[1:]))
-    ranked_s = all(all(map(gt, a, b)) for a, b in s_pairs)
+    if isometric and all(map(gt, flat, islice(flat, 1, None))):
+        ranked_s = ranked_c = True
+    else:
+        ranked_s = all(all(map(gt, a, b)) for a, b in s_pairs)
+        ranked_c = all(all(map(gt, row, row[1:])) for row in v)
     weak_s = ranked_s or all(all(map(ge, a, b)) for a, b in s_pairs)
-    ranked_c = all(all(map(gt, row, row[1:])) for row in v)
     weak_c = ranked_c or all(all(map(ge, row, row[1:])) for row in v)
     # a strictly decreasing row has no ties
     strict_s = ranked_s or all(len(set(row)) == len(row) for row in zip(*u))
@@ -246,18 +258,17 @@ def _classify(u, v) -> "ClassificationFlags":
         strict=strict_s and strict_c,
         ranked=ranked_s and ranked_c,
         weakly_ranked=weak_s and weak_c,
-        isometric=u == v,
+        isometric=isometric,
     )
 
 
-def _columns(rows, m: int) -> tuple:
-    """The m columns of rows of m values each, as tuples.  The rows are
-    flattened once (extending one list by a list or tuple row makes no
-    iterator) and each column is a slice of the flat copy, so this allocates
-    O(m) GC-tracked objects.  zip(*rows) would hold one iterator per row: on
-    2,000 rows of 4 those set off about 1.8 young-generation collections
-    per build at the default threshold."""
-    return _slices(tuple(reduce(iconcat, rows, [])), m)
+def _flat(rows) -> tuple:
+    """Rows of values laid end to end.  Extending one list by a list or
+    tuple row makes no iterator, so this allocates O(1) GC-tracked objects.
+    zip(*rows) would hold one iterator per row: on 2,000 rows of 4 those set
+    off about 1.8 young-generation collections per build at the default
+    threshold."""
+    return tuple(reduce(iconcat, rows, []))
 
 
 def _slices(flat: tuple, m: int) -> tuple:
@@ -268,16 +279,14 @@ def _slices(flat: tuple, m: int) -> tuple:
 def _kernel(student_values, college_values) -> tuple:
     """The kernel (scale, u, v) of value matrices of checked shape, and its
     flags: every value times `scale`, the LCM of all value denominators, as
-    plain ints, with the student rows flattened once and sliced into columns
-    (_columns: O(m) GC-tracked objects, not an iterator per row) so that
-    both sides are m tuples of n; scaling by one positive constant keeps
-    every order, equality and sum exact.  Plain non-negative ints (not
-    bools) are the kernel as they stand (_int_kernel).  Anything else goes
-    row by row through as_value, so a refusal names the first bad value in
-    row order, and then takes the int path scaled.  An isometric kernel is
-    (scale, u, u)."""
-    u = _columns(student_values, len(college_values))
-    found = _int_kernel(u, tuple(map(tuple, college_values)))
+    plain ints, with the student rows flattened once (_flat) and sliced into
+    columns so that both sides are m tuples of n; scaling by one positive
+    constant keeps every order, equality and sum exact.  Plain non-negative
+    ints (not bools) are the kernel as they stand (_int_kernel).  Anything
+    else goes row by row through as_value, so a refusal names the first bad
+    value in row order, and then takes the int path scaled.  An isometric
+    kernel is (scale, u, u)."""
+    found = _int_kernel(_flat(student_values), tuple(map(tuple, college_values)))
     if found is not None:
         return found
     sv = [tuple(map(as_value, row)) for row in student_values]
@@ -290,15 +299,17 @@ def _kernel(student_values, college_values) -> tuple:
     return (scale, u, v), flags
 
 
-def _int_kernel(u: tuple, v: tuple):
-    """The kernel (1, u, v) of student columns u and college rows v, and its
-    flags, when every value is a plain non-negative int; else None.  Types
-    are tested column by column at C speed, and a weakly ranked kernel's
-    rows have their minimum last."""
+def _int_kernel(flat: tuple, v: tuple):
+    """The kernel (1, u, v) of the student rows laid end to end in `flat`
+    and college rows v, and its flags, when every value is a plain
+    non-negative int; else None.  In order: the types, by one C-level
+    countOf over flat and one per college row; the flags (_classify); the
+    sign, where a weakly ranked kernel's rows have their minimum last."""
     # types compare by identity, so a bool, an IntEnum or any other int
-    # subclass is not counted; no column is empty (n, m >= 1)
-    if all(countOf(map(type, col), int) == len(col) for col in chain(u, v)):
-        flags = _classify(u, v)
+    # subclass is not counted; no sequence is empty (n, m >= 1)
+    if all(countOf(map(type, seq), int) == len(seq) for seq in (flat, *v)):
+        u = _slices(flat, len(v))
+        flags = _classify(flat, u, v)
         lows = (u[-1], [col[-1] for col in v]) if flags.weakly_ranked else chain(u, v)
         if min(map(min, lows)) >= 0:
             return (1, u, u if flags.isometric else v), flags
@@ -368,10 +379,19 @@ class Matching:
         return self._college_view
 
     def members(self, instance: Instance, j: int) -> tuple:
+        """College j's students, ascending; InvalidInputError if the
+        matching does not fit the instance or j is not a college index."""
+        self.validate(instance)
+        if type(j) is not int or not 0 <= j < instance.m:
+            raise InvalidInputError(
+                f"college index must be an int in [0, {instance.m}), got {j!r}"
+            )
         return self.college_view(instance.m)[j]
 
     def is_complete(self, instance: Instance) -> bool:
-        """No agent unmatched: every student assigned, every college nonempty."""
+        """No agent unmatched: every student assigned, every college
+        nonempty.  InvalidInputError if the matching does not fit."""
+        self.validate(instance)
         if any(j is None for j in self.assignment):
             return False
         return all(len(ms) > 0 for ms in self.college_view(instance.m))
@@ -410,11 +430,9 @@ def student_value(instance: Instance, matching: Matching, i: int) -> Fraction:
 
 
 def college_value(instance: Instance, matching: Matching, j: int) -> Fraction:
-    matching.validate(instance)
-    if type(j) is not int or not 0 <= j < instance.m:
-        raise InvalidInputError(f"college index must be an int in [0, {instance.m}), got {j!r}")
+    members = matching.members(instance, j)  # validates the matching, then j
     scale, _, v = instance._kernel
-    return Fraction(sum(map(v[j].__getitem__, matching.members(instance, j))), scale)
+    return Fraction(sum(map(v[j].__getitem__, members)), scale)
 
 
 class BlockingPair(NamedTuple):

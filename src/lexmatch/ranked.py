@@ -3,9 +3,10 @@
 When both sides share the index order as a common strict ranking, the
 complete stable matchings are exactly the assignments of contiguous student
 blocks to colleges in order: college j receives students w_j..w_j+k_j-1
-where k is a composition of n into m non-negative parts.  A matching is
+where k is a composition of n into m positive parts: a complete matching
+leaves no college empty, so every block is nonempty.  A matching is
 therefore representable by its boundary vector k.  `oracle.candidates`
-lists them, with every block nonempty, under require_complete.
+lists them under require_complete.
 """
 
 from __future__ import annotations

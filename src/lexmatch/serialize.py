@@ -155,6 +155,7 @@ def _load_blocked(text: str) -> Optional[Instance]:
         lo = hi + 1  # past the comma
     if set(map(len, cv)) != {rows}:
         return None
+    flat = tuple(flat)  # the list goes before the kernel is cut from the tuple
     return Instance._from_flat(flat, cv, data.get("capacities"))
 
 

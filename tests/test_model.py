@@ -1,8 +1,11 @@
 import gc
 import json
+import operator
+import random
 import re
 from enum import IntEnum
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +34,13 @@ from lexmatch import (
     student_value,
     value_to_str,
 )
+import lexmatch.serialize
 from lexmatch import model
 from lexmatch.generate import KINDS
-from lexmatch.model import ScaledLeximin
+from lexmatch.model import ClassificationFlags, ScaledLeximin
+from lexmatch.serialize import instance_to_dict
 
-from conftest import random_instances
+from conftest import random_instances, tableau
 
 # Each refusal table runs on three spellings of its matrices: every plain
 # non-negative int as it stands, as a Fraction and as a "p/q" string.  The
@@ -598,6 +603,189 @@ class TestClassify:
     def test_single_row_and_single_column_instances(self, sv, cv):
         self._assert_flags_match_definition(Instance.build(sv, cv))
 
+
+def _column_flags(sv, cv) -> ClassificationFlags:
+    """The flags by the column-wise scans alone, as classify read them
+    before it tried the row-separated pass first: a copy kept here as the
+    reference.  It reads the values as given (the flags ignore a common
+    positive scale), as student columns u and college rows v."""
+    u = tuple(zip(*[tuple(map(as_value, row)) for row in sv]))
+    v = tuple(tuple(map(as_value, row)) for row in cv)
+    s_pairs = tuple(zip(u, u[1:]))
+    ranked_s = all(all(map(operator.gt, a, b)) for a, b in s_pairs)
+    weak_s = ranked_s or all(all(map(operator.ge, a, b)) for a, b in s_pairs)
+    ranked_c = all(all(map(operator.gt, row, row[1:])) for row in v)
+    weak_c = ranked_c or all(all(map(operator.ge, row, row[1:])) for row in v)
+    strict_s = ranked_s or all(len(set(row)) == len(row) for row in zip(*u))
+    strict_c = ranked_c or all(len(set(row)) == len(row) for row in v)
+    return ClassificationFlags(
+        strict_students=strict_s,
+        strict_colleges=strict_c,
+        strict=strict_s and strict_c,
+        ranked=ranked_s and ranked_c,
+        weakly_ranked=weak_s and weak_c,
+        isometric=u == v,
+    )
+
+
+def _transpose(rows) -> list:
+    return [list(col) for col in zip(*rows)]
+
+
+def _separated(rng, n, m, tight):
+    """n rows of m values filled row-major from a descending pool: distinct
+    values make every row and column fall and each row's worst value beat
+    the next row's best; tight values (from 1..n+3) tie at random, also
+    across a row boundary."""
+    if tight:
+        pool = sorted((rng.randint(1, n + 3) for _ in range(n * m)), reverse=True)
+    else:
+        pool = sorted(rng.sample(range(1, 4 * n * m + 1), n * m), reverse=True)
+    return [pool[i * m : (i + 1) * m] for i in range(n)]
+
+
+def _perturbed(rng, rows):
+    """A copy of rows with one value changed at a row boundary or inside a
+    row: two values swapped, a value tied to its neighbour, or a value
+    raised above all others."""
+    rows = [list(row) for row in rows]
+    n, m = len(rows), len(rows[0])
+    top = max(map(max, rows)) + 1
+    moves = ["raise"]
+    if n > 1:
+        moves += ["swap boundary", "tie boundary"]
+    if m > 1:
+        moves += ["swap inside", "tie inside"]
+    move = rng.choice(moves)
+    i, j = rng.randrange(n), rng.randrange(m)
+    if move == "raise":
+        rows[i][j] = top
+    elif move.endswith("boundary"):
+        i = rng.randrange(n - 1)
+        if move == "swap boundary":
+            rows[i][-1], rows[i + 1][0] = rows[i + 1][0], rows[i][-1]
+        else:
+            rows[i + 1][0] = rows[i][-1]
+    else:
+        j = rng.randrange(m - 1)
+        if move == "swap inside":
+            rows[i][j], rows[i][j + 1] = rows[i][j + 1], rows[i][j]
+        else:
+            rows[i][j + 1] = rows[i][j]
+    return rows
+
+
+def _row_separation_cases():
+    """(student rows, college rows) of every family the row-separated pass
+    must agree with the column-wise scans on."""
+    rng = random.Random(34)
+    shapes = [(1, 1), (1, 4), (5, 1), (2, 2), (6, 3), (9, 4), (12, 5)]
+    for n, m in shapes:
+        for tight in (False, True):
+            for _ in range(12):
+                rows = _separated(rng, n, m, tight)
+                yield rows, _transpose(rows)
+                bent = _perturbed(rng, rows)
+                yield bent, _transpose(bent)  # isometric
+                yield bent, _transpose(rows)  # the student side bent
+                yield rows, _transpose(bent)  # the college side bent
+        for hi in (n * m + 3, 50 * n * m):  # the tableau family
+            for _ in range(6):
+                grid = [list(map(int, row)) for row in tableau(rng, n, m, hi).student_values]
+                yield grid, _transpose(grid)
+        for kind in KINDS:
+            for value_max in (None, n + 3):
+                spec = GenSpec(kind, n, m, seed=rng.randrange(10**6), value_max=value_max)
+                try:
+                    inst = generate(spec)
+                except InvalidInputError:
+                    continue  # too few cells or distinct values for the kind
+                data = instance_to_dict(inst)
+                yield data["student_values"], data["college_values"]
+
+
+class TestRowSeparatedClassify:
+    """classify decides a row-separated isometric kernel in one pass over
+    its row-major values and every other kernel by the column-wise scans;
+    the flags must be those of the scans alone on every input and route."""
+
+    def test_every_route_gives_the_column_wise_flags(self, monkeypatch):
+        monkeypatch.setattr(lexmatch.serialize, "_BLOCK_ROWS", 1)
+        seen, blocked = set(), 0
+        for sv, cv in _row_separation_cases():
+            expected = _column_flags(sv, cv)
+            seen.add(expected)
+            assert classify(Instance.build(sv, cv)) == expected, (sv, cv)
+            thirds = [[Fraction(x, 3) for x in row] for row in sv]
+            assert classify(Instance.build(thirds, _transpose(thirds))) == _column_flags(
+                thirds, _transpose(thirds)
+            )
+            if expected.isometric:
+                assert classify(Instance.from_matrix(sv)) == expected, sv
+            loaded = lexmatch.serialize._load_blocked(
+                json.dumps({"student_values": sv, "college_values": cv}, separators=(",", ":"))
+            )
+            if loaded is not None:
+                blocked += 1
+                assert classify(loaded) == expected, (sv, cv)
+        # ranked with and without isometry, and strict and weakly ranked both ways
+        assert {(f.ranked, f.isometric) for f in seen} == set(product((False, True), repeat=2))
+        assert {f.strict for f in seen} == {f.weakly_ranked for f in seen} == {True, False}
+        assert blocked > 500
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        """Count every gt and ge compare the flag passes make."""
+        calls = [0]
+
+        def counting(op):
+            def compare(a, b):
+                calls[0] += 1
+                return op(a, b)
+
+            return compare
+
+        monkeypatch.setattr(model, "gt", counting(operator.gt))
+        monkeypatch.setattr(model, "ge", counting(operator.ge))
+        return calls
+
+    N, M = 2000, 4
+    # the column-wise scans of a ranked kernel: adjacent colleges over every
+    # student, adjacent students over every college
+    COLUMN_SCANS = (M - 1) * N + M * (N - 1)
+
+    def test_a_row_separated_kernel_is_ranked_in_nm_compares(self, monkeypatch):
+        n, m = self.N, self.M
+        rows = [[m * (n - i) - j for j in range(m)] for i in range(n)]
+        text = json.dumps(
+            {"student_values": rows, "college_values": _transpose(rows)}, separators=(",", ":")
+        )
+        calls = self._counted(monkeypatch)
+        for build in (
+            lambda: Instance.from_matrix(rows),
+            lambda: Instance.build(rows, _transpose(rows)),
+            lambda: lexmatch.serialize._load_blocked(text),
+        ):
+            calls[0] = 0
+            assert classify(build()) == ClassificationFlags(*[True] * 6)
+            assert calls[0] <= n * m
+
+    def test_another_ranked_kernel_costs_at_most_one_row_more(self, monkeypatch):
+        n, m = self.N, self.M
+        # every row's worst value is below the next row's best
+        overlapping = [[2 * (n - i) + m - j for j in range(m)] for i in range(n)]
+        separated = [[m * (n - i) - j for j in range(m)] for i in range(n)]
+        calls = self._counted(monkeypatch)
+        for sv, cv in (
+            (overlapping, _transpose(overlapping)),
+            (separated, [[2 * x for x in col] for col in zip(*separated)]),  # not isometric
+        ):
+            calls[0] = 0
+            flags = classify(Instance.build(sv, cv))
+            assert flags.ranked and flags == _column_flags(sv, cv)
+            assert calls[0] <= self.COLUMN_SCANS + m
+
+
 class TestIsStable:
     def test_contiguous_split_is_stable(self, ref_instance):
         assert is_stable(ref_instance, Matching([0, 0, 1, 1])) is None
@@ -717,6 +905,45 @@ def test_agent_values_refuse_a_matching_or_an_index_that_does_not_fit(value, ass
     inst = generate(GenSpec("ranked", 5, 2, seed=1))
     with pytest.raises(InvalidInputError):
         value(inst, Matching(assignment), index)
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        # -1 was counted into college 1, and all three read as complete
+        ([0, 0, 1, -1], "student 3 assigned to invalid college -1"),
+        ([0, 0, 1, True], "student 3 assigned to invalid college True"),
+        ([0, 0, 1], "matching length != number of students"),
+        # college 2 of 2 raised IndexError
+        ([0, 0, 1, 2], "student 3 assigned to invalid college 2"),
+    ],
+    ids=["minus-one", "bool", "short", "past-m"],
+)
+def test_is_complete_and_members_refuse_a_matching_that_does_not_fit(assignment, message):
+    inst = generate(GenSpec("ranked", 4, 2, seed=1))
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        Matching(assignment).is_complete(inst)
+    for j in range(inst.m):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            Matching(assignment).members(inst, j)
+
+
+@pytest.mark.parametrize("j", [-1, 2, True, "1"])
+def test_members_refuses_a_college_index_that_does_not_fit(j):
+    inst = generate(GenSpec("ranked", 4, 2, seed=1))
+    with pytest.raises(InvalidInputError, match=r"^college index must be an int in \[0, 2\)"):
+        Matching([0, 0, 1, 1]).members(inst, j)
+
+
+def test_college_value_validates_the_matching_once(monkeypatch):
+    inst = generate(GenSpec("ranked", 4, 2, seed=1))
+    mu = Matching([0, 0, 1, None])
+    calls = []
+    validate = Matching.validate
+    monkeypatch.setattr(Matching, "validate", lambda self, *a: calls.append(a) or validate(self, *a))
+    assert college_value(inst, mu, 1) == inst.v(1, 2)
+    assert len(calls) == 1
+    assert mu.members(inst, 0) == (0, 1) and not mu.is_complete(inst)
 
 
 def test_a_matching_hashes_as_its_assignment():
