@@ -56,21 +56,36 @@ tests pin that bound.
 The compare.  A candidate beats the best iff the sorted values that differ
 (the students in different colleges, and both totals) beat the best's as
 plain lists: adding the same multiset to two equal-size multisets keeps
-their leximin order (see ``_state``).  Next to the best this costs O(1).
-It runs on the integer kernel (``Instance._kernel``), a positive scaling
-that keeps the leximin order.  The report is built from the best state's
-(d0, d1) and totals, without validating or regrouping the matching.
+their leximin order (see ``_state``).  Next to the best this costs O(1); a
+state one college-0 fan past the best compares two sorted triples.  It runs
+on the integer kernel (``Instance._kernel``), a positive scaling that keeps
+the leximin order.
+
+The cost.  The set-up runs at C speed: O(n) passes, and a sort on input
+that is not ranked.  The scan does O(1) Python work per visited state,
+apart from compares away from the best, and the report one step per
+student in college 1.  The fans: on ranked input every
+student prefers college 0, and college 0's values fall with the index, so
+its fans are every student in reverse and college 1 has none, read off the
+flags that the strictness check fetched; other input is split by
+``itertools.compress`` and sorted.  The scan reads a fan's two values
+through the fan index, only at the states it visits; college 0's starting
+total is the sum of its values less those of the students it does not
+hold.  The report is one pass over the best state's college-1 members,
+starting from college 0's values, and takes its totals from the scan,
+without validating or regrouping the matching.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from math import inf
 from operator import gt, lt
 from typing import Callable, Optional
 
 from .errors import InfeasibleError, InvalidInputError, NotAdmissibleError
 from .model import (
+    ClassificationFlags,
     Instance,
     Matching,
     ScaledLeximin,
@@ -81,11 +96,15 @@ from .model import (
 from .report import SolverReport
 
 
-def _require_m2_strict(instance: Instance) -> None:
+def _require_m2_strict(instance: Instance) -> ClassificationFlags:
+    """The instance's flags, once it is checked to have two colleges and
+    strict preferences."""
     if instance.m != 2:
         raise NotAdmissibleError("solver requires exactly two colleges")
-    if not classify(instance).strict:
+    flags = classify(instance)
+    if not flags.strict:
         raise NotAdmissibleError("solver requires strict preferences on both sides")
+    return flags
 
 
 def _prefix_minima(values) -> list:
@@ -100,19 +119,23 @@ def _prefix_minima(values) -> list:
     return out
 
 
-def _staircase(instance: Instance) -> tuple:
+def _staircase(instance: Instance, ranked: bool) -> tuple:
     """(fans, stable) on the kernel ints: fans[j] lists college j's fans in
     ascending order of its value, and stable(d0, d1) tells whether the
     complete matching in which each college j hands its first d_j fans to
     the other is stable.  The split into fans needs strict preferences
     (u0[i] != u1[i]): a student with a tie would be nobody's fan.  Both
-    callers check them first."""
+    callers check them first, and pass the ranked flag they read then."""
     _, (u0, u1), v = instance._kernel
-    # split the students by favorite at C speed: compress keeps the indices
-    # whose flag is true
-    students = range(instance.n)
-    split = (compress(students, map(gt, u0, u1)), compress(students, map(lt, u0, u1)))
-    fans = tuple(sorted(f, key=col.__getitem__) for f, col in zip(split, v))
+    if ranked:
+        # every student prefers college 0, whose values fall with the index
+        fans = ([*range(instance.n - 1, -1, -1)], [])
+    else:
+        # split the students by favorite at C speed: compress keeps the
+        # indices whose flag is true
+        students = range(instance.n)
+        split = (compress(students, map(gt, u0, u1)), compress(students, map(lt, u0, u1)))
+        fans = tuple(sorted(f, key=col.__getitem__) for f, col in zip(split, v))
     # floor[j][k]: the other college's least value over fans[j][: k + 1],
     # its reluctant members once j has handed k + 1 away; built lazily
     floor = []
@@ -146,12 +169,12 @@ def is_stable_m2(instance: Instance, matching: Matching) -> bool:
     """Closed-form stability test for m=2: each college must hand the other
     its least-valued fans, and the counts (d0, d1) must pass the
     staircase's stable test."""
-    _require_m2_strict(instance)
+    flags = _require_m2_strict(instance)
     matching.validate(instance)
     assignment = matching.assignment
     if any(j is None for j in assignment):
         raise InvalidInputError("characterization needs every student matched")
-    fans, stable = _staircase(instance)
+    fans, stable = _staircase(instance, flags.ranked)
     d = []
     for j, fans_j in enumerate(fans):
         d_j = sum(assignment[i] != j for i in fans_j)
@@ -172,20 +195,24 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     the visited states other than (0, 0); ``tuple_comparisons`` is defined
     as ``toggles``, not counted (the first candidate is not compared); and
     ``steps`` charges n + 2 per compare, though a compare sorts only the
-    students between the state and the best one, and four totals."""
-    _require_m2_strict(instance)
+    students between the state and the best one, and four totals.
+
+    Its set-up runs at C speed (see the module docstring): ranked
+    input takes its fans without a split or a sort, the fans' values are
+    read only at the states the scan visits, and the report is one pass
+    over college 1's members."""
+    flags = _require_m2_strict(instance)
     n = instance.n
     scale, (u0, u1), (v0, v1) = instance._kernel
-    fans, stable = _staircase(instance)
+    fans, stable = _staircase(instance, flags.ranked)
     f0, f1 = fans
     n0, n1 = len(f0), len(f1)
     cap0, cap1 = instance.capacities
-    # each fan's value at their favorite (h) and away from it (w), in fan order
-    h0, w0 = [*map(u0.__getitem__, f0)], [*map(u1.__getitem__, f0)]
-    h1, w1 = [*map(u1.__getitem__, f1)], [*map(u0.__getitem__, f1)]
     d0 = max(0, n0 - cap0)  # the rows before it overfill college 0
-    r0 = sum(map(v0.__getitem__, f0[d0:]))
-    r1 = sum(map(v1.__getitem__, f1)) + sum(map(v1.__getitem__, f0[:d0]))
+    # college 0 holds every student but f1 and f0[:d0], college 1 those
+    gone = f0[:d0]
+    r0 = sum(v0) - sum(map(v0.__getitem__, f1)) - sum(map(v0.__getitem__, gone))
+    r1 = sum(map(v1.__getitem__, f1)) + sum(map(v1.__getitem__, gone))
     rs = start = toggles = 0  # r0, r1 are the totals at (d0, rs)
     # the first best candidate's (d0, d1) and totals; b0 is None until one
     b0 = None
@@ -210,33 +237,41 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
             if on_state is not None:
                 on_state(Matching(_assignment(n, fans, d0, d1)))
             if n0 - d0 + d1 and n1 - d1 + d0:  # a candidate
+                # compare the students in different colleges, then the
+                # totals; b0 is only ever set to the current d0, and d0
+                # only grows
                 if b0 is None:
                     b0, b1, s0, s1 = d0, d1, t0, t1
+                elif d0 == b0 + 1 and d1 == b1:  # one college-0 fan past the best
+                    a = f0[b0]
+                    if sorted((u1[a], t0, t1)) > sorted((u0[a], s0, s1)):
+                        b0, s0, s1 = d0, t0, t1
                 else:
-                    # the students in different colleges, then the totals
-                    # b0 is only ever set to the current d0, and d0 only grows
-                    new, old = w0[b0:d0], h0[b0:d0]
+                    moved = f0[b0:d0]
+                    new = [*map(u1.__getitem__, moved), t0, t1]
+                    old = [*map(u0.__getitem__, moved), s0, s1]
                     if d1 > b1:
-                        new += w1[b1:d1]
-                        old += h1[b1:d1]
+                        moved = f1[b1:d1]
+                        new += map(u0.__getitem__, moved)
+                        old += map(u1.__getitem__, moved)
                     elif d1 < b1:
-                        new += h1[d1:b1]
-                        old += w1[d1:b1]
-                    new.append(t0)
-                    new.append(t1)
-                    old.append(s0)
-                    old.append(s1)
+                        moved = f1[d1:b1]
+                        new += map(u1.__getitem__, moved)
+                        old += map(u0.__getitem__, moved)
                     new.sort()
                     old.sort()
                     if new > old:
                         b0, b1, s0, s1 = d0, d1, t0, t1
                 if d0 < n0:
-                    if d1 == start and t0 <= t1 and v0[f0[d0]]:
+                    a = f0[d0]
+                    if d1 == start and t0 <= t1 and v0[a]:
                         start += 1  # diagonal start
-                    if not d1 and w0[d0] < t0 and w0[d0] < t1:
+                    if not d1 and u1[a] < t0 and u1[a] < t1:
                         last = d0  # row stop
-                if d1 < n1 and (w1[d1] < t0 or (t1 < t0 and v1[f1[d1]])):
-                    break  # row cut
+                if d1 < n1:
+                    b = f1[d1]
+                    if u0[b] < t0 or (t1 < t0 and v1[b]):
+                        break  # row cut
             if d1 == n1:
                 break
             b = f1[d1]
@@ -256,12 +291,17 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
         raise InfeasibleError("no stable matching fills both colleges within their capacities")
     tuple_comparisons = toggles  # one compare per toggle
     steps = toggles + tuple_comparisons * (n + 2)
-    assignment = _assignment(n, fans, b0, b1)
-    students = [u1[i] if j else u0[i] for i, j in enumerate(assignment)]
+    # the best state's matching and values in one pass over college 1
+    assignment = [0] * n
+    values = list(u0)
+    for i in chain(f0[:b0], f1[b1:]):
+        assignment[i] = 1
+        values[i] = u1[i]
+    values += (s0, s1)
     return SolverReport(
         algorithm="fast_const",
         matching=Matching(assignment),
-        leximin=ScaledLeximin(scale, n, students + [s0, s1]),
+        leximin=ScaledLeximin(scale, n, values),
         steps=steps,
         counters={"toggles": toggles, "tuple_comparisons": tuple_comparisons},
     )

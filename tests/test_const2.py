@@ -26,9 +26,10 @@ from lexmatch import (
     load_instance,
     oracle_leximin,
 )
+from lexmatch import const2
 from lexmatch.const2 import _require_m2_strict, _staircase, is_stable_m2
 from lexmatch.generate import CAPACITY_MODES
-from lexmatch.model import GREATER, _capacity_binds, scaled_leximin
+from lexmatch.model import GREATER, ScaledLeximin, _capacity_binds, scaled_leximin
 from lexmatch.report import SolverReport
 
 from test_equivalence import SWEEP, _two_sided
@@ -337,6 +338,167 @@ class TestReferenceWalk:
         assert got == want
 
 
+def _parent_fast_const(instance, on_state=None):
+    """fast_const as it was before it took a ranked input's fans without a
+    sort, read the fans' values only at the states it visits and built its
+    report in one pass over college 1: full h/w lists of the fans' values,
+    a compare that slices, appends and sorts two lists, and the report's
+    values read off the rebuilt assignment."""
+    _require_m2_strict(instance)
+    n = instance.n
+    scale, (u0, u1), (v0, v1) = instance._kernel
+    fans, stable = _reference_staircase(instance)
+    f0, f1 = fans
+    n0, n1 = len(f0), len(f1)
+    cap0, cap1 = instance.capacities
+    h0, w0 = [*map(u0.__getitem__, f0)], [*map(u1.__getitem__, f0)]
+    h1, w1 = [*map(u1.__getitem__, f1)], [*map(u0.__getitem__, f1)]
+    d0 = max(0, n0 - cap0)
+    r0 = sum(map(v0.__getitem__, f0[d0:]))
+    r1 = sum(map(v1.__getitem__, f1)) + sum(map(v1.__getitem__, f0[:d0]))
+    rs = start = toggles = 0
+    b0 = None
+    b1 = s0 = s1 = 0
+    last = min(n0, cap1)
+
+    def assignment_of(d0, d1):
+        out = [0] * n
+        for i in f0[:d0] + f1[d1:]:
+            out[i] = 1
+        return out
+
+    while d0 <= last and start <= n1:
+        if start < d0 + n1 - cap1:
+            start = d0 + n1 - cap1
+        if start > rs:
+            for b in f1[rs:start]:
+                r0 += v0[b]
+                r1 -= v1[b]
+        rs = d1 = start
+        t0, t1 = r0, r1
+        hi = min(cap0 - n0 + d0, n1)
+        while d1 <= hi and (not (d0 and d1) or stable(d0, d1)):
+            if d0 or d1:
+                toggles += 1
+            if on_state is not None:
+                on_state(Matching(assignment_of(d0, d1)))
+            if n0 - d0 + d1 and n1 - d1 + d0:
+                if b0 is None:
+                    b0, b1, s0, s1 = d0, d1, t0, t1
+                else:
+                    new, old = w0[b0:d0], h0[b0:d0]
+                    if d1 > b1:
+                        new += w1[b1:d1]
+                        old += h1[b1:d1]
+                    elif d1 < b1:
+                        new += h1[d1:b1]
+                        old += w1[d1:b1]
+                    new.append(t0)
+                    new.append(t1)
+                    old.append(s0)
+                    old.append(s1)
+                    new.sort()
+                    old.sort()
+                    if new > old:
+                        b0, b1, s0, s1 = d0, d1, t0, t1
+                if d0 < n0:
+                    if d1 == start and t0 <= t1 and v0[f0[d0]]:
+                        start += 1
+                    if not d1 and w0[d0] < t0 and w0[d0] < t1:
+                        last = d0
+                if d1 < n1 and (w1[d1] < t0 or (t1 < t0 and v1[f1[d1]])):
+                    break
+            if d1 == n1:
+                break
+            b = f1[d1]
+            t0 += v0[b]
+            t1 -= v1[b]
+            d1 += 1
+        else:
+            if rs == d1 <= hi:
+                break
+        if d0 < n0:
+            a = f0[d0]
+            r0 -= v0[a]
+            r1 += v1[a]
+        d0 += 1
+
+    if b0 is None:
+        raise InfeasibleError("no stable matching fills both colleges within their capacities")
+    steps = toggles + toggles * (n + 2)
+    assignment = assignment_of(b0, b1)
+    students = [u1[i] if j else u0[i] for i, j in enumerate(assignment)]
+    return SolverReport(
+        algorithm="fast_const",
+        matching=Matching(assignment),
+        leximin=ScaledLeximin(scale, n, students + [s0, s1]),
+        steps=steps,
+        counters={"toggles": toggles, "tuple_comparisons": toggles},
+    )
+
+
+def _outcome(solver, instance, trace=None):
+    """The report's JSON, or the refusal's message when it is infeasible."""
+    try:
+        return solver(instance, on_state=trace).to_json_dict()
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+class TestAgainstTheParentScan:
+    """fast_const takes a ranked input's fans without a sort, reads the
+    fans' values only at the states it visits, compares a state one
+    college-0 fan past the best by two triples and builds its report in one
+    pass over college 1.  Its reports and traces must be those of the scan
+    it replaced, kept above as _parent_fast_const."""
+
+    @staticmethod
+    def _cases():
+        for n in (2, 3, 5, 8, 13, 40, 101, 200):
+            for seed in range(2):
+                yield from (_toggle_family(n, seed), _crossed(n, seed), _two_sided(n, seed))
+        for n in range(2, 41):
+            for seed in range(2):
+                for value_max in (None, n + 3):
+                    for mode in ("uniform", "random"):
+                        yield generate(GenSpec(
+                            "strict", n, 2, seed, mode, -(-n // 2) + seed, value_max
+                        ))
+                    for kind in ("ranked", "ranked_isometric"):
+                        if kind == "ranked_isometric" and value_max:
+                            continue  # it draws 2n distinct values
+                        for mode in CAPACITY_MODES:
+                            yield generate(GenSpec(kind, n, 2, seed, mode, -(-n // 2), value_max))
+        # every pair of capacities on small inputs with zero values, some
+        # of them infeasible
+        for inst in _zero_valued_strict_m2(seed=7, count=60):
+            for caps in itertools.product(range(1, inst.n + 1), repeat=2):
+                yield Instance(inst.student_values, inst.college_values, caps)
+
+    def test_equal_reports_and_traces(self):
+        kinds = {"ranked": 0, "infeasible": 0, "compared": 0}
+        for inst in self._cases():
+            for case in (inst, _scaled_by_35(inst)) if inst.n <= 20 else (inst,):
+                got_trace, want_trace = [], []
+                got = _outcome(fast_const, case, got_trace.append)
+                want = _outcome(_parent_fast_const, case, want_trace.append)
+                assert got == want and got_trace == want_trace, case
+                kinds["ranked"] += classify(case).ranked
+                kinds["infeasible"] += isinstance(got, str)
+                kinds["compared"] += len(got_trace) > 2
+        assert min(kinds.values()) >= 50, kinds
+
+    @pytest.mark.parametrize("kind", ["ranked", "ranked_isometric"])
+    def test_equal_reports_on_large_ranked_inputs(self, kind):
+        for n in (2000, 5000, 20000):
+            for spec in (
+                GenSpec(kind, n, 2, seed=n),
+                GenSpec(kind, n, 2, seed=n, capacity_mode="random"),
+            ):
+                inst = generate(spec)
+                assert _outcome(fast_const, inst) == _outcome(_parent_fast_const, inst), spec
+
+
 class TestStaircase:
     """_staircase splits the students into fans by comparing their two values
     at C speed, without favorites; on strict input the fans and the stable
@@ -359,7 +521,7 @@ class TestStaircase:
         grids = both_sides = 0
         for inst in self._cases():
             for case in (inst, _scaled_by_35(inst)):
-                fans, stable = _staircase(case)
+                fans, stable = _staircase(case, classify(case).ranked)
                 want_fans, want_stable = _reference_staircase(case)
                 assert sorted(fans[0] + fans[1]) == list(range(case.n)), case
                 assert fans == want_fans, case
@@ -372,6 +534,53 @@ class TestStaircase:
         assert grids >= 100 and both_sides >= 100
 
 
+class TestRankedFans:
+    """A ranked input's fans are read off its flags: every student prefers
+    college 0, whose values fall with the index, so its fans are every
+    student in reverse and college 1 has none."""
+
+    @staticmethod
+    def _refuse(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("split or sorted the students")
+
+        monkeypatch.setattr(const2, "sorted", refuse, raising=False)
+        monkeypatch.setattr(const2, "compress", refuse)
+
+    @pytest.mark.parametrize("kind", ["ranked", "ranked_isometric"])
+    def test_no_split_or_sort_on_ranked_input(self, kind, monkeypatch):
+        inst = generate(GenSpec(kind, 20000, 2, seed=1))
+        assert classify(inst).ranked
+        self._refuse(monkeypatch)
+        fans, _ = _staircase(inst, True)
+        assert fans == ([*range(19999, -1, -1)], [])
+
+    def test_a_strict_input_is_still_split_and_sorted(self, monkeypatch):
+        inst = generate(GenSpec("strict", 200, 2, seed=1))
+        assert not classify(inst).ranked
+        self._refuse(monkeypatch)
+        with pytest.raises(AssertionError, match="split or sorted"):
+            _staircase(inst, False)
+        with pytest.raises(AssertionError, match="split or sorted"):
+            fast_const(inst)
+
+    def test_one_classify_call_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return classify(instance)
+
+        monkeypatch.setattr(const2, "classify", counted)
+        cases = [generate(GenSpec(kind, 300, 2, seed=2)) for kind in (
+            "ranked", "ranked_isometric", "strict"
+        )]
+        for inst in cases:
+            fast_const(inst)
+            is_stable_m2(inst, Matching([0] * inst.n))
+        assert calls == [inst for inst in cases for _ in range(2)]
+
+
 class TestIsStableM2:
     def test_reference_instance(self, ref_instance):
         assert is_stable_m2(ref_instance, Matching([0, 1, 1, 1]))
@@ -381,10 +590,19 @@ class TestIsStableM2:
         with pytest.raises(InvalidInputError):
             is_stable_m2(ref_instance, Matching([0, None, 1, 1]))
 
+    @staticmethod
+    def _cases():
+        yield from _strict_m2_instances(seed=61, count=15, n_max=6)
+        # ranked inputs take their fans without a sort
+        for n in range(2, 7):
+            for seed in range(3):
+                for kind in ("ranked", "ranked_isometric"):
+                    yield generate(GenSpec(kind, n, 2, seed=seed))
+
     def test_agrees_with_general_test(self):
         # the closed form must coincide with the blocking-pair scan on every
         # complete assignment
-        for inst in _strict_m2_instances(seed=61, count=15, n_max=6):
+        for inst in self._cases():
             for assignment in _complete_assignments(inst.n):
                 mu = Matching(assignment)
                 assert is_stable_m2(inst, mu) == (is_stable(inst, mu) is None), (
