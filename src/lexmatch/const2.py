@@ -57,23 +57,23 @@ The compare.  A candidate beats the best iff the sorted values that differ
 (the students in different colleges, and both totals) beat the best's as
 plain lists: adding the same multiset to two equal-size multisets keeps
 their leximin order (see ``_state``).  Next to the best this costs O(1); a
-state one college-0 fan past the best compares two sorted triples.  It runs
-on the integer kernel (``Instance._kernel``), a positive scaling that keeps
-the leximin order.
+state one college-0 fan past the best compares two sorted triples, without
+building and sorting two lists.  It runs on the integer kernel
+(``Instance._kernel``), a positive scaling that keeps the leximin order.
 
-The cost.  The set-up runs at C speed: O(n) passes, and a sort on input
-that is not ranked.  The scan does O(1) Python work per visited state,
-apart from compares away from the best, and the report one step per
-student in college 1.  The fans: on ranked input every
-student prefers college 0, and college 0's values fall with the index, so
-its fans are every student in reverse and college 1 has none, read off the
-flags that the strictness check fetched; other input is split by
-``itertools.compress`` and sorted.  The scan reads a fan's two values
-through the fan index, only at the states it visits; college 0's starting
-total is the sum of its values less those of the students it does not
-hold.  The report is one pass over the best state's college-1 members,
-starting from college 0's values, and takes its totals from the scan,
-without validating or regrouping the matching.
+The cost.  The set-up runs at C speed: O(n) passes and a sort of the fans.
+The scan does O(1) Python work per visited state, apart from compares away
+from the best, and the report one step per student in college 1.  The
+fans: when every student prefers college 0 (one pass finds it) college 0's
+fans are every student, sorted, and college 1 has none.  All ranked input
+is such, and there college 0's values fall with the index, so the sort only
+reverses one run.  Other input is split by ``itertools.compress`` and each
+side sorted.  The scan reads a fan's two values through the fan index, only
+at the states it visits; college 0's starting total is the sum of its
+values less those of the students it does not hold.  The report is one
+pass over the best state's college-1 members, starting from college 0's
+values, and takes its totals from the scan, without validating or
+regrouping the matching.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ from typing import Callable, Optional
 
 from .errors import InfeasibleError, InvalidInputError, NotAdmissibleError
 from .model import (
-    ClassificationFlags,
     Instance,
     Matching,
     ScaledLeximin,
@@ -96,15 +95,11 @@ from .model import (
 from .report import SolverReport
 
 
-def _require_m2_strict(instance: Instance) -> ClassificationFlags:
-    """The instance's flags, once it is checked to have two colleges and
-    strict preferences."""
+def _require_m2_strict(instance: Instance) -> None:
     if instance.m != 2:
         raise NotAdmissibleError("solver requires exactly two colleges")
-    flags = classify(instance)
-    if not flags.strict:
+    if not classify(instance).strict:
         raise NotAdmissibleError("solver requires strict preferences on both sides")
-    return flags
 
 
 def _prefix_minima(values) -> list:
@@ -119,21 +114,22 @@ def _prefix_minima(values) -> list:
     return out
 
 
-def _staircase(instance: Instance, ranked: bool) -> tuple:
+def _staircase(instance: Instance) -> tuple:
     """(fans, stable) on the kernel ints: fans[j] lists college j's fans in
     ascending order of its value, and stable(d0, d1) tells whether the
     complete matching in which each college j hands its first d_j fans to
     the other is stable.  The split into fans needs strict preferences
     (u0[i] != u1[i]): a student with a tie would be nobody's fan.  Both
-    callers check them first, and pass the ranked flag they read then."""
+    callers check them first."""
     _, (u0, u1), v = instance._kernel
-    if ranked:
-        # every student prefers college 0, whose values fall with the index
-        fans = ([*range(instance.n - 1, -1, -1)], [])
+    students = range(instance.n)
+    if all(map(gt, u0, u1)):
+        # every student prefers college 0 (all ranked input does; there its
+        # values fall with the index, and the sort reverses one run)
+        fans = (sorted(students, key=v[0].__getitem__), [])
     else:
         # split the students by favorite at C speed: compress keeps the
         # indices whose flag is true
-        students = range(instance.n)
         split = (compress(students, map(gt, u0, u1)), compress(students, map(lt, u0, u1)))
         fans = tuple(sorted(f, key=col.__getitem__) for f, col in zip(split, v))
     # floor[j][k]: the other college's least value over fans[j][: k + 1],
@@ -169,12 +165,12 @@ def is_stable_m2(instance: Instance, matching: Matching) -> bool:
     """Closed-form stability test for m=2: each college must hand the other
     its least-valued fans, and the counts (d0, d1) must pass the
     staircase's stable test."""
-    flags = _require_m2_strict(instance)
+    _require_m2_strict(instance)
     matching.validate(instance)
     assignment = matching.assignment
     if any(j is None for j in assignment):
         raise InvalidInputError("characterization needs every student matched")
-    fans, stable = _staircase(instance, flags.ranked)
+    fans, stable = _staircase(instance)
     d = []
     for j, fans_j in enumerate(fans):
         d_j = sum(assignment[i] != j for i in fans_j)
@@ -197,14 +193,14 @@ def fast_const(instance: Instance, on_state: Optional[Callable] = None) -> Solve
     ``steps`` charges n + 2 per compare, though a compare sorts only the
     students between the state and the best one, and four totals.
 
-    Its set-up runs at C speed (see the module docstring): ranked
-    input takes its fans without a split or a sort, the fans' values are
-    read only at the states the scan visits, and the report is one pass
-    over college 1's members."""
-    flags = _require_m2_strict(instance)
+    Its set-up runs at C speed (see the module docstring): input whose
+    students all prefer college 0 takes its fans without a split, the fans'
+    values are read only at the states the scan visits, and the report is
+    one pass over college 1's members."""
+    _require_m2_strict(instance)
     n = instance.n
     scale, (u0, u1), (v0, v1) = instance._kernel
-    fans, stable = _staircase(instance, flags.ranked)
+    fans, stable = _staircase(instance)
     f0, f1 = fans
     n0, n1 = len(f0), len(f1)
     cap0, cap1 = instance.capacities

@@ -446,11 +446,11 @@ def _outcome(solver, instance, trace=None):
 
 
 class TestAgainstTheParentScan:
-    """fast_const takes a ranked input's fans without a sort, reads the
-    fans' values only at the states it visits, compares a state one
-    college-0 fan past the best by two triples and builds its report in one
-    pass over college 1.  Its reports and traces must be those of the scan
-    it replaced, kept above as _parent_fast_const."""
+    """fast_const takes the fans without a split when every student prefers
+    college 0, reads the fans' values only at the states it visits and
+    builds its report in one pass over college 1.  Its reports and traces
+    must be those of the scan it replaced, kept above as
+    _parent_fast_const."""
 
     @staticmethod
     def _cases():
@@ -521,7 +521,7 @@ class TestStaircase:
         grids = both_sides = 0
         for inst in self._cases():
             for case in (inst, _scaled_by_35(inst)):
-                fans, stable = _staircase(case, classify(case).ranked)
+                fans, stable = _staircase(case)
                 want_fans, want_stable = _reference_staircase(case)
                 assert sorted(fans[0] + fans[1]) == list(range(case.n)), case
                 assert fans == want_fans, case
@@ -534,51 +534,41 @@ class TestStaircase:
         assert grids >= 100 and both_sides >= 100
 
 
-class TestRankedFans:
-    """A ranked input's fans are read off its flags: every student prefers
-    college 0, whose values fall with the index, so its fans are every
-    student in reverse and college 1 has none."""
+class TestOneFavoriteFans:
+    """When every student prefers college 0, as on all ranked input and the
+    whole toggle family, _staircase sorts college 0's fans without
+    splitting the students.  On ranked input college 0's values fall with
+    the index, so its fans are every student in reverse."""
 
     @staticmethod
-    def _refuse(monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("split or sorted the students")
+    def _refuse_split(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("split the students")
 
-        monkeypatch.setattr(const2, "sorted", refuse, raising=False)
         monkeypatch.setattr(const2, "compress", refuse)
 
     @pytest.mark.parametrize("kind", ["ranked", "ranked_isometric"])
-    def test_no_split_or_sort_on_ranked_input(self, kind, monkeypatch):
+    def test_no_split_on_ranked_input(self, kind, monkeypatch):
         inst = generate(GenSpec(kind, 20000, 2, seed=1))
         assert classify(inst).ranked
-        self._refuse(monkeypatch)
-        fans, _ = _staircase(inst, True)
+        self._refuse_split(monkeypatch)
+        fans, _ = _staircase(inst)
         assert fans == ([*range(19999, -1, -1)], [])
 
-    def test_a_strict_input_is_still_split_and_sorted(self, monkeypatch):
-        inst = generate(GenSpec("strict", 200, 2, seed=1))
+    def test_no_split_when_every_student_prefers_college_0(self, monkeypatch):
+        inst = _toggle_family(200, 0)
         assert not classify(inst).ranked
-        self._refuse(monkeypatch)
-        with pytest.raises(AssertionError, match="split or sorted"):
-            _staircase(inst, False)
-        with pytest.raises(AssertionError, match="split or sorted"):
+        self._refuse_split(monkeypatch)
+        fans, _ = _staircase(inst)
+        assert fans == _reference_staircase(inst)[0] and not fans[1]
+
+    def test_an_input_with_both_favorites_is_split(self, monkeypatch):
+        inst = generate(GenSpec("strict", 200, 2, seed=1))
+        self._refuse_split(monkeypatch)
+        with pytest.raises(AssertionError, match="split the students"):
+            _staircase(inst)
+        with pytest.raises(AssertionError, match="split the students"):
             fast_const(inst)
-
-    def test_one_classify_call_per_solve(self, monkeypatch):
-        calls = []
-
-        def counted(instance):
-            calls.append(instance)
-            return classify(instance)
-
-        monkeypatch.setattr(const2, "classify", counted)
-        cases = [generate(GenSpec(kind, 300, 2, seed=2)) for kind in (
-            "ranked", "ranked_isometric", "strict"
-        )]
-        for inst in cases:
-            fast_const(inst)
-            is_stable_m2(inst, Matching([0] * inst.n))
-        assert calls == [inst for inst in cases for _ in range(2)]
 
 
 class TestIsStableM2:
@@ -593,7 +583,7 @@ class TestIsStableM2:
     @staticmethod
     def _cases():
         yield from _strict_m2_instances(seed=61, count=15, n_max=6)
-        # ranked inputs take their fans without a sort
+        # ranked inputs take their fans without a split
         for n in range(2, 7):
             for seed in range(3):
                 for kind in ("ranked", "ranked_isometric"):
