@@ -31,14 +31,12 @@ S - R, so keys order the trials exactly as their tuples do, and a trial
 beats its base iff its key beats sorted(R): one sort of 2m - 1 values per
 trial instead of n + m.  A run of moves compares with its start the same
 way, by one record of every agent it has changed.  The users: fast_gen's
-_best_trial ranks its trials by their keys and, since keys of two trials
-differ only in their slices, compares two givers below one receiver by
-those slices alone, whatever the receiver; fast's tie rule records one
-trial; fast_gen's _blame compares a record (a trial's, or _look_ahead's of
-its run) and, on a loss, finds from it the value where the loss starts; and
-const2.fast_const (on its own values, not through this class) compares each
-candidate with the best state it has seen by the students whose college
-differs and the totals.
+_best_trial ranks its trials by their keys, and two givers below one
+receiver by their slices alone; fast's tie rule records one trial;
+fast_gen's _blame finds from a record (a trial's, or a look-ahead run's)
+where a loss starts; and const2.fast_const, on its own values, compares each
+candidate with its best state by the students whose college differs and the
+totals.
 """
 
 from __future__ import annotations
@@ -123,15 +121,18 @@ class RankedState:
         read)."""
         u, v, start, total = self._u, self._v, self._start, self._total
         R, A, head, tail = [], [], [], [0]
-        gained = 0  # college t's value of the bottom student of t - 1
-        for t in range(len(total) - 1):
-            b = start[t + 1] - 1
+        gained = t = 0  # college t's value of the bottom student of t - 1
+        for b in start[1:-1]:
+            b -= 1
             lost = v[t][b]
-            R += (total[t], u[t][b])
-            A += (total[t] + gained - lost, u[t + 1][b])
+            R.append(total[t])
+            R.append(u[t][b])
+            A.append(total[t] + gained - lost)
             head.append(total[t] - lost)
-            gained = v[t + 1][b]
-            tail.append(total[t + 1] + gained)
+            t += 1
+            A.append(u[t][b])
+            gained = v[t][b]
+            tail.append(total[t] + gained)
         R.append(total[-1])
         return R, A, head, tail
 
@@ -155,13 +156,13 @@ class RankedState:
     def holders(self, x: int) -> list:
         """Positions of the agents whose value is x, ascending.  A
         membership test on each block keeps the scan at C speed."""
-        n, start = self.instance.n, self._start
+        n, start, total = self.instance.n, self._start, self._total
         out = []
-        for j, col in enumerate(self._u):
-            block = col[start[j]:start[j + 1]]
+        for col, s, e in zip(self._u, start, start[1:]):
+            block = col[s:e]
             if x in block:
-                out += (start[j] + i for i, y in enumerate(block) if y == x)
-        return out + [n + j for j, y in enumerate(self._total) if y == x]
+                out += (s + i for i, y in enumerate(block) if y == x)
+        return out + [n + j for j, y in enumerate(total) if y == x]
 
     def demote(self, up: int, down: int) -> None:
         """Chain demotion on the block structure: each college up..down-1

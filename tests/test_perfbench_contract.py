@@ -4,9 +4,10 @@ These names must keep resolving, or ``perfbench/run.py --trace 1`` crashes.
 The benchmark also checks each output against the result recorded in
 ``perfbench/reference.json``; the in-process workloads are pinned here too,
 so a solver change that moves them fails in the test suite, not only in a
-run."""
+run, and fast_gen's walk on each ranked_gen input is pinned by digest."""
 
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import lexmatch
+from lexmatch import fast_gen
 from lexmatch.cli import solve_dispatch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -133,7 +135,40 @@ def test_ranked_gen_solves_to_the_recorded_assignments():
     assert len(items) == 9
     for item in items:
         report = solve_dispatch(lexmatch.load_instance(item.text), item.algo)
+        # the workload times fast_gen's walk: caps inputs bind, the rest do not
+        want = "cap_fast_gen" if item.shape.regime == "caps" else "fast_gen"
+        assert report.algorithm == want, item.key
         assert list(report.matching.assignment) == _recorded_assignment(item), item.key
+
+
+# fast_gen's walk on each ranked_gen input (n = 100-360, m = 4-8), beyond
+# the n <= 60 of the equivalence sweep: sha256 of the block sizes it hands
+# on_state, in order, then of the report's canonical JSON (counters, steps,
+# matching and tuple).  A speed-up must leave them in place.
+RANKED_GEN_WALKS = {
+    "ranked-n100-m8": "e74e174a29e096f272ef13380af0037bd6777bad98dff30a8c974fdf0f807e12",
+    "ranked-n160-m6": "43f3ead2dfa7ec9235492c96bf3052cc063d03fbb8bbeb60839e972e443b93c5",
+    "ranked-n260-m4": "dea3ea4c83e8dea305d490d2d25d45dab0aea9df083010f9d2d0f3ffaf611109",
+    "ties-n100-m8": "0dda4f609f5618ffdfd248642f16982a8209f7cc6f1a9b4304333eb60f3107e9",
+    "ties-n160-m6": "59ede9395bafeff99471efa527703f18deecee7424e517581cdb4664e419e926",
+    "ties-n260-m4": "2880a2c8c14f2d3de478b74190f4f1a42a0de3398169999f6e80d5ca2e786c00",
+    "caps-n140-m8": "fe3418796680c7ebe47e5e25978922d201a7279b6616b08b318e52991378e289",
+    "caps-n220-m6": "e5adb9eaf782015ad18422e7afaf78647472598e877c9dab2f41c5c7c534148a",
+    "caps-n360-m4": "1545ba41e157825b5b5ff1dcff1ac8d0b9daf793aaafe001eecec6c52f18602b",
+}
+
+
+def _walk_digest(instance):
+    h = hashlib.sha256()
+    report = fast_gen(instance, on_state=lambda k: h.update(json.dumps(k).encode()))
+    h.update(json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")).encode())
+    return h.hexdigest()
+
+
+def test_fast_gen_walks_the_ranked_gen_inputs_as_recorded():
+    items = _recorded_items("ranked_gen")
+    got = {item.key: _walk_digest(lexmatch.load_instance(item.text)) for item in items}
+    assert got == RANKED_GEN_WALKS
 
 
 def test_strict_toggle_solves_to_the_recorded_assignments():
