@@ -117,29 +117,7 @@ class Instance:
             raise InvalidInputError("student value row length != number of colleges")
         if set(map(len, college_values)) != {n}:
             raise InvalidInputError("college value row length != number of students")
-        self._settle(*_kernel(student_values, college_values), capacities)
-
-    @classmethod
-    def _from_flat(cls, flat: tuple, college_values, capacities) -> "Instance":
-        """The instance whose student rows, each of m = len(college_values)
-        values, lie end to end in `flat`: what the constructor gives for
-        those rows, without making them when every value is a plain
-        non-negative int.  The caller has checked the shape: n = len(flat)
-        / m >= 1, and the college values are m >= 1 list rows of n each."""
-        m = len(college_values)
-        found = _int_kernel(flat, tuple(map(tuple, college_values)))
-        if found is None:
-            # values to parse: the constructor names the first bad one
-            rows = [flat[i : i + m] for i in range(0, len(flat), m)]
-            return cls(rows, college_values, capacities)
-        instance = cls.__new__(cls)
-        instance._settle(*found, capacities)
-        return instance
-
-    def _settle(self, kernel, flags, capacities) -> None:
-        """Check the capacities against the kernel's n and m, then set the
-        fields."""
-        n, m = len(kernel[1][0]), len(kernel[1])
+        kernel, flags = _kernel(student_values, college_values)
         if capacities is None:
             capacities = (max(1, n - 1) if m > 1 else n,) * m
         elif not isinstance(capacities, (list, tuple)):

@@ -12,7 +12,6 @@ import pytest
 
 import lexmatch.cli
 import lexmatch.model
-import lexmatch.serialize
 from lexmatch import (
     GenSpec,
     Instance,
@@ -238,44 +237,32 @@ def _compact(data) -> str:
     return json.dumps(data, separators=(",", ":"))
 
 
-def _whole(text):
-    """What decoding the whole text at once gives: the instance's kernel,
-    flags and capacities, or the refusal."""
+def _loads_or_refuses(text) -> None:
+    """Load `text`; a refusal must be an InvalidInputError, never another
+    exception."""
     try:
-        inst = instance_from_dict(lexmatch.serialize._decode(text))
-    except InvalidInputError as exc:
-        return "refused", str(exc)
-    return inst._kernel, inst._flags, inst.capacities
+        load_instance(text)
+    except InvalidInputError:
+        pass
 
 
-def _loaded(text):
-    try:
-        inst = load_instance(text)
-    except InvalidInputError as exc:
-        return "refused", str(exc)
-    return inst._kernel, inst._flags, inst.capacities
-
-
-class TestBlockedLoad:
-    """load_instance decodes the student rows of a compact text a block at a
-    time; every text must give what decoding it whole gives."""
+class TestLoadInstance:
+    """load_instance decodes a text whole and builds its instance with the
+    garbage collector paused."""
 
     def _matrices(self, rng, n, m, hi=9):
         sv = [[rng.randint(0, hi) for _ in range(m)] for _ in range(n)]
         cv = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
         return {"student_values": sv, "college_values": cv}
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 256])
-    def test_blocks_give_the_whole_decode(self, monkeypatch, block_rows):
-        monkeypatch.setattr(lexmatch.serialize, "_BLOCK_ROWS", block_rows)
-        rng = random.Random(block_rows)
+    def test_a_compact_text_loads_as_built(self):
+        rng = random.Random(1)
         for n, m in ((1, 1), (1, 3), (2, 1), (7, 2), (300, 4), (1100, 2)):
             data = self._matrices(rng, n, m)
             for extra in ({}, {"capacities": [n] * m}, {"capacities": None}):
                 text = _compact(dict(data, **extra))
-                if n >= 4 * block_rows:  # a few blocks or fewer may go whole
-                    assert lexmatch.serialize._load_blocked(text) is not None
-                assert _loaded(text) == _whole(text)
+                built = Instance.build(*data.values(), capacities=extra.get("capacities"))
+                assert load_instance(text) == built
 
     def test_ranked_isometric_kernel_is_shared(self):
         n, m = 1000, 4
@@ -284,10 +271,8 @@ class TestBlockedLoad:
         inst = load_instance(text)
         assert inst._flags.ranked and inst._flags.isometric
         assert inst._kernel[1] is inst._kernel[2]
-        assert _loaded(text) == _whole(text)
 
-    def test_rational_values_go_through_the_constructor(self, monkeypatch):
-        monkeypatch.setattr(lexmatch.serialize, "_BLOCK_ROWS", 1)
+    def test_rational_values_go_through_the_constructor(self):
         text = _compact(
             {
                 "student_values": [["1/2", 3], [2, "7/3"], [1, 0]],
@@ -295,13 +280,12 @@ class TestBlockedLoad:
                 "capacities": [2, 2],
             }
         )
-        assert lexmatch.serialize._load_blocked(text) is not None
         assert load_instance(text) == Instance.build(*json.loads(text).values())
 
     def test_an_indented_text_is_decoded_whole(self, ref_instance):
         text = dump_instance(ref_instance)
-        assert lexmatch.serialize._load_blocked(text) is None
         assert load_instance(text) == ref_instance
+        assert load_instance(text.encode()) == ref_instance
 
     @pytest.mark.parametrize(
         "text",
@@ -340,12 +324,10 @@ class TestBlockedLoad:
             '{"student_values":[[1],[2]],"college_values":[[1,2]]',
         ],
     )
-    def test_odd_texts_load_as_decoded_whole(self, monkeypatch, text):
-        monkeypatch.setattr(lexmatch.serialize, "_BLOCK_ROWS", 1)
-        assert _loaded(text) == _whole(text)
+    def test_odd_texts_load_or_are_refused(self, text):
+        _loads_or_refuses(text)
 
-    def test_mutated_texts_load_as_decoded_whole(self, monkeypatch):
-        monkeypatch.setattr(lexmatch.serialize, "_BLOCK_ROWS", 1)
+    def test_mutated_texts_load_or_are_refused(self):
         rng = random.Random(7)
         texts = []
         for _ in range(20):
@@ -355,7 +337,6 @@ class TestBlockedLoad:
                 data["capacities"] = [rng.randint(0, n + 1) for _ in range(m)]
             texts.append(_compact(data))
         pieces = list("[],0123456789") + ["],[", "]]", "[[", "NaN", '"3/2"', "true", '"a":']
-        blocked = 0
         for _ in range(3000):
             text = rng.choice(texts)
             for _ in range(rng.randint(1, 2)):
@@ -364,31 +345,47 @@ class TestBlockedLoad:
                     text = text[:at] + rng.choice(pieces) + text[at:]
                 else:
                     text = text[:at] + text[at + 1 :]
-            assert _loaded(text) == _whole(text), text
-            try:
-                blocked += lexmatch.serialize._load_blocked(text) is not None
-            except InvalidInputError:
-                blocked += 1
-        assert blocked > 200  # some mutants still take the blocked path
+            _loads_or_refuses(text)
 
     def test_a_load_sets_off_no_young_collections(self):
-        # decoded whole, the 5,000 row lists set off 7 young collections at
-        # the default threshold of 700
+        # with the collector running, the 5,000 row lists of a whole decode
+        # set off 7 young collections at the default threshold of 700
         n = 5000
         sv = [[2 * (n - i) + 1, 2 * (n - i)] for i in range(n)]
-        text = _compact({"student_values": sv, "college_values": [list(c) for c in zip(*sv)]})
+        data = {"student_values": sv, "college_values": [list(c) for c in zip(*sv)]}
         thresholds = gc.get_threshold()
         try:
-            gc.collect()
-            gc.set_threshold(700)
-            before = gc.get_stats()[0]["collections"]
-            inst = load_instance(text)
-            collections = gc.get_stats()[0]["collections"] - before
-            gc.set_threshold(*thresholds)
-            assert inst.n == n and inst._flags.ranked
-            assert collections == 0
+            for text in (_compact(data), dump_instance(instance_from_dict(data))):
+                gc.collect()
+                gc.set_threshold(700)
+                before = gc.get_stats()[0]["collections"]
+                inst = load_instance(text)
+                collections = gc.get_stats()[0]["collections"] - before
+                gc.set_threshold(*thresholds)
+                assert inst.n == n and inst._flags.ranked
+                assert collections == 0
         finally:
             gc.set_threshold(*thresholds)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collectors_state_is_restored(self, enabled):
+        data = {"student_values": [[2, 1], [4, 3]], "college_values": [[2, 1], [4, 3]]}
+        refused = (
+            '{"student_values": [[2, 1], [4, 3]]',  # bad JSON
+            _compact(dict(data, student_values=[[2, 1], [-4, 3]])),
+            _compact(dict(data, capacities=[0, 2])),
+        )
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert load_instance(_compact(data)).n == 2
+            assert gc.isenabled() is enabled
+            for text in refused:
+                with pytest.raises(InvalidInputError):
+                    load_instance(text)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestDispatch:

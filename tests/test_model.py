@@ -34,7 +34,6 @@ from lexmatch import (
     student_value,
     value_to_str,
 )
-import lexmatch.serialize
 from lexmatch import model
 from lexmatch.generate import KINDS
 from lexmatch.model import ClassificationFlags, ScaledLeximin
@@ -709,9 +708,8 @@ class TestRowSeparatedClassify:
     its row-major values and every other kernel by the column-wise scans;
     the flags must be those of the scans alone on every input and route."""
 
-    def test_every_route_gives_the_column_wise_flags(self, monkeypatch):
-        monkeypatch.setattr(lexmatch.serialize, "_BLOCK_ROWS", 1)
-        seen, blocked = set(), 0
+    def test_every_route_gives_the_column_wise_flags(self):
+        seen = set()
         for sv, cv in _row_separation_cases():
             expected = _column_flags(sv, cv)
             seen.add(expected)
@@ -722,16 +720,9 @@ class TestRowSeparatedClassify:
             )
             if expected.isometric:
                 assert classify(Instance.from_matrix(sv)) == expected, sv
-            loaded = lexmatch.serialize._load_blocked(
-                json.dumps({"student_values": sv, "college_values": cv}, separators=(",", ":"))
-            )
-            if loaded is not None:
-                blocked += 1
-                assert classify(loaded) == expected, (sv, cv)
         # ranked with and without isometry, and strict and weakly ranked both ways
         assert {(f.ranked, f.isometric) for f in seen} == set(product((False, True), repeat=2))
         assert {f.strict for f in seen} == {f.weakly_ranked for f in seen} == {True, False}
-        assert blocked > 500
 
     @staticmethod
     def _counted(monkeypatch) -> list:
@@ -757,14 +748,10 @@ class TestRowSeparatedClassify:
     def test_a_row_separated_kernel_is_ranked_in_nm_compares(self, monkeypatch):
         n, m = self.N, self.M
         rows = [[m * (n - i) - j for j in range(m)] for i in range(n)]
-        text = json.dumps(
-            {"student_values": rows, "college_values": _transpose(rows)}, separators=(",", ":")
-        )
         calls = self._counted(monkeypatch)
         for build in (
             lambda: Instance.from_matrix(rows),
             lambda: Instance.build(rows, _transpose(rows)),
-            lambda: lexmatch.serialize._load_blocked(text),
         ):
             calls[0] = 0
             assert classify(build()) == ClassificationFlags(*[True] * 6)
