@@ -255,14 +255,17 @@ class TestLoadInstance:
         cv = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
         return {"student_values": sv, "college_values": cv}
 
-    def test_a_compact_text_loads_as_built(self):
+    @pytest.mark.parametrize("capacities", ["absent", "n", "null"])
+    def test_a_compact_text_loads_as_built(self, capacities):
         rng = random.Random(1)
         for n, m in ((1, 1), (1, 3), (2, 1), (7, 2), (300, 4), (1100, 2)):
             data = self._matrices(rng, n, m)
-            for extra in ({}, {"capacities": [n] * m}, {"capacities": None}):
-                text = _compact(dict(data, **extra))
-                built = Instance.build(*data.values(), capacities=extra.get("capacities"))
-                assert load_instance(text) == built
+            extra = {"absent": {}, "n": {"capacities": [n] * m}, "null": {"capacities": None}}[
+                capacities
+            ]
+            text = _compact(dict(data, **extra))
+            built = Instance.build(*data.values(), capacities=extra.get("capacities"))
+            assert load_instance(text) == built
 
     def test_ranked_isometric_kernel_is_shared(self):
         n, m = 1000, 4
