@@ -378,8 +378,11 @@ class Matching:
         """Raise InvalidInputError if this matching does not fit the instance.
 
         Capacity checking is opt-in: stability, leximin tuples and envy
-        metrics are well defined for over-capacity assignments too, and the
-        uncapacitated solvers treat capacities as absent.
+        metrics are well defined for over-capacity assignments too.  The
+        solvers fast, fast_gen and fast_const read the capacities off the
+        instance; only oracle_leximin and candidates without
+        respect_capacities, ``lexmatch enumerate`` without
+        ``--respect-capacities``, and ``lexmatch verify`` ignore them.
         """
         if len(self.assignment) != instance.n:
             raise InvalidInputError("matching length != number of students")

@@ -89,6 +89,8 @@ def partition_to_smo(P) -> Instance:
     optimum iff P splits into two equal-sum halves.  Every complete matching
     of the image instance is stable."""
     P = _int_list(P, "partition integers")
+    if len(P) < 2:
+        raise InvalidInputError(f"partition needs at least two integers, got {len(P)}")
     if any(p <= 0 for p in P):
         raise InvalidInputError("partition integers must be positive")
     if sum(P) % 2 != 0:

@@ -2,7 +2,23 @@ import random
 
 import pytest
 
-from lexmatch import GenSpec, Instance, generate
+from lexmatch import GenSpec, Instance, const2, generate
+
+
+@pytest.fixture
+def const2_triple_sorts(monkeypatch):
+    """The key-less calls to sorted in lexmatch.const2: fast_const makes two
+    for each compare that sorts triples, while the fans' sorts pass a key.
+    Clear the list between solves."""
+    calls = []
+
+    def counting_sorted(values, **kwargs):
+        if not kwargs:
+            calls.append(values)
+        return sorted(values, **kwargs)
+
+    monkeypatch.setattr(const2, "sorted", counting_sorted, raising=False)
+    return calls
 
 
 @pytest.fixture

@@ -437,6 +437,37 @@ def _parent_fast_const(instance, on_state=None):
     )
 
 
+def _one_fan_compares(instance, trace):
+    """Replay fast_const's best-so-far over the states of its trace, with
+    whole sorted value lists, and split the compares of a state one
+    college-0 fan past the best (it differs from the best only by a
+    college-0 fan a in college 1) by the least-value test.  Returns the
+    count of those where the best's college-1 total s1 is below a's new
+    value and both new totals, the count of the others, and the best
+    state's assignment (None if there is no candidate)."""
+    _, (u0, u1), (v0, v1) = instance._kernel
+    settled = fell_back = 0
+    best = None
+    for mu in trace:
+        state = mu.assignment
+        if not (0 in state and 1 in state):
+            continue
+        t0 = sum(v0[i] for i, j in enumerate(state) if j == 0)
+        t1 = sum(v1[i] for i, j in enumerate(state) if j == 1)
+        values = sorted([u1[i] if j else u0[i] for i, j in enumerate(state)] + [t0, t1])
+        if best is not None:
+            moved = [i for i, (j, k) in enumerate(zip(state, best[0])) if j != k]
+            if len(moved) == 1 and state[moved[0]] == 1 and u0[moved[0]] > u1[moved[0]]:
+                s1 = best[2]
+                if s1 < t0 and s1 < t1 and s1 < u1[moved[0]]:
+                    settled += 1
+                else:
+                    fell_back += 1
+        if best is None or values > best[1]:
+            best = state, values, t1
+    return settled, fell_back, best and list(best[0])
+
+
 def _outcome(solver, instance, trace=None):
     """The report's JSON, or the refusal's message when it is infeasible."""
     try:
@@ -474,18 +505,32 @@ class TestAgainstTheParentScan:
         for inst in _zero_valued_strict_m2(seed=7, count=60):
             for caps in itertools.product(range(1, inst.n + 1), repeat=2):
                 yield Instance(inst.student_values, inst.college_values, caps)
+        # a state one college-0 fan past the best where college 1 values
+        # that fan at 0, so both college-1 totals are equal: the least-value
+        # test must fail and the sorted triples keep the best
+        yield Instance.build([[4, 5], [5, 2], [5, 2]], [[5, 6, 4], [1, 5, 0]])
+        yield Instance.build([[5, 2], [1, 0], [3, 2], [5, 4]], [[6, 7, 3, 5], [2, 1, 3, 0]])
 
-    def test_equal_reports_and_traces(self):
-        kinds = {"ranked": 0, "infeasible": 0, "compared": 0}
+    def test_equal_reports_and_traces(self, const2_triple_sorts):
+        # a compare one college-0 fan past the best sorts two triples only
+        # when the least-value test fails
+        triples = const2_triple_sorts
+        kinds = {"ranked": 0, "infeasible": 0, "compared": 0, "settled": 0, "sorted": 0}
         for inst in self._cases():
             for case in (inst, _scaled_by_35(inst)) if inst.n <= 20 else (inst,):
                 got_trace, want_trace = [], []
+                triples.clear()
                 got = _outcome(fast_const, case, got_trace.append)
                 want = _outcome(_parent_fast_const, case, want_trace.append)
                 assert got == want and got_trace == want_trace, case
+                settled, fell_back, best = _one_fan_compares(case, got_trace)
+                assert len(triples) == 2 * fell_back, case
+                assert isinstance(got, str) or got["matching"] == {"assignment": best}, case
                 kinds["ranked"] += classify(case).ranked
                 kinds["infeasible"] += isinstance(got, str)
                 kinds["compared"] += len(got_trace) > 2
+                kinds["settled"] += settled > 0
+                kinds["sorted"] += fell_back > 0
         assert min(kinds.values()) >= 50, kinds
 
     @pytest.mark.parametrize("kind", ["ranked", "ranked_isometric"])

@@ -630,6 +630,13 @@ class TestCli:
         assert main(["reduce", "--from", "partition", "--input", path]) == 2
         assert "partition integers must be an int, got 2.7" in capsys.readouterr().err
 
+    def test_reduce_refuses_a_partition_of_one_integer(self, tmp_path, capsys):
+        path = _write(tmp_path, "in.json", json.dumps({"integers": [2]}))
+        assert main(["reduce", "--from", "partition", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "partition needs at least two integers, got 1" in captured.err
+
     def test_reduce_refuses_a_json_array(self, tmp_path, capsys):
         path = _write(tmp_path, "in.json", json.dumps([1, 1]))
         assert main(["reduce", "--from", "partition", "--input", path]) == 2

@@ -179,3 +179,17 @@ def test_strict_toggle_solves_to_the_recorded_assignments():
         assert report.algorithm == "fast_const", item.key
         assert report.counters["toggles"] > 0, item.key
         assert list(report.matching.assignment) == _recorded_assignment(item), item.key
+
+
+def test_strict_toggle_compares_sort_at_most_one_pair_of_triples(const2_triple_sorts):
+    # every strict_toggle candidate after the first is one college-0 fan
+    # past the best, and fast_const settles that compare by the best's
+    # least value; it falls back to sorting two triples at most once per
+    # input (0 or 1 times at this writing)
+    triples = const2_triple_sorts
+    for item in _recorded_items("strict_toggle"):
+        instance = lexmatch.load_instance(item.text)
+        triples.clear()
+        report = lexmatch.fast_const(instance)
+        assert report.counters["toggles"] >= 80, item.key  # about one compare each
+        assert len(triples) <= 2, (item.key, triples)  # one fallback sorts two

@@ -126,10 +126,13 @@ class TestPartition:
 
     @pytest.mark.parametrize(
         "P",
-        [[3, 2], [0, 2], [-1, 1], [2.7, 2.2, 3, 1], [True, 1], ["2", 2], 4, "22"],
+        [[3, 2], [0, 2], [-1, 1], [2.7, 2.2, 3, 1], [True, 1], ["2", 2], 4, "22", [2], []],
     )
     def test_preconditions(self, P):
-        with pytest.raises(InvalidInputError):
+        # fewer than two integers would reach Instance, which names
+        # capacities and sizes the caller never gave
+        match = "partition needs at least two integers" if P in ([2], []) else None
+        with pytest.raises(InvalidInputError, match=match):
             partition_to_smo(P)
 
 
