@@ -99,10 +99,6 @@ class RankedState:
         other.k, other._start, other._total = self.k[:], self._start[:], self._total[:]
         return other
 
-    def college_value(self, j: int) -> int:
-        """Scaled total value of college j's block."""
-        return self._total[j]
-
     def college_of(self, i: int) -> int:
         """The college whose block holds student i."""
         return bisect_right(self._start, i) - 1

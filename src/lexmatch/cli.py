@@ -126,7 +126,7 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     instance = load_instance(_read(args.instance))
     walk = candidates(instance, args.complete, args.respect_capacities, args.budget)
-    results = [matching_to_dict(mu) for mu in walk if is_stable(instance, mu) is None]
+    results = [matching_to_dict(mu) for mu in walk]  # the walk yields only stable ones
     _emit({"stable_matchings": results, "count": len(results)})
     return EXIT_OK
 
@@ -166,14 +166,7 @@ def _cmd_reduce(args) -> int:
     from .reductions import ReductionSpec  # off the solve path's imports
 
     data = _decode(_read(args.input))
-    kind = _REDUCTION_KINDS[getattr(args, "from")]
-    if args.replicate != 1:
-        # only the bin-packing encoding has copies to replicate
-        if kind != "bin_packing":
-            raise InvalidInputError("--replicate applies only to --from bin-packing")
-        if isinstance(data, dict):  # build refuses any other data
-            data = dict(data, replicate=args.replicate)
-    spec = ReductionSpec(kind=kind, data=data)
+    spec = ReductionSpec(kind=_REDUCTION_KINDS[getattr(args, "from")], data=data)
     print(dump_instance(spec.build()))
     return EXIT_OK
 
@@ -228,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="build an instance from an NP-hard problem")
     p.add_argument("--from", required=True, choices=sorted(_REDUCTION_KINDS))
     p.add_argument("--input", required=True, help="problem JSON file or -")
-    p.add_argument("--replicate", type=int, default=1)
     p.set_defaults(func=_cmd_reduce)
 
     return parser

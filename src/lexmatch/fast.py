@@ -69,11 +69,8 @@ def fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverRepor
     u = instance._kernel[1]  # u[j][i] is scaled u(i, j), like every value below
     iterations = chain_moves = tuple_comparisons = 0
 
-    def emit():
-        if on_state is not None:
-            on_state(tuple(k))
-
-    emit()
+    if on_state is not None:
+        on_state(tuple(k))
     j = m - 1
     while j >= 1:
         iterations += 1
@@ -82,7 +79,7 @@ def fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverRepor
         if ib < j or k[j] >= caps[j]:
             j -= 1
             continue
-        vj = state.college_value(j)
+        vj = state._total[j]
         if vj >= u[j - 1][ib] or u[j][ib] < vj:
             j -= 1
             continue
@@ -98,7 +95,8 @@ def fast(instance: Instance, on_state: Optional[Callable] = None) -> SolverRepor
                 j -= 1
                 continue
         state.demote(up, j)
-        emit()
+        if on_state is not None:
+            on_state(tuple(k))
 
     return state.report(
         "fast",

@@ -208,7 +208,7 @@ def _look_ahead(state: RankedState, down: int, fixes: FixSets, counters: dict):
         up = min(j for j in range(m) if j not in lf)
         if up >= down:
             break
-        if shadow.k[up] == 1 or shadow.college_value(up) <= shadow.college_value(down):
+        if shadow.k[up] == 1 or shadow._total[up] <= shadow._total[down]:
             lf.add(up)
             continue
         shadow.record(changes, shadow.table(), up, down)

@@ -188,7 +188,7 @@ def _multi_step_fast(instance, on_state=None, stats=None):
         if ib < j:
             j -= 1
             continue
-        vj = state.college_value(j)
+        vj = state._total[j]
         if vj >= u[j - 1][ib] or k[j] >= caps[j]:
             j -= 1
             continue

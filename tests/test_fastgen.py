@@ -196,7 +196,7 @@ def _cap_preprocess(instance):
     state = RankedState(instance, initial_boundary(instance))
     fixes = FixSets(upper_fix={0}, lower_fix={m - 1})
     u, k = instance._kernel[1], state.k
-    floor = min(state.college_value(j) for j in range(m))
+    floor = min(state._total[j] for j in range(m))
     tail = m  # colleges tail..m-1 hold one student each
     while tail and k[tail - 1] == 1:
         tail -= 1

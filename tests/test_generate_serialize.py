@@ -4,9 +4,11 @@ import json
 import math
 import random
 import re
+import shlex
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ from lexmatch import (
     is_stable,
     solve_dispatch,
 )
-from lexmatch.cli import _ALGORITHMS, main
+from lexmatch.cli import _ALGORITHMS, build_parser, main
 from lexmatch.generate import KINDS
 from lexmatch.serialize import (
     dump_instance,
@@ -477,6 +479,17 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _readme_cli_lines():
+    """The command lines of README's `## CLI` code block, split into words
+    with the comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [words for words in lines if words]
+    assert len(lines) >= 8, block
+    return lines
+
+
 class TestCli:
     def test_solve_auto(self, tmp_path, capsys, ref_instance):
         path = _write(tmp_path, "inst.json", dump_instance(ref_instance))
@@ -595,35 +608,35 @@ class TestCli:
         printed = load_instance(capsys.readouterr().out)
         assert printed == generate(GenSpec(kind="ranked", n=5, m=2, seed=7))
 
+    @pytest.mark.parametrize("words", _readme_cli_lines(), ids=" ".join)
+    def test_every_readme_cli_line_parses(self, words):
+        # parsing only: the file names in README are never opened
+        prog = ["python", "-m", "lexmatch"] if words[0] == "python" else ["lexmatch"]
+        assert words[: len(prog)] == prog
+        assert build_parser().parse_args(words[len(prog):]).command == words[len(prog)]
+
     def test_reduce_subset_sum(self, tmp_path, capsys):
         path = _write(tmp_path, "in.json", json.dumps({"integers": [1, 2], "target": 3}))
         assert main(["reduce", "--from", "subset-sum", "--input", path]) == 0
         inst = load_instance(capsys.readouterr().out)
         assert (inst.n, inst.m) == (4, 3)
 
-    @pytest.mark.parametrize(
-        "kind, data",
-        [
-            ("subset-sum", {"integers": [1, 2], "target": 3}),
-            ("partition", {"integers": [1, 1]}),
-            ("3partition", {"integers": [1, 1, 1]}),
-        ],
-    )
-    def test_reduce_refuses_replicate_where_it_means_nothing(
-        self, tmp_path, capsys, kind, data
-    ):
+    def test_reduce_reads_replication_from_the_input(self, tmp_path, capsys):
+        data = {"weights": ["1/2", "1/2"], "bins": 2, "replicate": 3}
         path = _write(tmp_path, "in.json", json.dumps(data))
-        args = ["reduce", "--from", kind, "--input", path]
-        assert main([*args, "--replicate", "2"]) == 2
-        assert "--replicate applies only to --from bin-packing" in capsys.readouterr().err
-        assert main([*args, "--replicate", "1"]) == 0
-
-    def test_reduce_replicates_bin_packing(self, tmp_path, capsys):
-        path = _write(tmp_path, "in.json", json.dumps({"weights": ["1/2", "1/2"], "bins": 2}))
-        assert main(["reduce", "--from", "bin-packing", "--input", path, "--replicate", "3"]) == 0
+        assert main(["reduce", "--from", "bin-packing", "--input", path]) == 0
         inst = load_instance(capsys.readouterr().out)
         # t copies of the 2 items and 2 bins, plus the dummy and the collector
         assert (inst.n, inst.m) == (7, 7)
+
+    def test_reduce_has_no_replicate_option(self, tmp_path, capsys):
+        path = _write(tmp_path, "in.json", json.dumps({"weights": ["1/2", "1/2"], "bins": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--from", "bin-packing", "--input", path, "--replicate", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --replicate 2" in captured.err
 
     def test_reduce_refuses_non_int_input(self, tmp_path, capsys):
         path = _write(tmp_path, "in.json", json.dumps({"integers": [2.7, 2.2, 3, 1]}))
@@ -641,14 +654,6 @@ class TestCli:
         path = _write(tmp_path, "in.json", json.dumps([1, 1]))
         assert main(["reduce", "--from", "partition", "--input", path]) == 2
         assert "reduction input must be a JSON object" in capsys.readouterr().err
-
-    def test_reduce_refuses_a_json_array_to_replicate(self, tmp_path, capsys):
-        path = _write(tmp_path, "in.json", json.dumps(["1/2", "1/2"]))
-        args = ["reduce", "--from", "bin-packing", "--input", path, "--replicate", "2"]
-        assert main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "invalid input: reduction input must be a JSON object" in captured.err
 
     def test_a_key_error_is_a_bug_not_invalid_input(self, tmp_path, monkeypatch, ref_instance):
         # every payload path raises InvalidInputError, so main lets a

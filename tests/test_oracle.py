@@ -126,6 +126,21 @@ class TestOracle:
         with pytest.raises(InfeasibleError):
             oracle_leximin(inst, require_complete=True)
 
+    def test_an_unstable_candidate_is_skipped_though_it_would_win(self, ref_instance, monkeypatch):
+        # the oracle judges each candidate itself rather than trust the
+        # walk: [0, 1, 0, 1] is blocked, and its tuple beats the optimum's
+        want = oracle_leximin(ref_instance, require_complete=True)
+        unstable = Matching([0, 1, 0, 1])
+        assert is_stable(ref_instance, unstable) is not None
+        assert leximin_compare(leximin_tuple(ref_instance, unstable), want.leximin) == GREATER
+        walk = oracle.candidates
+        monkeypatch.setattr(
+            oracle, "candidates", lambda *args: itertools.chain(walk(*args), [unstable])
+        )
+        got = oracle_leximin(ref_instance, require_complete=True)
+        assert (got.matching, got.leximin) == (want.matching, want.leximin)
+        assert got.counters == {"enumerated": 4, "stable": 3} and got.steps == 4
+
 
 def _specs(kind):
     """Specs of one generate kind at n <= 7 and m <= 3 under capacities
@@ -157,14 +172,24 @@ def _product_walk(inst, require_complete, respect_capacities):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_the_walk_yields_the_product_walks_stable_matchings_in_its_order(kind):
+def test_the_walk_yields_the_product_walks_stable_matchings_in_its_order(kind, tmp_path, capsys):
     # the pruned walk, and the composition walk on ranked input under
-    # require_complete, yield exactly what the product walk keeps
+    # require_complete, yield exactly what the product walk keeps, and
+    # `lexmatch enumerate` prints exactly that list
+    path = tmp_path / "inst.json"
     for spec in _specs(kind):
         inst = generate(spec)
+        path.write_text(dump_instance(inst))
         for flags in itertools.product((False, True), repeat=2):
             got, want = list(candidates(inst, *flags)), list(_product_walk(inst, *flags))
             assert got == want, (spec, flags)
+            options = itertools.compress(("--complete", "--respect-capacities"), flags)
+            assert cli.main(["enumerate", "--instance", str(path), *options]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert printed == {
+                "stable_matchings": [{"assignment": list(mu.assignment)} for mu in want],
+                "count": len(want),
+            }, (spec, flags)
 
 
 @pytest.mark.parametrize(
@@ -213,10 +238,10 @@ def test_the_budget_counts_the_same_placements_tried_as_the_rescanning_walk(kind
 def test_enumerate_refuses_before_checking_any_candidate(tmp_path, capsys, monkeypatch):
     # ranked input under --complete: C(199, 4) = 63,391,251 compositions,
     # counted before the walk starts
-    def is_stable(*args):
-        raise AssertionError("a candidate was checked")
+    def block_walk(*args):
+        raise AssertionError("the walk was started")
 
-    monkeypatch.setattr(cli, "is_stable", is_stable)
+    monkeypatch.setattr(oracle, "_block_walk", block_walk)
     path = tmp_path / "inst.json"
     path.write_text(dump_instance(generate(GenSpec("ranked", 200, 5, seed=1))))
     assert cli.main(["enumerate", "--instance", str(path), "--complete"]) == 5

@@ -91,7 +91,7 @@ def test_state_matches_the_fraction_definitions(index):
         n = inst.n
         assert [("s", p) if p < n else ("c", p - n) for p in scaled.agents] == list(full.agent_at)
         for j in range(inst.m):
-            assert state.college_value(j) == college_value(inst, mu, j) * scale
+            assert state._total[j] == college_value(inst, mu, j) * scale
         assert list(map(state.college_of, range(inst.n))) == list(mu.assignment)
         before = state.values()
         for x in set(before):
@@ -162,7 +162,7 @@ def _check_against_fractions(inst, state):
     assert scaled.values == [x * scale for x in full.values]
     assert scaled.view() == full
     for j in range(inst.m):
-        assert state.college_value(j) == college_value(inst, mu, j) * scale
+        assert state._total[j] == college_value(inst, mu, j) * scale
     for p, q in itertools.combinations(range(inst.m), 2):
         if k[p] <= 1:
             continue
